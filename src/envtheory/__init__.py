@@ -15,11 +15,11 @@ from .coupled_osc import OscPair, level, normal_modes
 from .critical import critical_g, u_star
 from .errors import (DegenerateOrbitalError, EnvTheoryError, InputError,
                      NoBindingError, NonConvergenceError, NoRootError,
-                     OutOfDomainError, UnstableModeError, UnstableOrbitalError,
+                     UnstableModeError, UnstableOrbitalError,
                      UnsupportedRegimeError)
-from .laws import (Law, coulomb, custom, eval_d012, exponential_well,
-                   gaussian_well, harmonic, kinetic_power, make_weighted_sum,
-                   potential_power, power, power_parameters)
+from .laws import (Law, coulomb, custom, exponential_well, gaussian_well,
+                   harmonic, kinetic_power, make_weighted_sum, potential_power,
+                   power, power_parameters)
 from .qnum import (GroundStateResult, QuantumSpec, bgs, fgs_approx, fgs_closed,
                    fgs_fill, global_q, ground_spec, level_degeneracy,
                    spec_from_filling, split_ground_spec)
@@ -36,11 +36,11 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # errors
-    "EnvTheoryError", "InputError", "OutOfDomainError", "NoRootError",
+    "EnvTheoryError", "InputError", "NoRootError",
     "NonConvergenceError", "UnstableOrbitalError", "UnstableModeError",
     "DegenerateOrbitalError", "NoBindingError", "UnsupportedRegimeError",
     # laws
-    "Law", "eval_d012", "power", "kinetic_power", "potential_power", "coulomb",
+    "Law", "power", "kinetic_power", "potential_power", "coulomb",
     "harmonic", "gaussian_well", "exponential_well", "make_weighted_sum",
     "custom", "power_parameters",
     # quantum numbers

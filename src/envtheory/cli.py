@@ -54,13 +54,13 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import laws, repro
 from .errors import EnvTheoryError, InputError, NonConvergenceError
 from .kvfile import parse_sections
 from .qnum import (QuantumSpec, fgs_approx, fgs_closed, fgs_fill, global_q,
-                   ground_spec, spec_from_filling, split_ground_spec)
+                   spec_from_filling)
 from .solver_identical import IdenticalSystem, dosm_identical, solve_et, solve_iet
 from .solver_nplus1 import (NPlusOneSystem, atom_report, dosm_np1,
                             solve_et_np1, solve_iet_np1)
@@ -146,9 +146,19 @@ def _num(section: dict, name: str, key: str, default=None) -> float:
             raise InputError(f"[{name}] is missing {key!r}")
         return default
     try:
-        return float(section[key])
+        value = float(section[key])
     except ValueError:
-        raise InputError(f"[{name}] {key} = {section[key]!r} is not a number") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise InputError(f"[{name}] {key} = {section[key]!r} is not a finite number")
+    return value
+
+
+def _int(section: dict, name: str, key: str, default=None) -> int:
+    value = _num(section, name, key, default)
+    if not value.is_integer():
+        raise InputError(f"[{name}] {key} = {section[key]!r} is not an integer")
+    return int(value)
 
 
 def _build_law(sections: dict, name: str, kinetic: bool) -> laws.Law:
@@ -233,7 +243,7 @@ def _load_definition(path: str) -> _Definition:
     kind = sys_sec.get("type")
     if kind not in ("identical", "nplusone"):
         raise InputError(f"[system] type must be 'identical' or 'nplusone', got {kind!r}")
-    D = int(_num(sys_sec, "system", "D"))
+    D = _int(sys_sec, "system", "D")
 
     state = sections.get("state", {})
     mode = state.get("mode", "bgs")
@@ -241,57 +251,45 @@ def _load_definition(path: str) -> _Definition:
     if method not in ("et", "iet", "dosm"):
         raise InputError(f"[state] method must be et, iet or dosm, got {method!r}")
     unit = _num(state, "state", "energy_unit", 0.0) or None
-    d = int(_num(state, "state", "d", 1.0))
+    d = _int(state, "state", "d", 1.0)
 
     echo = {"definition": path, "type": kind, "D": D, "state_mode": mode}
     if kind == "identical":
-        N = int(_num(sys_sec, "system", "N"))
+        N = _int(sys_sec, "system", "N")
         system = IdenticalSystem(N, D, _build_law(sections, "kinetic", True),
                                  _build_law(sections, "potential", False))
         echo["N"] = N
         echo["kinetic"] = _law_echo(system.kinetic)
         echo["potential"] = _law_echo(system.potential)
-        if mode == "bgs":
-            spec = ground_spec(N, D)
-        elif mode == "fgs":
-            spec = spec_from_filling(fgs_fill(N, D, d, 2.0), relative_mode=None)
-            echo["d"] = d
-        elif mode == "explicit":
-            if "modes" not in state:
-                raise InputError("[state] explicit mode needs 'modes'")
-            modes = tuple(_parse_mode(m, "[state] modes") for m in state["modes"].split())
-            spec = QuantumSpec(D=D, internal_modes=modes)
-        else:
-            raise InputError(f"[state] unknown mode {mode!r}")
+        relative = None
     else:
-        N_a = int(_num(sys_sec, "system", "Na"))
-        system = NPlusOneSystem(N_a, D,
+        N = _int(sys_sec, "system", "Na")
+        system = NPlusOneSystem(N, D,
                                 _build_law(sections, "kinetic-a", True),
                                 _build_law(sections, "kinetic-b", True),
                                 _build_law(sections, "potential-aa", False),
                                 _build_law(sections, "potential-ab", False))
-        echo["Na"] = N_a
+        echo["Na"] = N
         echo["kinetic_a"] = _law_echo(system.kinetic_a)
         echo["kinetic_b"] = _law_echo(system.kinetic_b)
         echo["potential_aa"] = _law_echo(system.potential_aa)
         echo["potential_ab"] = _law_echo(system.potential_ab)
         relative = _parse_mode(state["relative"], "[state] relative") \
             if "relative" in state else (0, 0)
-        if mode == "bgs":
-            spec = split_ground_spec(N_a, D) if relative == (0, 0) else \
-                QuantumSpec(D=D, internal_modes=((0, 0),) * (N_a - 1),
-                            relative_mode=relative)
-        elif mode == "fgs":
-            spec = spec_from_filling(fgs_fill(N_a, D, d, 2.0), relative_mode=relative)
-            echo["d"] = d
-        elif mode == "explicit":
-            if "modes" not in state:
-                raise InputError("[state] explicit mode needs 'modes'")
-            modes = tuple(_parse_mode(m, "[state] modes") for m in state["modes"].split())
-            spec = QuantumSpec(D=D, internal_modes=modes, relative_mode=relative)
-        else:
-            raise InputError(f"[state] unknown mode {mode!r}")
-        echo["relative"] = f"{spec.relative_mode[0]},{spec.relative_mode[1]}"
+    if mode == "bgs":
+        spec = QuantumSpec(D=D, internal_modes=((0, 0),) * (N - 1), relative_mode=relative)
+    elif mode == "fgs":
+        spec = spec_from_filling(fgs_fill(N, D, d, 2.0), relative_mode=relative)
+        echo["d"] = d
+    elif mode == "explicit":
+        if "modes" not in state:
+            raise InputError("[state] explicit mode needs 'modes'")
+        modes = tuple(_parse_mode(m, "[state] modes") for m in state["modes"].split())
+        spec = QuantumSpec(D=D, internal_modes=modes, relative_mode=relative)
+    else:
+        raise InputError(f"[state] unknown mode {mode!r}")
+    if relative is not None:
+        echo["relative"] = f"{relative[0]},{relative[1]}"
     echo["modes"] = " ".join(f"{n},{l}" for n, l in spec.internal_modes)
     return _Definition(kind, system, spec, method, unit, echo)
 
@@ -363,8 +361,7 @@ def _cmd_solver(args) -> int:
         raise InputError(f"{args.command} needs a definition of type {expect!r}, "
                          f"got {definition.kind!r}")
     if args.command.startswith("iet-"):
-        definition = _Definition(definition.kind, definition.system, definition.spec,
-                                 "iet", definition.unit, definition.echo)
+        definition = replace(definition, method="iet")
     runner = _run_identical if expect == "identical" else _run_np1
     record = {"command": args.command}
     record.update(runner(definition, args))
@@ -375,7 +372,7 @@ def _cmd_solver(args) -> int:
 def _cmd_atom(args) -> int:
     mass = args.nucleus_mass
     if mass is None:
-        key = _NUCLEUS_BY_Z.get(int(args.Z)) if args.Z == int(args.Z) else None
+        key = _NUCLEUS_BY_Z.get(args.Z)
         if key is None:
             raise InputError(f"no bundled nucleus mass for Z = {args.Z}; "
                              f"pass --nucleus-mass")
@@ -533,11 +530,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except InputError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc),
-                          "exit": 2}), file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc),
                           "exit": 2}), file=sys.stderr)
         return 2

@@ -11,10 +11,6 @@ class InputError(EnvTheoryError):
     """Malformed or inconsistent user input (bad parameters, bad files)."""
 
 
-class OutOfDomainError(EnvTheoryError):
-    """A law was evaluated outside its domain or returned a non-finite value."""
-
-
 class NoRootError(EnvTheoryError):
     """No sign change was found on the scanned range.
 

@@ -17,11 +17,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import InputError, OutOfDomainError
+from .errors import InputError
 
 __all__ = [
     "Law",
-    "eval_d012",
     "power",
     "kinetic_power",
     "potential_power",
@@ -37,15 +36,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Law:
-    """A scalar law f on an open interval of positive reals.
+    """A scalar law f of one positive real.
 
     ``value``, ``d1`` and ``d2`` are closed-form callables for f, f' and f''.
     ``params`` records the defining constants of the built-in kinds so that
     higher layers can recognize special structure (pure power laws admit an
-    analytic energy formula and a variational character).  The domain is the
-    open interval (domain_min, domain_max); evaluation outside it is a hard
-    error, never a clamped value, because the solvers work at strictly
-    positive arguments only.
+    analytic energy formula and a variational character).  No domain is
+    checked: the solvers evaluate laws at strictly positive arguments only,
+    and a law that overflows or divides by zero there raises the plain
+    Python error.
     """
 
     kind: str
@@ -53,34 +52,10 @@ class Law:
     d1: Callable[[float], float]
     d2: Callable[[float], float]
     params: tuple[float, ...] = ()
-    domain_min: float = 0.0
-    domain_max: float = math.inf
-
-
-def eval_d012(law: Law, x: float) -> tuple[float, float, float]:
-    """Return (f(x), f'(x), f''(x)) for ``law`` at ``x``.
-
-    Raises OutOfDomainError if x lies outside the open domain or if any of
-    the three numbers is not finite (singular point, overflow).
-    """
-    if not (law.domain_min < x < law.domain_max):
-        raise OutOfDomainError(
-            f"x={x!r} outside the domain ({law.domain_min}, {law.domain_max}) "
-            f"of the {law.kind} law")
-    try:
-        f, f1, f2 = law.value(x), law.d1(x), law.d2(x)
-    except (OverflowError, ValueError, ZeroDivisionError) as exc:
-        raise OutOfDomainError(f"{law.kind} law not evaluable at x={x!r}: {exc}") from exc
-    if not (math.isfinite(f) and math.isfinite(f1) and math.isfinite(f2)):
-        raise OutOfDomainError(f"{law.kind} law non-finite at x={x!r}")
-    return f, f1, f2
 
 
 def power(coefficient: float, exponent: float) -> Law:
-    """Monomial law c * x**e with a signed coefficient.
-
-    The domain is (0, inf) so that arbitrary real exponents are allowed.
-    """
+    """Monomial law c * x**e with a signed coefficient and any real exponent."""
     if coefficient == 0.0:
         raise InputError("power law needs a nonzero coefficient")
     c, e = float(coefficient), float(exponent)
@@ -182,23 +157,16 @@ def exponential_well(depth: float, scale: float = 1.0) -> Law:
 def make_weighted_sum(terms: Sequence[tuple[float, Law]]) -> Law:
     """Coefficient-weighted sum of laws.
 
-    The domain is the intersection of the members' domains.  Derivatives are
-    the weighted sums of the members', exact to round-off.
+    Derivatives are the weighted sums of the members', exact to round-off.
     """
     if not terms:
         raise InputError("weighted sum needs at least one term")
     frozen = tuple((float(c), law) for c, law in terms)
-    lo = max(law.domain_min for _, law in frozen)
-    hi = min(law.domain_max for _, law in frozen)
-    if not lo < hi:
-        raise InputError("weighted sum has an empty domain")
     return Law(
         kind="weighted-sum",
         value=lambda x: sum(c * law.value(x) for c, law in frozen),
         d1=lambda x: sum(c * law.d1(x) for c, law in frozen),
         d2=lambda x: sum(c * law.d2(x) for c, law in frozen),
-        domain_min=lo,
-        domain_max=hi,
     )
 
 

@@ -14,10 +14,14 @@ combinations
     Q_a = sqrt(C2) p_a r_aa,
     Q_b = P0 R0.
 
-The two quantization conditions eliminate p_a and P0; the two equations of
-motion are solved for (r_aa, R0) by a damped Newton iteration in log
-coordinates.  The improved variant quantizes the two coupled radial modes
-around the purely orbital solution and deforms both quantum numbers.
+The two quantization conditions eliminate p_a and P0, which leaves the energy
+surface E(r_aa, R0); the two equations of motion are its stationary
+conditions.  One function evaluates E with its exact gradient and Hessian in
+log coordinates, chain-ruled from the laws' first and second derivatives.
+Newton steps on the gradient with that Hessian.  The improved variant
+quantizes the two coupled radial modes around the purely orbital solution
+and deforms both quantum numbers; the mode stiffnesses are the same Hessian
+at the orbital point, and the responses D_a, D_b its kinetic gradient.
 """
 
 from __future__ import annotations
@@ -25,8 +29,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from . import laws
 from .coupled_osc import OscPair, normal_modes
@@ -53,7 +55,6 @@ __all__ = [
 NEWTON_TOL = 1e-11
 NEWTON_MAX_STEPS = 200
 NEWTON_MAX_HALVINGS = 30
-NEWTON_FD_STEP = 1e-6
 
 # Energy unit of the atomic Hamiltonian expressed in eV (twice the Rydberg).
 ATOMIC_UNIT_EV = 27.21
@@ -156,75 +157,83 @@ def _geometry(system: NPlusOneSystem, q_a: float, q_b: float,
     return p_a, P0, p_a_prime, r_0_prime
 
 
-def _energy(system: NPlusOneSystem, q_a: float, q_b: float,
-            r_aa: float, R0: float) -> float:
-    N_a = system.N_a
-    p_a, P0, pap, r0p = _geometry(system, q_a, q_b, r_aa, R0)
-    return (N_a * system.kinetic_a.value(pap) + system.kinetic_b.value(P0)
-            + pair_count(N_a) * system.potential_aa.value(r_aa)
-            + N_a * system.potential_ab.value(r0p))
+def _root_sum(t1: float, t2: float, sign: float):
+    """s = sqrt(t1 + t2) for t_i = w_i exp(2 sign u_i), with its u-gradient and Hessian."""
+    s = math.sqrt(t1 + t2)
+    return (s, (sign * t1 / s, sign * t2 / s),
+            (2.0 * t1 / s - t1 * t1 / s ** 3, -t1 * t2 / s ** 3,
+             2.0 * t2 / s - t2 * t2 / s ** 3))
 
 
-def _residuals(system: NPlusOneSystem, q_a: float, q_b: float,
-               r_aa: float, R0: float) -> np.ndarray:
-    """Scaled equations of motion; each entry is (lhs-rhs)/max(|lhs|,|rhs|)."""
+def _surface(system: NPlusOneSystem, q_a: float, q_b: float, r_aa: float, R0: float):
+    """Energy E(r_aa, R0; q_a, q_b) with its derivatives in u = (log r_aa, log R0).
+
+    Returns (E, kinetic, potential, (H11, H12, H22)): the gradient of E is
+    kinetic + potential, componentwise, and H is its exact Hessian, chain-ruled
+    from the laws' d1 and d2 through p_a' and r_0'.
+    """
     N_a = system.N_a
     c2 = pair_count(N_a)
-    p_a, P0, pap, r0p = _geometry(system, q_a, q_b, r_aa, R0)
-    ta1 = system.kinetic_a.d1(pap)
-    lhs1 = N_a * ta1 * p_a ** 2 / pap
-    rhs1 = (c2 * system.potential_aa.d1(r_aa) * r_aa
-            + 0.5 * (N_a - 1) * system.potential_ab.d1(r0p) * r_aa ** 2 / r0p)
-    lhs2 = ta1 * P0 ** 2 / (N_a * pap) + system.kinetic_b.d1(P0) * P0
-    rhs2 = N_a * system.potential_ab.d1(r0p) * R0 ** 2 / r0p
-    s1 = max(abs(lhs1), abs(rhs1), 1e-300)
-    s2 = max(abs(lhs2), abs(rhs2), 1e-300)
-    return np.array([(lhs1 - rhs1) / s1, (lhs2 - rhs2) / s2])
+    p_a = q_a / (math.sqrt(c2) * r_aa)
+    P0 = q_b / R0
+    pap, (pg1, pg2), (ph11, ph12, ph22) = _root_sum(p_a ** 2, P0 ** 2 / N_a ** 2, -1.0)
+    r0p, (rg1, rg2), (rh11, rh12, rh22) = _root_sum(
+        0.5 * (N_a - 1) / N_a * r_aa ** 2, R0 ** 2, 1.0)
+    ta, tb, vaa, vab = (system.kinetic_a, system.kinetic_b,
+                        system.potential_aa, system.potential_ab)
+    ta1, ta2, tb1, tb2 = ta.d1(pap), ta.d2(pap), tb.d1(P0), tb.d2(P0)
+    vaa1, vab1, vab2 = vaa.d1(r_aa), vab.d1(r0p), vab.d2(r0p)
+    energy = (N_a * ta.value(pap) + tb.value(P0)
+              + c2 * vaa.value(r_aa) + N_a * vab.value(r0p))
+    kinetic = (N_a * ta1 * pg1, N_a * ta1 * pg2 - tb1 * P0)
+    potential = (c2 * vaa1 * r_aa + N_a * vab1 * rg1, N_a * vab1 * rg2)
+    h11 = (N_a * (ta2 * pg1 * pg1 + ta1 * ph11)
+           + c2 * (vaa.d2(r_aa) * r_aa ** 2 + vaa1 * r_aa)
+           + N_a * (vab2 * rg1 * rg1 + vab1 * rh11))
+    h12 = N_a * (ta2 * pg1 * pg2 + ta1 * ph12 + vab2 * rg1 * rg2 + vab1 * rh12)
+    h22 = (N_a * (ta2 * pg2 * pg2 + ta1 * ph22) + tb2 * P0 ** 2 + tb1 * P0
+           + N_a * (vab2 * rg2 * rg2 + vab1 * rh22))
+    return energy, kinetic, potential, (h11, h12, h22)
 
 
-def _newton(system: NPlusOneSystem, q_a: float, q_b: float,
-            r_aa0: float, R00: float) -> tuple[float, float, int, np.ndarray]:
-    """Damped Newton on the log of the coordinates, which keeps them positive."""
-    u = np.array([math.log(r_aa0), math.log(R00)])
+def _scaled(surface) -> tuple[float, float]:
+    """Equations of motion scaled as (kinetic + potential)/max(|kinetic|, |potential|)."""
+    _, kinetic, potential, _ = surface
+    return tuple((k + v) / max(abs(k), abs(v), 1e-300) for k, v in zip(kinetic, potential))
 
-    def f_of(v: np.ndarray) -> np.ndarray:
-        # Trial points far from the root may overflow; the line search
-        # rejects the resulting non-finite residuals, so silence numpy here.
-        with np.errstate(all="ignore"):
-            return _residuals(system, q_a, q_b, math.exp(v[0]), math.exp(v[1]))
 
-    f = f_of(u)
-    iterations = 0
+def _newton(system: NPlusOneSystem, q_a: float, q_b: float, r_aa: float,
+            R0: float) -> tuple[float, float, float, int, tuple[float, float]]:
+    """Newton on the gradient of E in log coordinates, which keeps them positive.
+
+    Each step solves the exact 2x2 Hessian system; a halving line search on
+    the norm of the scaled residuals damps it.  Returns (r_aa, R0, E,
+    iterations, scaled residuals).
+    """
+    surface = _surface(system, q_a, q_b, r_aa, R0)
+    f = _scaled(surface)
     for iterations in range(1, NEWTON_MAX_STEPS + 1):
-        if np.max(np.abs(f)) < NEWTON_TOL:
-            break
-        jac = np.zeros((2, 2))
-        for j in range(2):
-            up, um = u.copy(), u.copy()
-            up[j] += NEWTON_FD_STEP
-            um[j] -= NEWTON_FD_STEP
-            jac[:, j] = (f_of(up) - f_of(um)) / (2.0 * NEWTON_FD_STEP)
-        try:
-            du = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergenceError("singular Jacobian", tuple(np.exp(u)),
-                                      tuple(f)) from exc
+        if max(abs(f[0]), abs(f[1])) < NEWTON_TOL:
+            return r_aa, R0, surface[0], iterations, f
+        _, (k1, k2), (v1, v2), (h11, h12, h22) = surface
+        g1, g2 = k1 + v1, k2 + v2
+        det = h11 * h22 - h12 * h12
+        if not (det != 0.0 and math.isfinite(det)):
+            raise NonConvergenceError("singular Hessian", (r_aa, R0), f)
+        du1, du2 = (h12 * g2 - h22 * g1) / det, (h12 * g1 - h11 * g2) / det
         step = 1.0
         for _ in range(NEWTON_MAX_HALVINGS):
-            u_new = u + step * du
-            f_new = f_of(u_new)
-            if np.linalg.norm(f_new) < np.linalg.norm(f):
+            trial_r, trial_R = r_aa * math.exp(step * du1), R0 * math.exp(step * du2)
+            trial = _surface(system, q_a, q_b, trial_r, trial_R)
+            f_trial = _scaled(trial)
+            if math.hypot(*f_trial) < math.hypot(*f):
                 break
             step *= 0.5
         else:
-            raise NonConvergenceError("no descent direction", tuple(np.exp(u)),
-                                      tuple(f))
-        u, f = u_new, f_new
-    else:
-        raise NonConvergenceError(
-            f"Newton did not converge in {NEWTON_MAX_STEPS} steps",
-            tuple(np.exp(u)), tuple(f))
-    return math.exp(u[0]), math.exp(u[1]), iterations, f
+            raise NonConvergenceError("no descent direction", (r_aa, R0), f)
+        r_aa, R0, surface, f = trial_r, trial_R, trial, f_trial
+    raise NonConvergenceError(f"Newton did not converge in {NEWTON_MAX_STEPS} steps",
+                              (r_aa, R0), f)
 
 
 def _initial_guess(system: NPlusOneSystem, q_a: float, q_b: float) -> tuple[float, float]:
@@ -273,13 +282,13 @@ def solve_et_np1(system: NPlusOneSystem, q_a: float, q_b: float) -> Np1Solution:
     if q_a <= 0.0 or q_b <= 0.0:
         raise InputError("q_a and q_b must be positive")
     r_aa0, R00 = _initial_guess(system, q_a, q_b)
-    roots: list[tuple[float, float, float, int, np.ndarray]] = []
+    roots: list[tuple[float, float, float, int, tuple[float, float]]] = []
     failure: NonConvergenceError | None = None
     for scale_r in (1.0, 0.1, 10.0):
         for scale_R in (1.0, 0.1, 10.0):
             try:
-                r_aa, R0, iters, res = _newton(system, q_a, q_b,
-                                               r_aa0 * scale_r, R00 * scale_R)
+                r_aa, R0, energy, iters, res = _newton(system, q_a, q_b,
+                                                       r_aa0 * scale_r, R00 * scale_R)
             except (NonConvergenceError, OverflowError, ValueError,
                     ZeroDivisionError) as exc:
                 if isinstance(exc, NonConvergenceError):
@@ -288,7 +297,6 @@ def solve_et_np1(system: NPlusOneSystem, q_a: float, q_b: float) -> Np1Solution:
             if any(abs(r_aa - r) / r < 1e-8 and abs(R0 - R) / R < 1e-8
                    for _, r, R, _, _ in roots):
                 continue
-            energy = _energy(system, q_a, q_b, r_aa, R0)
             roots.append((energy, r_aa, R0, iters, res))
     if not roots:
         if failure is not None:
@@ -308,11 +316,11 @@ def dosm_np1(system: NPlusOneSystem, lam_a: float, lam_b: float) -> DosmNp1Repor
     """Quantize the two coupled radial modes around the orbital solution.
 
     The orbital solution is the five-equation set solved with the quantum
-    numbers replaced by (lam_a, lam_b).  Expanding the energy to second
-    order in the two radial displacements gives a coupled quadratic form
-    whose coefficients follow from the law derivatives at the orbital point;
-    its normal modes and the first-order responses (D_a, D_b) fix the two
-    deformation parameters.
+    numbers replaced by (lam_a, lam_b).  The coupled quadratic form in the
+    two radial displacements is the Hessian of the energy surface there,
+    (k_a, k_b, k_c) = (E_rr, E_RR, 2 E_rR); its normal modes and the
+    first-order responses (D_a, D_b), minus the kinetic part of the log
+    gradient, fix the two deformation parameters.
     """
     if lam_a <= 0.0 or lam_b <= 0.0:
         raise InputError("lam_a and lam_b must be positive")
@@ -321,32 +329,20 @@ def dosm_np1(system: NPlusOneSystem, lam_a: float, lam_b: float) -> DosmNp1Repor
     orbital = solve_et_np1(system, lam_a, lam_b)
     r_aa, R0 = orbital.r_aa, orbital.R0
     p_a, P0, pap, r0p = orbital.p_a, orbital.P0, orbital.p_a_prime, orbital.r_0_prime
-    ta1, ta2 = system.kinetic_a.d1(pap), system.kinetic_a.d2(pap)
-    tb1, tb2 = system.kinetic_b.d1(P0), system.kinetic_b.d2(P0)
-    vab1, vab2 = system.potential_ab.d1(r0p), system.potential_ab.d2(r0p)
-
+    _, kinetic, potential, (h11, h12, h22) = _surface(system, lam_a, lam_b, r_aa, R0)
+    ta1 = system.kinetic_a.d1(pap)
     mu_a = pap / (N_a * ta1)
-    mu_b = 1.0 / (ta1 / (N_a * pap) + tb1 / P0)
-    k_a = (N_a * ta2 * p_a ** 4 / (r_aa ** 2 * pap ** 2)
-           + N_a * ta1 * p_a ** 2 / r_aa ** 2 * (3.0 / pap - p_a ** 2 / pap ** 3)
-           + c2 * system.potential_aa.d2(r_aa)
-           + (N_a - 1) ** 2 * r_aa ** 2 / (4.0 * N_a * r0p ** 2) * vab2
-           + 0.5 * (N_a - 1) * (1.0 / r0p - (N_a - 1) * r_aa ** 2 / (2.0 * N_a * r0p ** 3)) * vab1)
-    k_b = (ta2 * P0 ** 4 / (N_a ** 3 * R0 ** 2 * pap ** 2)
-           + tb2 * P0 ** 2 / R0 ** 2
-           + ta1 * P0 ** 2 / (N_a * R0 ** 2) * (3.0 / pap - P0 ** 2 / (N_a ** 2 * pap ** 3))
-           + 2.0 * tb1 * P0 / R0 ** 2
-           + N_a * R0 ** 2 / r0p ** 2 * vab2
-           + N_a * (1.0 / r0p - R0 ** 2 / r0p ** 3) * vab1)
-    k_c = (2.0 * p_a ** 2 * P0 ** 2 / (N_a * pap ** 2 * r_aa * R0) * (ta2 - ta1 / pap)
-           + (N_a - 1) * r_aa * R0 / r0p ** 2 * (vab2 - vab1 / r0p))
+    mu_b = 1.0 / (ta1 / (N_a * pap) + system.kinetic_b.d1(P0) / P0)
+    # Second derivatives in (r_aa, R0) from those in their logarithms.
+    k_a = (h11 - kinetic[0] - potential[0]) / r_aa ** 2
+    k_b = (h22 - kinetic[1] - potential[1]) / R0 ** 2
+    k_c = 2.0 * h12 / (r_aa * R0)
 
     A, B, mu = normal_modes(OscPair(mu_a, mu_b, k_a, k_b, k_c))
     if A <= 0.0 or B <= 0.0:
         raise UnstableOrbitalError(
             f"unstable radial quadratic form (A={A}, B={B})")
-    D_a = ta1 * N_a * p_a ** 2 / pap
-    D_b = ta1 * P0 ** 2 / (N_a * pap) + tb1 * P0
+    D_a, D_b = -kinetic[0], -kinetic[1]
     phi_a = lam_a / D_a * math.sqrt(A / (c2 * mu))
     phi_b = lam_b / D_b * math.sqrt(B / mu)
     return DosmNp1Report(energy_orbital=orbital.energy, p_a=p_a, r_aa=r_aa,
@@ -452,8 +448,8 @@ def atom_report(Z: float, n_electrons: int, nucleus_mass: float,
     """
     if n_electrons < 2:
         raise InputError("need at least two electrons")
-    if Z <= 0.0 or nucleus_mass <= 0.0:
-        raise InputError("need Z > 0 and nucleus_mass > 0")
+    if not (0.0 < Z < math.inf and 0.0 < nucleus_mass < math.inf):
+        raise InputError("need finite Z > 0 and nucleus_mass > 0")
     method = method.lower()
     if method not in ("et", "iet"):
         raise InputError("method must be 'et' or 'iet'")

@@ -400,3 +400,35 @@ def test_usage_errors_exit_two(capsys):
     assert json.loads(err)["error"] == "InputError"
     rc, _, err = _run(capsys, "fgs", "--n", "not-a-number")
     assert rc == 2
+
+
+@pytest.mark.parametrize("command, text", [
+    ("solve-identical", LINEAR_IDENTICAL.replace("coefficient = 1\n", "coefficient = nan\n")),
+    ("solve-identical", HO_IDENTICAL.replace("strength = 0.5", "strength = inf")),
+    ("solve-identical", HO_IDENTICAL.replace("N = 3", "N = 3.7")),
+    ("solve-identical", HO_IDENTICAL + "\n[state]\nmode = fgs\nd = 1.5\n"),
+    ("solve-np1", HO_SPLIT.replace("Na = 2", "Na = 3.7")),
+    ("solve-np1", HO_SPLIT.replace("D = 3", "D = inf")),
+    ("solve-np1", HO_SPLIT.replace("strength = 0.7", "strength = nan")),
+], ids=["nan-coefficient", "inf-strength", "fractional-N", "fractional-d",
+        "fractional-Na", "inf-D", "nan-strength"])
+def test_malformed_numbers_in_definitions_exit_two(tmp_path, capsys, command, text):
+    path = _write(tmp_path, text)
+    rc, _, err = _run(capsys, command, path)
+    assert rc == 2, err
+    assert json.loads(err)["error"] == "InputError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--Z", "nan"),
+    ("--Z", "inf"),
+    ("--Z", "nan", "--nucleus-mass", "7294.3"),
+    ("--Z", "inf", "--nucleus-mass", "7294.3"),
+    ("--Z", "2", "--nucleus-mass", "nan"),
+    ("--Z", "2", "--nucleus-mass", "inf"),
+], ids=["nan-Z", "inf-Z", "nan-Z-with-mass", "inf-Z-with-mass", "nan-mass",
+        "inf-mass"])
+def test_atom_rejects_non_finite_numbers(capsys, argv):
+    rc, _, err = _run(capsys, "atom", "--electrons", "2", *argv)
+    assert rc == 2, err
+    assert json.loads(err)["error"] == "InputError"

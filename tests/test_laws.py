@@ -1,12 +1,10 @@
-"""Laws: closed-form derivatives against finite differences, domains, kinds."""
-
-import math
+"""Laws: closed-form derivatives against finite differences, kinds."""
 
 import numpy as np
 import pytest
 
 from envtheory import laws
-from envtheory.errors import InputError, OutOfDomainError
+from envtheory.errors import InputError
 
 
 def _fd_check(law, x):
@@ -39,23 +37,6 @@ def test_derivatives_match_finite_differences(law):
     rng = np.random.default_rng(7)
     for x in rng.uniform(0.3, 4.0, size=8):
         _fd_check(law, float(x))
-
-
-def test_eval_d012_returns_triple():
-    law = laws.harmonic(1.0)
-    assert laws.eval_d012(law, 2.0) == (4.0, 4.0, 2.0)
-
-
-@pytest.mark.parametrize("x", [0.0, -1.0])
-def test_domain_is_open_positive(x):
-    with pytest.raises(OutOfDomainError):
-        laws.eval_d012(laws.coulomb(1.0), x)
-
-
-def test_nonfinite_values_are_domain_errors():
-    law = laws.custom(lambda x: math.inf, lambda x: 0.0, lambda x: 0.0)
-    with pytest.raises(OutOfDomainError):
-        laws.eval_d012(law, 1.0)
 
 
 def test_kinetic_power_requires_positive_constants():
@@ -104,7 +85,7 @@ def test_custom_wraps_callables():
     law = laws.custom(lambda x: x**3, lambda x: 3 * x**2, lambda x: 6 * x,
                       kind="cubic")
     assert law.kind == "cubic"
-    assert laws.eval_d012(law, 2.0) == (8.0, 12.0, 12.0)
+    assert (law.value(2.0), law.d1(2.0), law.d2(2.0)) == (8.0, 12.0, 12.0)
 
 
 def test_well_validation():

@@ -16,6 +16,7 @@ N_a m_a m_b/(N_a m_a + m_b).
 import math
 
 import pytest
+from scipy.optimize import minimize
 
 from envtheory import laws
 from envtheory.errors import (DegenerateOrbitalError, InputError, NoBindingError,
@@ -332,3 +333,29 @@ def test_phi_pair_matches_report():
     system = FD_SYSTEMS[2]
     report = dosm_np1(system, 1.5, 0.5)
     assert phi_pair(system, 1.5, 0.5) == (report.phi_a, report.phi_b)
+
+
+@pytest.mark.parametrize("Z, mass", [(10, 36_440.0), (11, 41_907.0)])
+def test_improved_atoms_beyond_oxygen_converge_to_the_energy_minimum(Z, mass):
+    result = atom_report(Z, Z, mass, "iet")
+    assert result.binding_ev > 0.0
+    assert max(result.solution.residual_a, result.solution.residual_b) < 1e-10
+    # The orbital solution behind phi_a, phi_b is the minimum of E(r_aa, R0)
+    # at the orbital aggregates; minimize E directly, without derivatives.
+    lam_a, lam_b = result.lam_a, 0.5
+    system = NPlusOneSystem(Z, 3, laws.kinetic_power(0.5, 2.0),
+                            laws.kinetic_power(0.5 / mass, 2.0),
+                            laws.power(1.0, -1.0), laws.coulomb(Z))
+    orbital = dosm_np1(system, lam_a, lam_b).energy_orbital
+    c2 = 0.5 * Z * (Z - 1)
+
+    def energy(u):
+        r_aa, R0 = math.exp(u[0]), math.exp(u[1])
+        p_a, P0 = lam_a / (math.sqrt(c2) * r_aa), lam_b / R0
+        return (0.5 * Z * (p_a ** 2 + P0 ** 2 / Z ** 2) + 0.5 / mass * P0 ** 2
+                + c2 / r_aa - Z * Z / math.sqrt(R0 ** 2 + 0.5 * (Z - 1) / Z * r_aa ** 2))
+
+    best = minimize(energy, [0.0, 0.0], method="Nelder-Mead",
+                    options={"xatol": 1e-9, "fatol": 1e-10, "maxiter": 20_000})
+    assert best.success
+    assert orbital == pytest.approx(best.fun, rel=1e-9)

@@ -1,0 +1,121 @@
+"""The N_a+1 energy surface: exact derivatives against symbolic ones.
+
+The solver's Newton steps, its DOSM stiffnesses and its responses all come
+from one function returning E(r_aa, R0; Q_a, Q_b), its gradient in
+u = (log r_aa, log R0) split into kinetic and potential parts, and its
+Hessian in u.  Here sympy differentiates the same energy written out from
+the compact equation set, independently of the chain rule in the solver.
+"""
+
+import math
+
+import numpy as np
+import pytest
+import sympy as sp
+
+from envtheory import laws
+from envtheory.solver_nplus1 import NPlusOneSystem, _surface, dosm_np1
+
+X = sp.Symbol("x", positive=True)
+
+
+def _yukawa(g, a):
+    """-g exp(-x/a)/x, a custom law with hand-written derivatives."""
+    law = laws.custom(
+        lambda x: -g * math.exp(-x / a) / x,
+        lambda x: g * math.exp(-x / a) * (1.0 / (a * x) + 1.0 / x ** 2),
+        lambda x: -g * math.exp(-x / a) * (1.0 / (a * a * x) + 2.0 / (a * x ** 2)
+                                           + 2.0 / x ** 3),
+        kind="yukawa")
+    return law, -g * sp.exp(-X / a) / X
+
+
+# (N_a, T_a, T_b, V_aa, V_ab), each law with its symbolic twin in x.
+CASES = {
+    "power": (3, (laws.kinetic_power(0.5, 2.0), 0.5 * X ** 2),
+              (laws.kinetic_power(0.3, 1.5), 0.3 * X ** 1.5),
+              (laws.power(0.8, 1.2), 0.8 * X ** 1.2),
+              (laws.power(-1.1, -0.7), -1.1 * X ** -0.7)),
+    "coulomb": (4, (laws.kinetic_power(0.5, 2.0), 0.5 * X ** 2),
+                (laws.kinetic_power(0.5 / 1836.0, 2.0), 0.5 / 1836.0 * X ** 2),
+                (laws.power(1.0, -1.0), 1 / X),
+                (laws.coulomb(2.5), -2.5 / X)),
+    "gaussian": (2, (laws.kinetic_power(1.0, 1.0), X),
+                 (laws.kinetic_power(0.7, 2.0), 0.7 * X ** 2),
+                 (laws.gaussian_well(1.3, 0.9), -1.3 * sp.exp(-X ** 2 / 0.81)),
+                 (laws.gaussian_well(2.0, 1.4), -2.0 * sp.exp(-X ** 2 / 1.96))),
+    "yukawa": (5, (laws.kinetic_power(0.5, 2.0), 0.5 * X ** 2),
+               (laws.kinetic_power(0.25, 2.0), 0.25 * X ** 2),
+               (laws.harmonic(0.4), 0.4 * X ** 2),
+               _yukawa(3.0, 0.8)),
+}
+
+
+def _symbolic(N_a, t_a, t_b, v_aa, v_ab, q_a, q_b):
+    """Kinetic and potential parts of E as sympy expressions in u = (u1, u2)."""
+    u1, u2 = sp.symbols("u1 u2", real=True)
+    r_aa, R0 = sp.exp(u1), sp.exp(u2)
+    c2 = sp.Rational(N_a * (N_a - 1), 2)
+    p_a = q_a / (sp.sqrt(c2) * r_aa)
+    P0 = q_b / R0
+    p_a_prime = sp.sqrt(p_a ** 2 + P0 ** 2 / N_a ** 2)
+    r_0_prime = sp.sqrt(R0 ** 2 + sp.Rational(N_a - 1, 2 * N_a) * r_aa ** 2)
+    kinetic = N_a * t_a.subs(X, p_a_prime) + t_b.subs(X, P0)
+    potential = c2 * v_aa.subs(X, r_aa) + N_a * v_ab.subs(X, r_0_prime)
+    return (u1, u2), kinetic, potential
+
+
+def _close(value, exact, scale):
+    assert value == pytest.approx(exact, rel=1e-10, abs=1e-12 * scale)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_surface_matches_symbolic_derivatives(case):
+    N_a, (t_a, st_a), (t_b, st_b), (v_aa, sv_aa), (v_ab, sv_ab) = CASES[case]
+    system = NPlusOneSystem(N_a, 3, t_a, t_b, v_aa, v_ab)
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        q_a, q_b = (float(x) for x in rng.uniform(0.5, 4.0, size=2))
+        r_aa, R0 = (float(x) for x in np.exp(rng.uniform(-1.0, 1.0, size=2)))
+        u, kin, pot = _symbolic(N_a, st_a, st_b, sv_aa, sv_ab, q_a, q_b)
+        at = {u[0]: math.log(r_aa), u[1]: math.log(R0)}
+
+        def num(expr):
+            return float(expr.evalf(30, subs=at))
+
+        energy, kinetic, potential, (h11, h12, h22) = _surface(system, q_a, q_b, r_aa, R0)
+        sym_kin = [num(sp.diff(kin, v)) for v in u]
+        sym_pot = [num(sp.diff(pot, v)) for v in u]
+        total = kin + pot
+        sym_hess = [num(sp.diff(total, a, b)) for a, b in ((u[0], u[0]), (u[0], u[1]),
+                                                           (u[1], u[1]))]
+        scale = max(map(abs, sym_kin + sym_pot + sym_hess))
+        # Away from a stationary point: the gradient itself is tested, not zero.
+        assert max(abs(k + v) for k, v in zip(sym_kin, sym_pot)) > 1e-3 * scale
+        _close(energy, num(total), abs(num(total)))
+        for got, exact in zip(kinetic + potential + (h11, h12, h22),
+                              sym_kin + sym_pot + sym_hess):
+            _close(got, exact, scale)
+
+
+@pytest.mark.parametrize("case", ["power", "yukawa"])
+def test_dosm_constants_are_the_symbolic_hessian(case):
+    N_a, (t_a, st_a), (t_b, st_b), (v_aa, sv_aa), (v_ab, sv_ab) = CASES[case]
+    system = NPlusOneSystem(N_a, 3, t_a, t_b, v_aa, v_ab)
+    lam_a, lam_b = 2.5, 1.5
+    report = dosm_np1(system, lam_a, lam_b)
+    u, kin, pot = _symbolic(N_a, st_a, st_b, sv_aa, sv_ab, lam_a, lam_b)
+    r, R = sp.symbols("r R", positive=True)
+    in_r = {u[0]: sp.log(r), u[1]: sp.log(R)}
+    total = (kin + pot).subs(in_r)
+    at = {r: report.r_aa, R: report.R0}
+
+    def num(expr):
+        return float(expr.evalf(30, subs=at))
+
+    _close(report.k_a, num(sp.diff(total, r, 2)), abs(report.k_a))
+    _close(report.k_b, num(sp.diff(total, R, 2)), abs(report.k_b))
+    _close(report.k_c, 2.0 * num(sp.diff(total, r, R)), abs(report.k_c))
+    _close(report.D_a, -num(r * sp.diff(kin.subs(in_r), r)), report.D_a)
+    _close(report.D_b, -num(R * sp.diff(kin.subs(in_r), R)), report.D_b)
+
