@@ -30,7 +30,7 @@ def u_star(shape: Law) -> float:
     def balance(u: float) -> float:
         return 2.0 * shape.value(u) + u * shape.d1(u)
 
-    return min(find_roots(balance, SCAN_LO, SCAN_HI, panels=400))
+    return min(find_roots(balance, SCAN_LO, SCAN_HI))
 
 
 def critical_g(shape: Law, m: float, N: int, Q: float) -> float:

@@ -195,13 +195,15 @@ def fgs_fill(N: int, D: int, d: int, phi: float = 2.0) -> GroundStateResult:
     Particles are piled on single-particle levels (n, l) of capacity
     level_degeneracy(l, D, d), in ascending order of the level key phi*n + l.
     The enumeration bound grows geometrically until N particles fit, so the
-    routine terminates for any positive phi.  This is the defining routine
-    for non-integer phi; at phi = 2 and phi = 1 it must agree with the
-    closed forms of fgs_closed.
+    routine terminates for any positive phi.  It starts at no more than N*phi
+    or N: the levels (n, 0) with n < N, or (0, l) with l < N, already hold N
+    particles below those keys, so the enumeration stays of order N at any
+    phi.  This is the defining routine for non-integer phi; at phi = 2 and
+    phi = 1 it must agree with the closed forms of fgs_closed.
     """
     if N < 2 or d < 1 or phi <= 0.0:
         raise InputError("need N >= 2, d >= 1, phi > 0")
-    key_max = max(2.0, phi)
+    key_max = min(max(2.0, phi), N * phi, float(N))
     while True:
         levels = _enumerate_levels(D, d, phi, key_max)
         if sum(cap for _, _, _, cap in levels) >= N:

@@ -1,10 +1,13 @@
-"""Bracketing root scan on a geometric grid with local refinement.
+"""Bracketing root scan on a geometric grid with bisection in log x.
 
 All transcendental equations in this package are solved the same way: sample
 the residual on a geometric grid over many decades, locate sign changes, and
-polish each bracket with Brent's method.  Non-finite samples (overflow of a
-steep law, singular points) are treated as holes in the grid rather than
-errors, since they routinely occur at the extreme ends of the scan range.
+halve each bracket at its geometric midpoint sqrt(a)*sqrt(b) until that
+midpoint is no longer strictly inside.  The bracket then holds adjacent
+floats, so roots have full relative precision at any scale and there is no
+tolerance to choose.  Non-finite samples (overflow of a steep law, singular
+points) are treated as holes in the grid rather than errors, since they
+routinely occur at the extreme ends of the scan range.
 """
 
 from __future__ import annotations
@@ -12,12 +15,13 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
-from scipy.optimize import brentq
-
 from .errors import NoRootError
 
 __all__ = ["find_roots"]
+
+_PANELS = 400
+_EXPANSIONS = 2
+_EXPAND_FACTOR = 1e4
 
 
 def _sample(fn: Callable[[float], float], x: float) -> float:
@@ -28,19 +32,34 @@ def _sample(fn: Callable[[float], float], x: float) -> float:
     return v if math.isfinite(v) else math.nan
 
 
-def find_roots(fn: Callable[[float], float], lo: float, hi: float,
-               panels: int = 400, expansions: int = 2,
-               expand_factor: float = 1e4, rtol: float = 1e-12) -> list[float]:
-    """All roots of ``fn`` found by sign-change bracketing on [lo, hi].
+def _bisect(fn: Callable[[float], float], a: float, fa: float,
+            b: float, fb: float) -> float:
+    """Root of fn in (a, b), where fa and fb have opposite signs."""
+    while True:
+        m = math.sqrt(a) * math.sqrt(b)
+        if not a < m < b:
+            return a if abs(fa) <= abs(fb) else b
+        fm = fn(m)
+        if fm == 0.0:
+            return m
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = m, fm
+        else:
+            b, fb = m, fm
 
-    On failure the range is widened by ``expand_factor`` on both ends, up to
-    ``expansions`` times (with the panel count scaled to keep the grid
-    density), before a NoRootError with a sampled trace is raised.
+
+def find_roots(fn: Callable[[float], float], lo: float, hi: float) -> list[float]:
+    """All roots of ``fn`` found by sign-change bracketing on [lo, hi] (0 < lo < hi).
+
+    On failure the range is widened by a factor 1e4 on both ends, up to two
+    times (with the panel count scaled to keep the grid density), before a
+    NoRootError with a sampled trace is raised.
     """
     trace: list[tuple[float, float]] = []
-    for attempt in range(expansions + 1):
-        n = panels * (attempt + 1)
-        grid = np.geomspace(lo, hi, n + 1)
+    for attempt in range(_EXPANSIONS + 1):
+        n = _PANELS * (attempt + 1)
+        step = math.log(hi / lo) / n
+        grid = [lo] + [lo * math.exp(step * i) for i in range(1, n)] + [hi]
         vals = [_sample(fn, x) for x in grid]
         roots: list[float] = []
         for i in range(n):
@@ -48,17 +67,16 @@ def find_roots(fn: Callable[[float], float], lo: float, hi: float,
             if math.isnan(fa) or math.isnan(fb):
                 continue
             if fa == 0.0:
-                roots.append(float(grid[i]))
+                roots.append(grid[i])
             elif fa * fb < 0.0:
-                roots.append(float(brentq(fn, grid[i], grid[i + 1], rtol=rtol)))
-        if not math.isnan(vals[-1]) and vals[-1] == 0.0:
-            roots.append(float(grid[-1]))
+                roots.append(_bisect(fn, grid[i], fa, grid[i + 1], fb))
+        if vals[-1] == 0.0:
+            roots.append(grid[-1])
         if roots:
             return roots
-        step = max(1, n // 16)
-        trace = [(float(grid[i]), vals[i]) for i in range(0, n + 1, step)]
-        lo /= expand_factor
-        hi *= expand_factor
+        trace = [(grid[i], vals[i]) for i in range(0, n + 1, max(1, n // 16))]
+        lo /= _EXPAND_FACTOR
+        hi *= _EXPAND_FACTOR
     raise NoRootError(
         f"no sign change on the scanned range up to [{lo:.3g}, {hi:.3g}]",
         trace=trace)

@@ -39,8 +39,6 @@ __all__ = [
 
 SCAN_LO = 1e-8
 SCAN_HI = 1e8
-SCAN_PANELS = 400
-RESIDUAL_TOL = 1e-9
 
 
 def pair_count(N: int) -> float:
@@ -153,7 +151,7 @@ def solve_et(system: IdenticalSystem, Q: float, root_index: int | None = None) -
         p0 = Q / (sq * rho)
         return N * T.d1(p0) * p0 - c2 * V.d1(rho) * rho
 
-    roots = find_roots(motion, SCAN_LO, SCAN_HI, panels=SCAN_PANELS)
+    roots = find_roots(motion, SCAN_LO, SCAN_HI)
     found = []
     for rho in roots:
         p0 = Q / (sq * rho)

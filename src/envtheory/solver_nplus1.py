@@ -265,7 +265,7 @@ def _initial_guess(system: NPlusOneSystem, q_a: float, q_b: float) -> tuple[floa
                 - N_a * system.potential_ab.d1(R0) * R0)
 
     try:
-        R00 = min(find_roots(two_body, 1e-8, 1e8, panels=400))
+        R00 = min(find_roots(two_body, 1e-8, 1e8))
     except EnvTheoryError:
         R00 = r_aa0
     return r_aa0, R00

@@ -211,6 +211,18 @@ def test_solve_iet_deformed_power_law():
     assert sol.variational == "unknown"
 
 
+@pytest.mark.parametrize("N, alpha, beta", [(48, 1.5, -1.21), (50, 1.2, -0.95)])
+def test_solve_iet_small_alpha_plus_beta_keeps_full_precision(N, alpha, beta):
+    # Many particles and a small alpha + beta put the orbital rho0 near 1e-6,
+    # where an absolute stop on the root would move phi by about 1e-8.
+    system = IdenticalSystem(N, 3, laws.kinetic_power(0.5, alpha),
+                             laws.potential_power(1.0, beta))
+    sol = solve_iet(system, ground_spec(N, 3))
+    assert sol.rho0 < 1e-5
+    assert sol.phi == pytest.approx(math.sqrt(alpha + beta), rel=1e-12)
+    assert sol.residual_motion < 1e-12
+
+
 def test_solve_iet_degenerate_orbital():
     # D = 2 with every l = 0 leaves nothing for the orbital set to balance.
     system = IdenticalSystem(3, 2, laws.kinetic_power(0.5, 2.0),

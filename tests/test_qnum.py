@@ -118,6 +118,16 @@ def test_fgs_fill_noninteger_phi_reorders_levels():
     assert res.lam == 0.5
 
 
+def test_fgs_fill_extreme_phi_enumerates_only_what_it_fills():
+    # A level bound of max(2, phi) would enumerate about 1e9 l-values at
+    # phi = 1e9, or 2e9 n-shells at phi = 1e-9, before filling 8 particles.
+    high = qnum.fgs_fill(8, 3, 1, 1e9)
+    assert high.levels == ((0, 0, 1), (0, 1, 3), (0, 2, 4))
+    low = qnum.fgs_fill(8, 3, 1, 1e-9)
+    assert low.levels == tuple((n, 0, 1) for n in range(8))
+    assert low.q_phi == 1e-9 * low.nu + low.lam
+
+
 def test_fgs_closed_variant_validation():
     with pytest.raises(InputError):
         qnum.fgs_closed(4, 3, 1, variant=3)

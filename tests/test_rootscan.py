@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from envtheory.errors import NoRootError
 from envtheory.rootscan import find_roots
@@ -48,10 +50,43 @@ def test_exact_grid_hit_is_reported():
 
 def test_no_root_error_carries_trace():
     with pytest.raises(NoRootError) as info:
-        find_roots(lambda x: 1.0 + x, 0.1, 10.0, expansions=1)
+        find_roots(lambda x: 1.0 + x, 0.1, 10.0)
     trace = info.value.trace
     assert trace
     assert all(len(pair) == 2 for pair in trace)
     xs = [x for x, _ in trace]
     assert xs == sorted(xs)
     assert all(math.isfinite(v) for _, v in trace)
+
+
+def test_roots_have_full_relative_precision_at_small_scale():
+    # An absolute stop on x (brentq's default xtol = 2e-12) leaves a root
+    # near 3e-7 off by about 1e-6 relative; bisection in log x does not.
+    roots = find_roots(lambda x: (x - 3e-7) ** 3, 1e-8, 1e8)
+    assert roots == [pytest.approx(3e-7, rel=1e-14, abs=0.0)]
+
+
+_SHAPES = {
+    "linear": lambda r: lambda x: x - r,
+    "cubic": lambda r: lambda x: (x - r) ** 3,
+    "quintic": lambda r: lambda x: (r - x) ** 5,
+    "log": lambda r: lambda x: math.log(x / r),
+    "power": lambda r: lambda x: x ** 0.3 - r ** 0.3,
+    "atan": lambda r: lambda x: math.atan(1e3 * (x / r - 1.0)),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(shape=st.sampled_from(sorted(_SHAPES)),
+       log_root=st.floats(-9.0, 9.0),
+       below=st.floats(0.01, 4.0), above=st.floats(0.01, 4.0))
+def test_agrees_with_brentq_to_full_precision(shape, log_root, below, above):
+    # scipy serves only as an oracle here: with xtol = 1e-300 its stop is
+    # purely relative, so both methods must land on the same root.
+    r = 10.0 ** log_root
+    fn = _SHAPES[shape](r)
+    lo, hi = r / 10.0 ** below, r * 10.0 ** above
+    roots = find_roots(fn, lo, hi)
+    assert len(roots) == 1
+    expect = brentq(fn, lo, hi, xtol=1e-300, maxiter=1000)
+    assert roots[0] == pytest.approx(expect, rel=1e-13, abs=0.0)
