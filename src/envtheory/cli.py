@@ -54,7 +54,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import laws, repro
 from .errors import EnvTheoryError, InputError, NonConvergenceError
@@ -161,6 +161,19 @@ def _int(section: dict, name: str, key: str, default=None) -> int:
     return int(value)
 
 
+# Law kinds of a definition file other than ``sum``: the name of the ``laws``
+# constructor and its (key, default) pairs; a None default marks a required
+# key.  Names, not functions, so that a replaced ``laws`` attribute (the way
+# bench/tracer.py counts law evaluations) is the one called.
+_LAW_KINDS = {
+    "power": ("power", (("coefficient", None), ("exponent", None))),
+    "coulomb": ("coulomb", (("strength", None),)),
+    "harmonic": ("harmonic", (("strength", None),)),
+    "gaussian": ("gaussian_well", (("depth", None), ("width", 1.0))),
+    "exponential": ("exponential_well", (("depth", None), ("scale", 1.0))),
+}
+
+
 def _build_law(sections: dict, name: str, kinetic: bool) -> laws.Law:
     if name not in sections:
         raise InputError(f"definition is missing the [{name}] section")
@@ -168,31 +181,9 @@ def _build_law(sections: dict, name: str, kinetic: bool) -> laws.Law:
     kind = section.pop("kind", None)
     if kind is None:
         raise InputError(f"[{name}] is missing 'kind'")
-    if kinetic:
-        if kind != "power":
-            raise InputError(f"[{name}] kinetic kind must be 'power', got {kind!r}")
-        law = laws.kinetic_power(_num(section, name, "coefficient"),
-                                 _num(section, name, "exponent"))
-        section.pop("coefficient"), section.pop("exponent")
-    elif kind == "power":
-        law = laws.power(_num(section, name, "coefficient"),
-                         _num(section, name, "exponent"))
-        section.pop("coefficient"), section.pop("exponent")
-    elif kind == "coulomb":
-        law = laws.coulomb(_num(section, name, "strength"))
-        section.pop("strength")
-    elif kind == "harmonic":
-        law = laws.harmonic(_num(section, name, "strength"))
-        section.pop("strength")
-    elif kind == "gaussian":
-        law = laws.gaussian_well(_num(section, name, "depth"),
-                                 _num(section, name, "width", 1.0))
-        section.pop("depth"), section.pop("width", None)
-    elif kind == "exponential":
-        law = laws.exponential_well(_num(section, name, "depth"),
-                                    _num(section, name, "scale", 1.0))
-        section.pop("depth"), section.pop("scale", None)
-    elif kind == "sum":
+    if kinetic and kind != "power":
+        raise InputError(f"[{name}] kinetic kind must be 'power', got {kind!r}")
+    if kind == "sum":
         terms = section.pop("terms", "").split()
         if not terms:
             raise InputError(f"[{name}] sum needs a 'terms' list")
@@ -205,11 +196,15 @@ def _build_law(sections: dict, name: str, kinetic: bool) -> laws.Law:
             inner = {sub: {k: v for k, v in sections[sub].items() if k != "weight"}}
             inner.update({k: v for k, v in sections.items() if k.startswith(sub + ".")})
             members.append((weight, _build_law(inner, sub, kinetic=False)))
-        law = laws.make_weighted_sum(members)
-    else:
+        return laws.make_weighted_sum(members)
+    if kind not in _LAW_KINDS:
         raise InputError(f"[{name}] unknown law kind {kind!r}")
-    if kind != "sum" and section:
-        raise InputError(f"[{name}] has unknown keys: {sorted(section)}")
+    constructor, keys = _LAW_KINDS[kind]
+    values = [_num(section, name, key, default) for key, default in keys]
+    law = getattr(laws, "kinetic_power" if kinetic else constructor)(*values)
+    unknown = sorted(set(section).difference(key for key, _ in keys))
+    if unknown:
+        raise InputError(f"[{name}] has unknown keys: {unknown}")
     return law
 
 
@@ -222,6 +217,16 @@ def _parse_mode(text: str, where: str) -> tuple[int, int]:
     except ValueError:
         raise InputError(f"{where}: expected integers in {text!r}") from None
     return n, l
+
+
+# System kinds of a definition file: the [system] key of the particle count,
+# the law sections in the order the system class takes them, and the class.
+# Each law is echoed under its section name with '-' read as '_'.
+_SYSTEM_KINDS = {
+    "identical": ("N", ("kinetic", "potential"), IdenticalSystem),
+    "nplusone": ("Na", ("kinetic-a", "kinetic-b", "potential-aa", "potential-ab"),
+                 NPlusOneSystem),
+}
 
 
 @dataclass(frozen=True)
@@ -241,8 +246,9 @@ def _load_definition(path: str) -> _Definition:
         raise InputError("definition is missing the [system] section")
     sys_sec = sections["system"]
     kind = sys_sec.get("type")
-    if kind not in ("identical", "nplusone"):
+    if kind not in _SYSTEM_KINDS:
         raise InputError(f"[system] type must be 'identical' or 'nplusone', got {kind!r}")
+    count_key, law_sections, system_class = _SYSTEM_KINDS[kind]
     D = _int(sys_sec, "system", "D")
 
     state = sections.get("state", {})
@@ -253,29 +259,14 @@ def _load_definition(path: str) -> _Definition:
     unit = _num(state, "state", "energy_unit", 0.0) or None
     d = _int(state, "state", "d", 1.0)
 
-    echo = {"definition": path, "type": kind, "D": D, "state_mode": mode}
-    if kind == "identical":
-        N = _int(sys_sec, "system", "N")
-        system = IdenticalSystem(N, D, _build_law(sections, "kinetic", True),
-                                 _build_law(sections, "potential", False))
-        echo["N"] = N
-        echo["kinetic"] = _law_echo(system.kinetic)
-        echo["potential"] = _law_echo(system.potential)
-        relative = None
-    else:
-        N = _int(sys_sec, "system", "Na")
-        system = NPlusOneSystem(N, D,
-                                _build_law(sections, "kinetic-a", True),
-                                _build_law(sections, "kinetic-b", True),
-                                _build_law(sections, "potential-aa", False),
-                                _build_law(sections, "potential-ab", False))
-        echo["Na"] = N
-        echo["kinetic_a"] = _law_echo(system.kinetic_a)
-        echo["kinetic_b"] = _law_echo(system.kinetic_b)
-        echo["potential_aa"] = _law_echo(system.potential_aa)
-        echo["potential_ab"] = _law_echo(system.potential_ab)
-        relative = _parse_mode(state["relative"], "[state] relative") \
-            if "relative" in state else (0, 0)
+    N = _int(sys_sec, "system", count_key)
+    built = [_build_law(sections, name, name.startswith("kinetic")) for name in law_sections]
+    system = system_class(N, D, *built)
+    echo = {"definition": path, "type": kind, "D": D, "state_mode": mode, count_key: N}
+    echo.update((name.replace("-", "_"), _law_echo(law))
+                for name, law in zip(law_sections, built))
+    relative = None if kind == "identical" else \
+        _parse_mode(state.get("relative", "0,0"), "[state] relative")
     if mode == "bgs":
         spec = QuantumSpec(D=D, internal_modes=((0, 0),) * (N - 1), relative_mode=relative)
     elif mode == "fgs":
@@ -296,38 +287,29 @@ def _load_definition(path: str) -> _Definition:
 
 # ---------------------------------------------------------------- subcommands
 
-def _run_identical(definition: _Definition, args) -> dict:
-    system, spec = definition.system, definition.spec
-    record = dict(definition.echo)
-    record["method"] = definition.method
-    record["nu"], record["lam"] = spec.nu, spec.lam
-    if definition.method == "dosm":
+def _run_identical(system: IdenticalSystem, spec: QuantumSpec, method: str) -> dict:
+    record = {"nu": spec.nu, "lam": spec.lam}
+    if method == "dosm":
         report = dosm_identical(system, spec.lam)
         record.update(energy=report.level(spec.nu), energy_orbital=report.energy_orbital,
                       rho0=report.rho0, p0=report.p0, mu=report.mu, k=report.k,
                       phi=report.phi)
+        return record
+    if method == "iet":
+        solution = solve_iet(system, spec)
     else:
-        if definition.method == "iet":
-            solution = solve_iet(system, spec)
-        else:
-            solution = solve_et(system, global_q(spec, 2.0))
-        record.update(q=solution.q, energy=solution.energy, rho0=solution.rho0,
-                      p0=solution.p0, residual_motion=solution.residual_motion,
-                      residual_quantization=solution.residual_quantization,
-                      n_roots=solution.n_roots, variational=solution.variational,
-                      phi=solution.phi)
-    if definition.unit is not None:
-        record["energy_converted"] = record["energy"] * definition.unit
-    _check_residuals(record, args.tol)
+        solution = solve_et(system, global_q(spec, 2.0))
+    record.update(q=solution.q, energy=solution.energy, rho0=solution.rho0,
+                  p0=solution.p0, residual_motion=solution.residual_motion,
+                  residual_quantization=solution.residual_quantization,
+                  n_roots=solution.n_roots, variational=solution.variational,
+                  phi=solution.phi)
     return record
 
 
-def _run_np1(definition: _Definition, args) -> dict:
-    system, spec = definition.system, definition.spec
-    record = dict(definition.echo)
-    record["method"] = definition.method
-    record.update(nu_a=spec.nu, lam_a=spec.lam, nu_b=spec.nu_b, lam_b=spec.lam_b)
-    if definition.method == "dosm":
+def _run_np1(system: NPlusOneSystem, spec: QuantumSpec, method: str) -> dict:
+    record = {"nu_a": spec.nu, "lam_a": spec.lam, "nu_b": spec.nu_b, "lam_b": spec.lam_b}
+    if method == "dosm":
         report = dosm_np1(system, spec.lam, spec.lam_b)
         record.update(energy=report.level(spec.nu, spec.nu_b),
                       energy_orbital=report.energy_orbital,
@@ -335,36 +317,33 @@ def _run_np1(definition: _Definition, args) -> dict:
                       mu_a=report.mu_a, mu_b=report.mu_b, k_a=report.k_a,
                       k_b=report.k_b, k_c=report.k_c, A=report.A, B=report.B,
                       phi_a=report.phi_a, phi_b=report.phi_b)
+        return record
+    if method == "iet":
+        solution = solve_iet_np1(system, spec)
     else:
-        if definition.method == "iet":
-            solution = solve_iet_np1(system, spec)
-        else:
-            solution = solve_et_np1(system, global_q(spec, 2.0),
-                                    2.0 * spec.nu_b + spec.lam_b)
-        record.update(q_a=solution.q_a, q_b=solution.q_b, energy=solution.energy,
-                      p_a=solution.p_a, r_aa=solution.r_aa, P0=solution.P0,
-                      R0=solution.R0, residual_a=solution.residual_a,
-                      residual_b=solution.residual_b, iterations=solution.iterations,
-                      n_roots=solution.n_roots, phi_a=solution.phi_a,
-                      phi_b=solution.phi_b)
-    if definition.unit is not None:
-        record["energy_converted"] = record["energy"] * definition.unit
-    _check_residuals(record, args.tol)
+        solution = solve_et_np1(system, global_q(spec, 2.0), 2.0 * spec.nu_b + spec.lam_b)
+    record.update(q_a=solution.q_a, q_b=solution.q_b, energy=solution.energy,
+                  p_a=solution.p_a, r_aa=solution.r_aa, P0=solution.P0,
+                  R0=solution.R0, residual_a=solution.residual_a,
+                  residual_b=solution.residual_b, iterations=solution.iterations,
+                  n_roots=solution.n_roots, phi_a=solution.phi_a,
+                  phi_b=solution.phi_b)
     return record
 
 
 def _cmd_solver(args) -> int:
     definition = _load_definition(args.definition)
-    expect = "identical" if args.command in ("solve-identical", "iet-identical") \
-        else "nplusone"
+    expect = "identical" if args.command.endswith("-identical") else "nplusone"
     if definition.kind != expect:
         raise InputError(f"{args.command} needs a definition of type {expect!r}, "
                          f"got {definition.kind!r}")
-    if args.command.startswith("iet-"):
-        definition = replace(definition, method="iet")
+    method = "iet" if args.command.startswith("iet-") else definition.method
     runner = _run_identical if expect == "identical" else _run_np1
-    record = {"command": args.command}
-    record.update(runner(definition, args))
+    record = {"command": args.command, **definition.echo, "method": method}
+    record.update(runner(definition.system, definition.spec, method))
+    if definition.unit is not None:
+        record["energy_converted"] = record["energy"] * definition.unit
+    _check_residuals(record, args.tol)
     _emit(record, args)
     return 0
 
@@ -461,11 +440,22 @@ def _cmd_reproduce(args) -> int:
     return 0 if all(rep.passed for rep in reports) else 1
 
 
+def _tolerance(text: str) -> float:
+    """The --tol value: a finite number >= 0, which a residual can meet."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--output", choices=("pretty", "json", "csv"),
                         default="pretty", help="record format (default pretty)")
-    common.add_argument("--tol", type=float, default=1e-8,
+    common.add_argument("--tol", type=_tolerance, default=1e-8,
                         help="largest acceptable solution residual (default 1e-8)")
     common.add_argument("--quiet", action="store_true",
                         help="suppress the record; exit status still reports the outcome")
@@ -530,14 +520,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except (InputError, OSError) as exc:
+    except (EnvTheoryError, OSError) as exc:
+        code = 2 if isinstance(exc, (InputError, OSError)) else 1
         print(json.dumps({"error": type(exc).__name__, "message": str(exc),
-                          "exit": 2}), file=sys.stderr)
-        return 2
-    except EnvTheoryError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc),
-                          "exit": 1}), file=sys.stderr)
-        return 1
+                          "exit": code}), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

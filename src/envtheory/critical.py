@@ -14,6 +14,8 @@ ground states at large N the ratio tends to (N/(N+1))^((D-2)/D).
 
 from __future__ import annotations
 
+import math
+
 from .errors import InputError
 from .laws import Law
 from .rootscan import find_roots
@@ -35,6 +37,8 @@ def u_star(shape: Law) -> float:
 
 def critical_g(shape: Law, m: float, N: int, Q: float) -> float:
     """Critical coupling for a bound state with global quantum number Q."""
+    if not (math.isfinite(m) and math.isfinite(Q)):
+        raise InputError(f"m and Q must be finite, got m = {m}, Q = {Q}")
     if m <= 0.0:
         raise InputError("mass must be positive")
     if N < 2:

@@ -34,6 +34,11 @@ __all__ = [
 ]
 
 
+def _check_finite(what: str, *constants: float) -> None:
+    if not all(math.isfinite(c) for c in constants):
+        raise InputError(f"{what} needs finite constants, got {constants}")
+
+
 @dataclass(frozen=True)
 class Law:
     """A scalar law f of one positive real.
@@ -56,6 +61,7 @@ class Law:
 
 def power(coefficient: float, exponent: float) -> Law:
     """Monomial law c * x**e with a signed coefficient and any real exponent."""
+    _check_finite("power law", coefficient, exponent)
     if coefficient == 0.0:
         raise InputError("power law needs a nonzero coefficient")
     c, e = float(coefficient), float(exponent)
@@ -96,6 +102,7 @@ def potential_power(strength: float, exponent: float) -> Law:
 
 def coulomb(strength: float) -> Law:
     """Attractive Coulomb law -G/x with G > 0."""
+    _check_finite("coulomb law", strength)
     if strength <= 0.0:
         raise InputError("coulomb strength must be positive")
     g = float(strength)
@@ -110,6 +117,7 @@ def coulomb(strength: float) -> Law:
 
 def harmonic(strength: float) -> Law:
     """Harmonic law k * x**2 with k > 0."""
+    _check_finite("harmonic law", strength)
     if strength <= 0.0:
         raise InputError("harmonic strength must be positive")
     k = float(strength)
@@ -124,6 +132,7 @@ def harmonic(strength: float) -> Law:
 
 def gaussian_well(depth: float, width: float = 1.0) -> Law:
     """Gaussian well -depth * exp(-(x/width)**2) with depth, width > 0."""
+    _check_finite("gaussian well", depth, width)
     if depth <= 0.0 or width <= 0.0:
         raise InputError("gaussian well requires depth > 0 and width > 0")
     g, w2 = float(depth), float(width) ** 2
@@ -142,6 +151,7 @@ def gaussian_well(depth: float, width: float = 1.0) -> Law:
 
 def exponential_well(depth: float, scale: float = 1.0) -> Law:
     """Exponential well -depth * exp(-x/scale) with depth, scale > 0."""
+    _check_finite("exponential well", depth, scale)
     if depth <= 0.0 or scale <= 0.0:
         raise InputError("exponential well requires depth > 0 and scale > 0")
     g, s = float(depth), float(scale)
@@ -162,6 +172,7 @@ def make_weighted_sum(terms: Sequence[tuple[float, Law]]) -> Law:
     if not terms:
         raise InputError("weighted sum needs at least one term")
     frozen = tuple((float(c), law) for c, law in terms)
+    _check_finite("weighted sum", *(c for c, _ in frozen))
     return Law(
         kind="weighted-sum",
         value=lambda x: sum(c * law.value(x) for c, law in frozen),

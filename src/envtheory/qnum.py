@@ -164,6 +164,8 @@ def bgs(N: int, D: int, phi: float = 2.0) -> GroundStateResult:
     """
     if N < 2:
         raise InputError("need N >= 2")
+    if not math.isfinite(phi):
+        raise InputError(f"phi must be finite, got {phi}")
     nu = 0.5 * (N - 1)
     lam = 0.5 * (D - 2) * (N - 1)
     return GroundStateResult(N=N, D=D, phi=phi, statistics="boson", d=None,
@@ -203,6 +205,8 @@ def fgs_fill(N: int, D: int, d: int, phi: float = 2.0) -> GroundStateResult:
     """
     if N < 2 or d < 1 or phi <= 0.0:
         raise InputError("need N >= 2, d >= 1, phi > 0")
+    if not math.isfinite(phi):
+        raise InputError(f"phi must be finite, got {phi}")
     key_max = min(max(2.0, phi), N * phi, float(N))
     while True:
         levels = _enumerate_levels(D, d, phi, key_max)
@@ -271,5 +275,7 @@ def fgs_approx(N: int, D: int, d: int, phi: float = 2.0) -> float:
     """Asymptotic estimate of the fermionic ground-state Q, valid for N >> 1."""
     if N < 1 or d < 1 or phi <= 0.0:
         raise InputError("need N >= 1, d >= 1, phi > 0")
+    if not math.isfinite(phi):
+        raise InputError(f"phi must be finite, got {phi}")
     return (D / (D + 1.0)) * (phi * math.factorial(D) / (2.0 * d)) ** (1.0 / D) \
         * N ** ((D + 1.0) / D)

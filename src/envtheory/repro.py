@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
 
 from . import laws
@@ -202,90 +203,73 @@ def _pct(computed: float, exact: float) -> float:
     return 100.0 * abs(computed - exact) / abs(exact)
 
 
-def _run_table1() -> TableReport:
-    tol = TOLERANCES[1]["energy_rel"]
-    kinetic = laws.kinetic_power(0.5, 2.0)
-    rows = []
-    for label, rec in table_fixtures(1):
-        beta = float(rec["beta"])
-        exact = float(rec["exact"])
-        system = IdenticalSystem(3, 3, kinetic, laws.potential_power(0.5, beta))
-        try:
-            et = solve_et(system, 3.0)
-            iet = solve_iet(system, ground_spec(3, 3))
-        except EnvTheoryError as exc:
-            rows.append(RowReport(label, error=str(exc)))
-            continue
-        checks = (_rel("et", et.energy, float(rec["et"]), tol),
-                  _rel("iet", iet.energy, float(rec["iet"]), tol))
-        extras = {"exact": exact, "phi": iet.phi,
-                  "et_pct": _pct(et.energy, exact), "et_pct_ref": float(rec["et_pct"]),
-                  "iet_pct": _pct(iet.energy, exact), "iet_pct_ref": float(rec["iet_pct"])}
-        rows.append(RowReport(label, checks, extras))
-    return TableReport(1, tuple(rows))
+def _table1_row(rec: dict, tols: dict) -> tuple[tuple[Check, ...], dict]:
+    beta, exact = float(rec["beta"]), float(rec["exact"])
+    system = IdenticalSystem(3, 3, laws.kinetic_power(0.5, 2.0),
+                             laws.potential_power(0.5, beta))
+    et = solve_et(system, 3.0)
+    iet = solve_iet(system, ground_spec(3, 3))
+    checks = (_rel("et", et.energy, float(rec["et"]), tols["energy_rel"]),
+              _rel("iet", iet.energy, float(rec["iet"]), tols["energy_rel"]))
+    extras = {"exact": exact, "phi": iet.phi,
+              "et_pct": _pct(et.energy, exact), "et_pct_ref": float(rec["et_pct"]),
+              "iet_pct": _pct(iet.energy, exact), "iet_pct_ref": float(rec["iet_pct"])}
+    return checks, extras
 
 
-def _run_split_table(table: int, build, keys) -> TableReport:
-    energy_tol = TOLERANCES[table]["energy_rel"]
-    phi_tol = TOLERANCES[table]["phi_abs"]
-    rows = []
-    for label, rec in table_fixtures(table):
-        system = build(*(float(rec[k]) for k in keys))
-        # Rows without explicit quantum numbers are ground states.
-        nu_a, lam_a = float(rec.get("nu_a", 0.5)), float(rec.get("lam_a", 0.5))
-        nu_b, lam_b = float(rec.get("nu_b", 0.5)), float(rec.get("lam_b", 0.5))
-        exact = float(rec["exact"])
-        try:
-            et = solve_et_np1(system, 2.0 * nu_a + lam_a, 2.0 * nu_b + lam_b)
-            iet = solve_iet_np1(system, split_spec(3, 2, nu_a, lam_a, nu_b, lam_b))
-        except EnvTheoryError as exc:
-            rows.append(RowReport(label, error=str(exc)))
-            continue
-        checks = (_rel("et", et.energy, float(rec["et"]), energy_tol),
-                  _rel("iet", iet.energy, float(rec["iet"]), energy_tol),
-                  _abs("phi_a", iet.phi_a, float(rec["phi_a"]), phi_tol),
-                  _abs("phi_b", iet.phi_b, float(rec["phi_b"]), phi_tol))
-        extras = {"exact": exact,
-                  "et_pct": _pct(et.energy, exact), "et_pct_ref": float(rec["et_pct"]),
-                  "iet_pct": _pct(iet.energy, exact), "iet_pct_ref": float(rec["iet_pct"])}
-        rows.append(RowReport(label, checks, extras))
-    return TableReport(table, tuple(rows))
+def _split_row(build, keys, rec: dict, tols: dict) -> tuple[tuple[Check, ...], dict]:
+    system = build(*(float(rec[k]) for k in keys))
+    # Rows without explicit quantum numbers are ground states.
+    nu_a, lam_a = float(rec.get("nu_a", 0.5)), float(rec.get("lam_a", 0.5))
+    nu_b, lam_b = float(rec.get("nu_b", 0.5)), float(rec.get("lam_b", 0.5))
+    exact = float(rec["exact"])
+    et = solve_et_np1(system, 2.0 * nu_a + lam_a, 2.0 * nu_b + lam_b)
+    iet = solve_iet_np1(system, split_spec(3, 2, nu_a, lam_a, nu_b, lam_b))
+    checks = (_rel("et", et.energy, float(rec["et"]), tols["energy_rel"]),
+              _rel("iet", iet.energy, float(rec["iet"]), tols["energy_rel"]),
+              _abs("phi_a", iet.phi_a, float(rec["phi_a"]), tols["phi_abs"]),
+              _abs("phi_b", iet.phi_b, float(rec["phi_b"]), tols["phi_abs"]))
+    extras = {"exact": exact,
+              "et_pct": _pct(et.energy, exact), "et_pct_ref": float(rec["et_pct"]),
+              "iet_pct": _pct(iet.energy, exact), "iet_pct_ref": float(rec["iet_pct"])}
+    return checks, extras
 
 
-def _run_table4() -> TableReport:
-    energy_tol = TOLERANCES[4]["energy_abs"]
-    phi_tol = TOLERANCES[4]["phi_abs"]
-    rows = []
-    for label, rec in table_fixtures(4):
-        Z, n_e = float(rec["Z"]), int(rec["electrons"])
-        mass = nucleus_mass(rec["nucleus"])
-        try:
-            et = atom_report(Z, n_e, mass, "et")
-            iet = atom_report(Z, n_e, mass, "iet")
-        except EnvTheoryError as exc:
-            rows.append(RowReport(label, error=str(exc)))
-            continue
-        checks = (_abs("et", et.binding_ev, float(rec["et"]), energy_tol),
-                  _abs("iet", iet.binding_ev, float(rec["iet"]), energy_tol),
-                  _abs("phi_a", iet.phi_a, float(rec["phi_a"]), phi_tol),
-                  _abs("phi_b", iet.phi_b, float(rec["phi_b"]), phi_tol))
-        extras = {"exp": float(rec["exp"]), "nucleus_mass": mass,
-                  "nu_a": iet.nu_a, "lam_a": iet.lam_a}
-        rows.append(RowReport(label, checks, extras))
-    return TableReport(4, tuple(rows))
+def _table4_row(rec: dict, tols: dict) -> tuple[tuple[Check, ...], dict]:
+    Z, n_e = float(rec["Z"]), int(rec["electrons"])
+    mass = nucleus_mass(rec["nucleus"])
+    et = atom_report(Z, n_e, mass, "et")
+    iet = atom_report(Z, n_e, mass, "iet")
+    checks = (_abs("et", et.binding_ev, float(rec["et"]), tols["energy_abs"]),
+              _abs("iet", iet.binding_ev, float(rec["iet"]), tols["energy_abs"]),
+              _abs("phi_a", iet.phi_a, float(rec["phi_a"]), tols["phi_abs"]),
+              _abs("phi_b", iet.phi_b, float(rec["phi_b"]), tols["phi_abs"]))
+    extras = {"exp": float(rec["exp"]), "nucleus_mass": mass,
+              "nu_a": iet.nu_a, "lam_a": iet.lam_a}
+    return checks, extras
+
+
+# The row function of each table: it recomputes one stored row and returns
+# its checks and extras.
+_ROWS = {
+    1: _table1_row,
+    2: partial(_split_row, build_uroh, ("kappa",)),
+    3: partial(_split_row, build_power, ("m", "beta")),
+    4: _table4_row,
+}
 
 
 def run_table(table: int) -> TableReport:
     """Recompute one table; solver errors mark rows failed but the run continues."""
-    if table == 1:
-        return _run_table1()
-    if table == 2:
-        return _run_split_table(2, build_uroh, ("kappa",))
-    if table == 3:
-        return _run_split_table(3, build_power, ("m", "beta"))
-    if table == 4:
-        return _run_table4()
-    raise InputError("table must be 1, 2, 3 or 4")
+    if table not in _ROWS:
+        raise InputError("table must be 1, 2, 3 or 4")
+    rows = []
+    for label, rec in table_fixtures(table):
+        try:
+            rows.append(RowReport(label, *_ROWS[table](rec, TOLERANCES[table])))
+        except EnvTheoryError as exc:
+            rows.append(RowReport(label, error=str(exc)))
+    return TableReport(table, tuple(rows))
 
 
 def run_all() -> list[TableReport]:

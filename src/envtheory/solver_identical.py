@@ -133,13 +133,13 @@ def _variational_character(system: IdenticalSystem) -> str:
     return "upper" if beta < 2.0 else "lower"
 
 
-def solve_et(system: IdenticalSystem, Q: float, root_index: int | None = None) -> EtSolution:
+def solve_et(system: IdenticalSystem, Q: float) -> EtSolution:
     """Solve the compact set at global quantum number Q.
 
     p0 is eliminated through the quantization condition and the equation of
     motion is solved for rho0 by sign-change bracketing.  If several roots
-    exist, all are kept and the lowest-energy one is returned unless
-    ``root_index`` picks another (indices follow ascending energy).
+    exist, all are kept in ascending energy and the lowest-energy one is
+    returned.
     """
     if Q <= 0.0:
         raise InputError("Q must be positive")
@@ -158,8 +158,7 @@ def solve_et(system: IdenticalSystem, Q: float, root_index: int | None = None) -
         energy = N * T.value(p0) + c2 * V.value(rho)
         found.append((energy, rho))
     found.sort()
-    idx = 0 if root_index is None else root_index
-    energy, rho0 = found[idx]
+    energy, rho0 = found[0]
     p0 = Q / (sq * rho0)
     lhs, rhs = N * T.d1(p0) * p0, c2 * V.d1(rho0) * rho0
     res_motion = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)

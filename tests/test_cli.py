@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from envtheory import cli, laws
 from envtheory.cli import main
 
 HO_IDENTICAL = """
@@ -431,4 +432,107 @@ def test_malformed_numbers_in_definitions_exit_two(tmp_path, capsys, command, te
 def test_atom_rejects_non_finite_numbers(capsys, argv):
     rc, _, err = _run(capsys, "atom", "--electrons", "2", *argv)
     assert rc == 2, err
+    assert json.loads(err)["error"] == "InputError"
+
+
+def _with_potential(body):
+    return HO_IDENTICAL.replace("kind = harmonic\nstrength = 0.5", body)
+
+
+SUM_BODY = """kind = sum
+terms = well core
+
+[potential.well]
+kind = gaussian
+depth = 2
+
+[potential.core]
+weight = 0.5
+kind = coulomb
+strength = 1"""
+
+
+@pytest.mark.parametrize("body, law", [
+    ("kind = power\ncoefficient = -1.5\nexponent = 0.7", laws.power(-1.5, 0.7)),
+    ("kind = coulomb\nstrength = 1.3", laws.coulomb(1.3)),
+    ("kind = harmonic\nstrength = 0.5", laws.harmonic(0.5)),
+    ("kind = gaussian\ndepth = 5", laws.gaussian_well(5.0)),
+    ("kind = gaussian\ndepth = 5\nwidth = 1.7", laws.gaussian_well(5.0, 1.7)),
+    ("kind = exponential\ndepth = 8", laws.exponential_well(8.0)),
+    ("kind = exponential\ndepth = 8\nscale = 0.6", laws.exponential_well(8.0, 0.6)),
+    (SUM_BODY, laws.make_weighted_sum([(1.0, laws.gaussian_well(2.0)),
+                                       (0.5, laws.coulomb(1.0))])),
+], ids=["power", "coulomb", "harmonic", "gaussian", "gaussian-width", "exponential",
+        "exponential-scale", "sum-weight"])
+def test_definition_law_kinds_match_the_library(tmp_path, body, law):
+    built = cli._load_definition(_write(tmp_path, _with_potential(body))).system.potential
+    for x in (0.3, 1.0, 2.5):
+        assert built.value(x) == law.value(x)
+        assert built.d1(x) == law.d1(x)
+        assert built.d2(x) == law.d2(x)
+
+
+@pytest.mark.parametrize("body, key", [
+    ("kind = power\ncoefficient = 1", "exponent"),
+    ("kind = coulomb\nfoo = 1", "strength"),
+    ("kind = harmonic", "strength"),
+    ("kind = gaussian\nwidth = 2\nfoo = 1", "depth"),
+    ("kind = exponential\nscale = 2", "depth"),
+], ids=["power", "coulomb", "harmonic", "gaussian", "exponential"])
+def test_missing_law_key_is_named_before_unknown_keys(tmp_path, capsys, body, key):
+    rc, _, err = _run(capsys, "solve-identical", _write(tmp_path, _with_potential(body)))
+    assert rc == 2
+    assert json.loads(err)["message"] == f"[potential] is missing {key!r}"
+
+
+def test_optional_key_of_another_kind_is_unknown(tmp_path, capsys):
+    body = "kind = exponential\ndepth = 1\nwidth = 1"
+    rc, _, err = _run(capsys, "solve-identical", _write(tmp_path, _with_potential(body)))
+    assert rc == 2
+    assert json.loads(err)["message"] == "[potential] has unknown keys: ['width']"
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "sum", "gaussian"])
+def test_kinetic_sections_accept_only_power(tmp_path, capsys, kind):
+    text = HO_IDENTICAL.replace("[kinetic]\nkind = power", f"[kinetic]\nkind = {kind}")
+    rc, _, err = _run(capsys, "solve-identical", _write(tmp_path, text))
+    assert rc == 2
+    assert "kinetic kind must be 'power'" in json.loads(err)["message"]
+
+
+def test_definition_laws_are_built_through_the_laws_module(tmp_path, capsys, monkeypatch):
+    # Constructors are looked up in envtheory.laws when a law is built, so a
+    # replaced module attribute is the one called.
+    calls = []
+    for name in ("kinetic_power", "gaussian_well"):
+        def counting(*args, _original=getattr(laws, name), _name=name):
+            calls.append((_name, args))
+            return _original(*args)
+        monkeypatch.setattr(laws, name, counting)
+    path = _write(tmp_path, _with_potential(
+        "kind = sum\nterms = well\n\n[potential.well]\nkind = gaussian\ndepth = 6\nwidth = 1.2"))
+    rc, _, err = _run(capsys, "solve-identical", path, "--quiet")
+    assert rc == 0, err
+    assert calls == [("kinetic_power", (0.5, 2.0)), ("gaussian_well", (6.0, 1.2))]
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_tol_must_be_finite_and_non_negative(tmp_path, capsys, tol):
+    path = _write(tmp_path, HO_IDENTICAL)
+    rc, out, err = _run(capsys, "solve-identical", path, "--tol", tol)
+    assert rc == 2 and out == ""
+    assert json.loads(err)["message"].startswith("argument --tol:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("fgs", "--n", "8", "--phi", "nan"),
+    ("fgs", "--n", "8", "--phi", "inf"),
+    ("critical-coupling", "--shape", "gaussian", "--n", "3", "--m", "nan"),
+    ("critical-coupling", "--shape", "gaussian", "--n", "3", "--q", "nan"),
+    ("critical-coupling", "--shape", "gaussian", "--n", "3", "--range", "nan"),
+    ("critical-coupling", "--shape", "exponential", "--n", "3", "--range", "inf"),
+], ids=["fgs-nan-phi", "fgs-inf-phi", "nan-m", "nan-q", "nan-range", "inf-range"])
+def test_non_finite_numbers_exit_two(capsys, argv):
+    rc, out, err = _run(capsys, *argv)
+    assert rc == 2 and out == ""
     assert json.loads(err)["error"] == "InputError"

@@ -86,6 +86,9 @@ def test_validation():
         critical_g(shape, 1.0, 1, 3.0)
     with pytest.raises(InputError):
         critical_g(shape, 1.0, 3, -1.0)
+    for m, Q in ((math.nan, 3.0), (math.inf, 3.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(InputError):
+            critical_g(shape, m, 3, Q)
 
 
 def test_growing_shape_has_no_balance_point():

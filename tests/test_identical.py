@@ -246,9 +246,9 @@ def test_solve_et_input_validation():
         IdenticalSystem(3, 1, laws.kinetic_power(0.5, 2.0), laws.harmonic(1.0))
 
 
-def test_root_index_selects_among_sorted_roots():
+def test_solve_et_returns_lowest_of_sorted_roots():
     sol = solve_et(_ho_system(3), 3.0)
-    again = solve_et(_ho_system(3), 3.0, root_index=0)
+    again = solve_et(_ho_system(3), 3.0)
     assert sol.energy == again.energy
     assert sol.all_roots == again.all_roots
     assert list(sol.all_roots) == sorted(sol.all_roots)

@@ -1,5 +1,7 @@
 """Laws: closed-form derivatives against finite differences, kinds."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -94,3 +96,22 @@ def test_well_validation():
             laws.gaussian_well(*bad)
         with pytest.raises(InputError):
             laws.exponential_well(*bad)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: laws.power(math.nan, 2.0),
+    lambda: laws.power(1.0, math.inf),
+    lambda: laws.kinetic_power(math.inf, 2.0),
+    lambda: laws.potential_power(math.nan, 2.0),
+    lambda: laws.potential_power(1.0, math.nan),
+    lambda: laws.coulomb(math.nan),
+    lambda: laws.harmonic(math.inf),
+    lambda: laws.gaussian_well(1.0, math.nan),
+    lambda: laws.exponential_well(math.inf),
+    lambda: laws.make_weighted_sum([(math.nan, laws.harmonic(1.0))]),
+], ids=["power-coefficient", "power-exponent", "kinetic", "potential-strength",
+        "potential-exponent", "coulomb", "harmonic", "gaussian", "exponential",
+        "sum-weight"])
+def test_non_finite_constants_are_rejected(build):
+    with pytest.raises(InputError):
+        build()

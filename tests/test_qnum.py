@@ -128,6 +128,17 @@ def test_fgs_fill_extreme_phi_enumerates_only_what_it_fills():
     assert low.q_phi == 1e-9 * low.nu + low.lam
 
 
+@pytest.mark.parametrize("phi", [math.nan, math.inf])
+def test_non_finite_phi_is_rejected(phi):
+    # fgs_fill would double its level bound forever: phi * n <= key_max never holds.
+    with pytest.raises(InputError):
+        qnum.fgs_fill(8, 3, 1, phi)
+    with pytest.raises(InputError):
+        qnum.bgs(8, 3, phi)
+    with pytest.raises(InputError):
+        qnum.fgs_approx(8, 3, 1, phi)
+
+
 def test_fgs_closed_variant_validation():
     with pytest.raises(InputError):
         qnum.fgs_closed(4, 3, 1, variant=3)
