@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from . import laws, repro
 from .errors import EnvTheoryError, InputError, NonConvergenceError
 from .kvfile import parse_sections
-from .qnum import (QuantumSpec, fgs_approx, fgs_closed, fgs_fill, global_q,
+from .qnum import (QuantumSpec, bgs, fgs_approx, fgs_closed, fgs_fill, global_q,
                    spec_from_filling)
 from .solver_identical import IdenticalSystem, dosm_identical, solve_et, solve_iet
 from .solver_nplus1 import (NPlusOneSystem, atom_report, dosm_np1,
@@ -161,6 +161,12 @@ def _int(section: dict, name: str, key: str, default=None) -> int:
     return int(value)
 
 
+def _reject_unknown(section: dict, name: str, allowed) -> None:
+    unknown = sorted(set(section).difference(allowed))
+    if unknown:
+        raise InputError(f"[{name}] has unknown keys: {unknown}")
+
+
 # Law kinds of a definition file other than ``sum``: the name of the ``laws``
 # constructor and its (key, default) pairs; a None default marks a required
 # key.  Names, not functions, so that a replaced ``laws`` attribute (the way
@@ -184,7 +190,7 @@ def _build_law(sections: dict, name: str, kinetic: bool) -> laws.Law:
     if kinetic and kind != "power":
         raise InputError(f"[{name}] kinetic kind must be 'power', got {kind!r}")
     if kind == "sum":
-        terms = section.pop("terms", "").split()
+        terms = section.get("terms", "").split()
         if not terms:
             raise InputError(f"[{name}] sum needs a 'terms' list")
         members = []
@@ -196,15 +202,14 @@ def _build_law(sections: dict, name: str, kinetic: bool) -> laws.Law:
             inner = {sub: {k: v for k, v in sections[sub].items() if k != "weight"}}
             inner.update({k: v for k, v in sections.items() if k.startswith(sub + ".")})
             members.append((weight, _build_law(inner, sub, kinetic=False)))
+        _reject_unknown(section, name, ("terms",))
         return laws.make_weighted_sum(members)
     if kind not in _LAW_KINDS:
         raise InputError(f"[{name}] unknown law kind {kind!r}")
     constructor, keys = _LAW_KINDS[kind]
     values = [_num(section, name, key, default) for key, default in keys]
     law = getattr(laws, "kinetic_power" if kinetic else constructor)(*values)
-    unknown = sorted(set(section).difference(key for key, _ in keys))
-    if unknown:
-        raise InputError(f"[{name}] has unknown keys: {unknown}")
+    _reject_unknown(section, name, (key for key, _ in keys))
     return law
 
 
@@ -282,6 +287,9 @@ def _load_definition(path: str) -> _Definition:
     if relative is not None:
         echo["relative"] = f"{relative[0]},{relative[1]}"
     echo["modes"] = " ".join(f"{n},{l}" for n, l in spec.internal_modes)
+    _reject_unknown(sys_sec, "system", ("type", "D", count_key))
+    _reject_unknown(state, "state", ("mode", "method", "energy_unit", "d", "modes")
+                    + (() if relative is None else ("relative",)))
     return _Definition(kind, system, spec, method, unit, echo)
 
 
@@ -402,7 +410,7 @@ def _cmd_critical(args) -> int:
     if args.q is not None:
         Q = args.q
     elif args.statistics == "boson":
-        Q = 0.5 * args.dim * (args.n - 1)
+        Q = bgs(args.n, args.dim).q_phi
     else:
         Q = fgs_fill(args.n, args.dim, args.d, 2.0).q_phi
     record = {

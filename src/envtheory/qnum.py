@@ -13,6 +13,7 @@ to the plain Q = sum(2 n_i + l_i + D/2) at phi = 2.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -164,6 +165,8 @@ def bgs(N: int, D: int, phi: float = 2.0) -> GroundStateResult:
     """
     if N < 2:
         raise InputError("need N >= 2")
+    if D < 2:
+        raise InputError("need D >= 2")
     if not math.isfinite(phi):
         raise InputError(f"phi must be finite, got {phi}")
     nu = 0.5 * (N - 1)
@@ -173,58 +176,44 @@ def bgs(N: int, D: int, phi: float = 2.0) -> GroundStateResult:
                              q_phi=phi * nu + lam)
 
 
-def _enumerate_levels(D: int, d: int, phi: float, key_max: float):
-    """Levels (key, n, l, capacity) with key = phi*n + l <= key_max.
-
-    Ties are ordered lower-n first; Q_phi is tie-invariant, the ordering only
-    makes the reported filling deterministic.
-    """
-    levels = []
-    n = 0
-    while phi * n <= key_max:
-        l = 0
-        while phi * n + l <= key_max:
-            levels.append((phi * n + l, n, l, level_degeneracy(l, D, d)))
-            l += 1
-        n += 1
-    levels.sort(key=lambda t: (t[0], t[1]))
-    return levels
-
-
 def fgs_fill(N: int, D: int, d: int, phi: float = 2.0) -> GroundStateResult:
-    """Fermionic ground state by brute-force filling.
+    """Fermionic ground state by filling levels in key order.
 
     Particles are piled on single-particle levels (n, l) of capacity
-    level_degeneracy(l, D, d), in ascending order of the level key phi*n + l.
-    The enumeration bound grows geometrically until N particles fit, so the
-    routine terminates for any positive phi.  It starts at no more than N*phi
-    or N: the levels (n, 0) with n < N, or (0, l) with l < N, already hold N
-    particles below those keys, so the enumeration stays of order N at any
-    phi.  This is the defining routine for non-integer phi; at phi = 2 and
-    phi = 1 it must agree with the closed forms of fgs_closed.
+    level_degeneracy(l, D, d), in ascending order of the level key phi*n + l,
+    ties lower-n first; Q_phi is tie-invariant, the order only makes the
+    reported filling deterministic.  A heap walks the levels in that order
+    without a key bound: it starts at (0, 0), and popping (n, l) pushes
+    (n, l+1), plus (n+1, 0) when l = 0.  Every level sorts after the one
+    that pushes it, so levels pop in fill order.  The walk stops at the level
+    that takes the last particle, so it pops at most N levels at any phi.
+    This is the defining routine for non-integer phi; at phi = 2 and phi = 1
+    it must agree with the closed forms of fgs_closed.
     """
     if N < 2 or d < 1 or phi <= 0.0:
         raise InputError("need N >= 2, d >= 1, phi > 0")
     if not math.isfinite(phi):
         raise InputError(f"phi must be finite, got {phi}")
-    key_max = min(max(2.0, phi), N * phi, float(N))
-    while True:
-        levels = _enumerate_levels(D, d, phi, key_max)
-        if sum(cap for _, _, _, cap in levels) >= N:
-            break
-        key_max *= 2.0
+    heap: list[tuple[float, int, int]] = []
+
+    def push(n: int, l: int) -> None:
+        heapq.heappush(heap, (phi * n + l, n, l))
+
+    push(0, 0)
     filled = []
     left = N
     n_sum = 0
     l_sum = 0
-    for _, n, l, cap in levels:
-        occ = min(cap, left)
+    while left:
+        _, n, l = heapq.heappop(heap)
+        push(n, l + 1)
+        if l == 0:
+            push(n + 1, 0)
+        occ = min(level_degeneracy(l, D, d), left)
         filled.append((n, l, occ))
         n_sum += occ * n
         l_sum += occ * l
         left -= occ
-        if left == 0:
-            break
     nu = n_sum + 0.5 * (N - 1)
     lam = l_sum + 0.5 * (D - 2) * (N - 1)
     return GroundStateResult(N=N, D=D, phi=phi, statistics="fermion", d=d,

@@ -411,30 +411,29 @@ def _atom_system(Z: float, n_electrons: int, nucleus_mass: float) -> NPlusOneSys
 
 
 def _iet_filling(system: NPlusOneSystem, n_electrons: int):
-    """Fixed point of the filling <-> phi_a circularity.
+    """Fixed point of the filling <-> phi_a circularity, as (filling, solution).
 
     The order of the single-particle levels depends on phi_a, while phi_a
-    depends on the orbital aggregate lam_a of the filling.  Start at phi = 2,
-    refill at the computed phi_a and repeat; identical consecutive fillings
-    are a fixed point.  A two-cycle is resolved by the lower improved energy.
+    depends on the orbital aggregate lam_a of the filling.  Start at phi = 2;
+    each round makes the improved solve at the filling and refills at the
+    solution's phi_a.  A refill equal to the filling is a fixed point, and
+    that round's solve is the answer.  A two-cycle keeps the lower-energy of
+    its two rounds, the earlier one on a tie.
     """
     filling = fgs_fill(n_electrons, 3, 2, 2.0)
-    seen = [filling]
+    rounds = []
     for _ in range(20):
-        spec = spec_from_filling(filling)
-        phi_a, _ = phi_pair(system, spec.lam, spec.lam_b)
-        refilled = fgs_fill(n_electrons, 3, 2, phi_a)
+        solution = solve_iet_np1(system, spec_from_filling(filling))
+        rounds.append((filling, solution))
+        refilled = fgs_fill(n_electrons, 3, 2, solution.phi_a)
         if refilled.levels == filling.levels:
-            return filling
-        if len(seen) >= 2 and refilled.levels == seen[-2].levels:
-            first, second = seen[-2], filling
-            e_first = solve_iet_np1(system, spec_from_filling(first)).energy
-            e_second = solve_iet_np1(system, spec_from_filling(second)).energy
+            return filling, solution
+        if len(rounds) >= 2 and refilled.levels == rounds[-2][0].levels:
+            first, second = rounds[-2:]
             warnings.warn("filling iteration entered a two-cycle; "
                           "keeping the lower-energy filling")
-            return first if e_first <= e_second else second
+            return first if first[1].energy <= second[1].energy else second
         filling = refilled
-        seen.append(filling)
     raise NonConvergenceError("filling iteration did not reach a fixed point")
 
 
@@ -460,9 +459,8 @@ def atom_report(Z: float, n_electrons: int, nucleus_mass: float,
         solution = solve_et_np1(system, 2.0 * spec.nu + spec.lam,
                                 2.0 * spec.nu_b + spec.lam_b)
     else:
-        filling = _iet_filling(system, n_electrons)
+        filling, solution = _iet_filling(system, n_electrons)
         spec = spec_from_filling(filling)
-        solution = solve_iet_np1(system, spec)
     if solution.energy >= 0.0:
         raise NoBindingError(f"no bound solution (E = {solution.energy})")
     return AtomResult(binding_ev=-solution.energy * ATOMIC_UNIT_EV,

@@ -358,6 +358,20 @@ def test_critical_coupling_reference(capsys):
     assert record["g"] == pytest.approx(2.25 * math.e, rel=1e-9)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_critical_coupling_boson_quantum_number(capsys, dim):
+    record = _run_json(capsys, "critical-coupling", "--shape", "gaussian",
+                       "--n", "4", "--dim", str(dim), "--output", "json")
+    assert record["q"] == 1.5 * dim
+
+
+def test_critical_coupling_rejects_dimension_below_two(capsys):
+    rc, out, err = _run(capsys, "critical-coupling", "--shape", "gaussian",
+                        "--n", "3", "--dim", "1")
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {"error": "InputError", "message": "need D >= 2", "exit": 2}
+
+
 def test_critical_coupling_fermion_quantum_number(capsys):
     record = _run_json(capsys, "critical-coupling", "--shape", "exponential",
                        "--n", "8", "--statistics", "fermion", "--d", "2",
@@ -490,6 +504,38 @@ def test_optional_key_of_another_kind_is_unknown(tmp_path, capsys):
     rc, _, err = _run(capsys, "solve-identical", _write(tmp_path, _with_potential(body)))
     assert rc == 2
     assert json.loads(err)["message"] == "[potential] has unknown keys: ['width']"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("solve-identical", HO_IDENTICAL + "\n[state]\nmethd = iet\n",
+     "[state] has unknown keys: ['methd']"),
+    ("solve-identical", HO_IDENTICAL + "\n[state]\nrelative = 0,0\n",
+     "[state] has unknown keys: ['relative']"),
+    ("solve-identical", HO_IDENTICAL.replace("N = 3\n", "N = 3\nNa = 7\n"),
+     "[system] has unknown keys: ['Na']"),
+    ("solve-np1", HO_SPLIT.replace("Na = 2\n", "Na = 2\nN = 7\n"),
+     "[system] has unknown keys: ['N']"),
+    ("solve-identical", SUM_POTENTIAL.replace("terms = lin quad\n",
+                                              "terms = lin quad\ndepth = 3\n"),
+     "[potential] has unknown keys: ['depth']"),
+    ("solve-identical", HO_IDENTICAL.replace("N = 3\n", "foo = 1\n"),
+     "[system] is missing 'N'"),
+    ("solve-identical", SUM_POTENTIAL.replace("terms = lin quad\n", "depth = 3\n"),
+     "[potential] sum needs a 'terms' list"),
+], ids=["state-typo", "state-relative-identical", "system-Na-identical",
+        "system-N-nplusone", "sum-stray-key", "system-missing-first",
+        "sum-missing-first"])
+def test_unknown_keys_in_system_state_and_sum_exit_two(tmp_path, capsys, command, text,
+                                                       message):
+    rc, out, err = _run(capsys, command, _write(tmp_path, text))
+    assert rc == 2 and out == ""
+    assert json.loads(err)["message"] == message
+
+
+def test_split_state_accepts_relative(tmp_path, capsys):
+    path = _write(tmp_path, HO_SPLIT + "\n[state]\nrelative = 1,0\n")
+    record = _run_json(capsys, "solve-np1", path, "--output", "json")
+    assert record["relative"] == "1,0"
 
 
 @pytest.mark.parametrize("kind", ["harmonic", "sum", "gaussian"])

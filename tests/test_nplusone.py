@@ -14,11 +14,12 @@ N_a m_a m_b/(N_a m_a + m_b).
 """
 
 import math
+from types import SimpleNamespace
 
 import pytest
 from scipy.optimize import minimize
 
-from envtheory import laws
+from envtheory import laws, solver_nplus1
 from envtheory.errors import (DegenerateOrbitalError, InputError, NoBindingError,
                               NonConvergenceError, EnvTheoryError)
 from envtheory.qnum import QuantumSpec, split_ground_spec
@@ -270,6 +271,50 @@ def test_atom_iet_deforms_both_numbers():
     assert 0.5 < report.phi_a < 2.0
     assert 0.5 < report.phi_b < 2.5
     assert report.binding_ev > 0.0
+
+
+def _counting(monkeypatch, name, counts):
+    original = getattr(solver_nplus1, name)
+
+    def counted(*args):
+        counts[name] += 1
+        return original(*args)
+
+    monkeypatch.setattr(solver_nplus1, name, counted)
+
+
+@pytest.mark.parametrize("Z, mass, rounds", [(2, 7294.30, 1), (9, 34_622.0, 2)])
+def test_improved_atom_solves_each_filling_once(monkeypatch, Z, mass, rounds):
+    # Each filling round makes one improved solve, hence one DOSM analysis,
+    # and one refill; the report reuses the last round's solve.
+    counts = {"dosm_np1": 0, "fgs_fill": 0}
+    _counting(monkeypatch, "dosm_np1", counts)
+    _counting(monkeypatch, "fgs_fill", counts)
+    atom_report(Z, Z, mass, "iet")
+    assert counts == {"dosm_np1": rounds, "fgs_fill": rounds + 1}
+
+
+@pytest.mark.parametrize("e_orbital, e_radial, keep", [
+    (-2.0, -1.0, "orbital"), (-1.0, -2.0, "radial"), (-1.0, -1.0, "orbital")])
+def test_filling_two_cycle_keeps_the_lower_energy_round(monkeypatch, e_orbital, e_radial,
+                                                        keep):
+    # Three electrons fill (0,0)^2 (0,1)^1 at phi = 2 and (0,0)^2 (1,0)^1 at
+    # phi = 0.5.  A stand-in solve sends each filling to the other one's phi.
+    solutions = {"orbital": SimpleNamespace(phi_a=0.5, energy=e_orbital),
+                 "radial": SimpleNamespace(phi_a=2.0, energy=e_radial)}
+    solved = []
+
+    def solve(system, spec):
+        which = "orbital" if spec.internal_modes[0] == (0, 1) else "radial"
+        solved.append(which)
+        return solutions[which]
+
+    monkeypatch.setattr(solver_nplus1, "solve_iet_np1", solve)
+    with pytest.warns(UserWarning, match="two-cycle"):
+        filling, solution = solver_nplus1._iet_filling(None, 3)
+    assert solved == ["orbital", "radial"]
+    assert solution is solutions[keep]
+    assert filling.levels[-1] == {"orbital": (0, 1, 1), "radial": (1, 0, 1)}[keep]
 
 
 def test_atom_validation():

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from envtheory import qnum
 from envtheory.errors import InputError
@@ -128,9 +129,45 @@ def test_fgs_fill_extreme_phi_enumerates_only_what_it_fills():
     assert low.q_phi == 1e-9 * low.nu + low.lam
 
 
+def _fill_by_sorting(N, D, d, phi):
+    """Reference filling: every level with key <= min(N, N*phi), sorted.
+
+    The levels (0, l) with l < N, or (n, 0) with n < N, lie under that bound,
+    so it always holds N particles.
+    """
+    bound = min(N, N * phi)
+    keyed = sorted((phi * n + l, n, l) for n in range(N + 1) for l in range(N + 1)
+                   if phi * n + l <= bound)
+    filled, left = [], N
+    for _, n, l in keyed:
+        occ = min(qnum.level_degeneracy(l, D, d), left)
+        filled.append((n, l, occ))
+        left -= occ
+        if not left:
+            return tuple(filled)
+    raise AssertionError("the reference bound holds fewer than N particles")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(N=st.integers(2, 100), D=st.integers(2, 5), d=st.integers(1, 3),
+       phi=st.floats(0.05, 20.0).filter(lambda p: not p.is_integer()))
+def test_fgs_fill_matches_a_sorted_enumeration(N, D, d, phi):
+    res = qnum.fgs_fill(N, D, d, phi)
+    assert res.levels == _fill_by_sorting(N, D, d, phi)
+    assert res.nu == sum(occ * n for n, _, occ in res.levels) + 0.5 * (N - 1)
+    assert res.lam == sum(occ * l for _, l, occ in res.levels) + 0.5 * (D - 2) * (N - 1)
+    assert res.q_phi == phi * res.nu + res.lam
+
+
+def test_bgs_rejects_dimension_below_two():
+    with pytest.raises(InputError):
+        qnum.bgs(3, 1)
+
+
 @pytest.mark.parametrize("phi", [math.nan, math.inf])
 def test_non_finite_phi_is_rejected(phi):
-    # fgs_fill would double its level bound forever: phi * n <= key_max never holds.
+    # With phi = inf the key phi*0 + 0 is nan, and with phi = nan every key
+    # is, so the fill order of fgs_fill would be undefined.
     with pytest.raises(InputError):
         qnum.fgs_fill(8, 3, 1, phi)
     with pytest.raises(InputError):
