@@ -281,6 +281,9 @@ def _load_definition(path: str) -> _Definition:
         if "modes" not in state:
             raise InputError("[state] explicit mode needs 'modes'")
         modes = tuple(_parse_mode(m, "[state] modes") for m in state["modes"].split())
+        if len(modes) != N - 1:
+            raise InputError(f"[state] modes lists {len(modes)} internal modes, "
+                             f"expected {N - 1}")
         spec = QuantumSpec(D=D, internal_modes=modes, relative_mode=relative)
     else:
         raise InputError(f"[state] unknown mode {mode!r}")
@@ -299,8 +302,9 @@ def _run_identical(system: IdenticalSystem, spec: QuantumSpec, method: str) -> d
     record = {"nu": spec.nu, "lam": spec.lam}
     if method == "dosm":
         report = dosm_identical(system, spec.lam)
-        record.update(energy=report.level(spec.nu), energy_orbital=report.energy_orbital,
-                      rho0=report.rho0, p0=report.p0, mu=report.mu, k=report.k,
+        orbital = report.orbital
+        record.update(energy=report.level(spec.nu), energy_orbital=orbital.energy,
+                      rho0=orbital.rho0, p0=orbital.p0, mu=report.mu, k=report.k,
                       phi=report.phi)
         return record
     if method == "iet":
@@ -319,9 +323,10 @@ def _run_np1(system: NPlusOneSystem, spec: QuantumSpec, method: str) -> dict:
     record = {"nu_a": spec.nu, "lam_a": spec.lam, "nu_b": spec.nu_b, "lam_b": spec.lam_b}
     if method == "dosm":
         report = dosm_np1(system, spec.lam, spec.lam_b)
+        orbital = report.orbital
         record.update(energy=report.level(spec.nu, spec.nu_b),
-                      energy_orbital=report.energy_orbital,
-                      p_a=report.p_a, r_aa=report.r_aa, P0=report.P0, R0=report.R0,
+                      energy_orbital=orbital.energy,
+                      p_a=orbital.p_a, r_aa=orbital.r_aa, P0=orbital.P0, R0=orbital.R0,
                       mu_a=report.mu_a, mu_b=report.mu_b, k_a=report.k_a,
                       k_b=report.k_b, k_c=report.k_c, A=report.A, B=report.B,
                       phi_a=report.phi_a, phi_b=report.phi_b)

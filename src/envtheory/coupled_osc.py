@@ -9,7 +9,8 @@ mu = sqrt(mu_a mu_b):
 (A, B) are the eigenvalues of the symmetric matrix [[a, k_c/2], [k_c/2, b]]
 with a = sqrt(mu_b/mu_a) k_a and b = sqrt(mu_a/mu_b) k_b; the A root is the
 one that goes over into a when the coupling is switched off, so n counts the
-x1-dominant mode.  The closed form below is valid for mu_a != mu_b.
+x1-dominant mode.  At b = a, where neither root is x1-dominant, A is
+a - k_c/2.
 """
 
 from __future__ import annotations
@@ -20,11 +21,6 @@ from dataclasses import dataclass
 from .errors import InputError, UnstableModeError
 
 __all__ = ["OscPair", "normal_modes", "level"]
-
-# Branch thresholds.  The constants are continuous across both branch
-# boundaries; the cutoffs only avoid 0/0 in the eps evaluation.
-_KC_ZERO = 1e-13
-_EPS_ZERO = 1e-12
 
 
 @dataclass(frozen=True)
@@ -46,20 +42,22 @@ def normal_modes(pair: OscPair) -> tuple[float, float, float]:
     """Return (A, B, mu) for the pair.
 
     A or B may come out non-positive for an unstable quadratic form; callers
-    decide whether that is an error.
+    decide whether that is an error.  With eps = (b - a)/k_c the constants are
+    a - k_c w/2 and b + k_c w/2, where w = 1/(eps + s hypot(1, eps)) and
+    s = 1 for eps >= 0 (b = a included), -1 otherwise.  Both terms of the
+    denominator share a sign, so w is formed without cancellation, and it goes
+    to 0 as k_c -> 0.
     """
     mu = math.sqrt(pair.mu_a * pair.mu_b)
     ratio = math.sqrt(pair.mu_b / pair.mu_a)
     a = ratio * pair.k_a
     b = pair.k_b / ratio
     k_c = pair.k_c
-    if abs(k_c) < _KC_ZERO * max(abs(pair.k_a), abs(pair.k_b)):
+    if k_c == 0.0:
         return a, b, mu
     eps = (b - a) / k_c
-    if abs(eps) < _EPS_ZERO:
-        w = 1.0
-    else:
-        w = math.copysign(1.0, eps) * math.sqrt(1.0 + eps * eps) - eps
+    s = 1.0 if eps >= 0.0 else -1.0
+    w = 1.0 / (eps + s * math.hypot(1.0, eps))
     return a - 0.5 * k_c * w, b + 0.5 * k_c * w, mu
 
 

@@ -229,8 +229,8 @@ def fgs_closed(N: int, D: int, d: int, variant: int = 2) -> float:
     non-negative, and Q is the quanta carried by the full shells plus q*r
     plus the centre-of-mass tail.
     """
-    if N < 2 or d < 1:
-        raise InputError("need N >= 2, d >= 1")
+    if N < 2 or D < 2 or d < 1:
+        raise InputError("need N >= 2, D >= 2, d >= 1")
     if variant == 2:
         def cumulative(q: int) -> int:
             return d * math.comb(q + D - 1, D)
@@ -262,8 +262,8 @@ def fgs_closed(N: int, D: int, d: int, variant: int = 2) -> float:
 
 def fgs_approx(N: int, D: int, d: int, phi: float = 2.0) -> float:
     """Asymptotic estimate of the fermionic ground-state Q, valid for N >> 1."""
-    if N < 1 or d < 1 or phi <= 0.0:
-        raise InputError("need N >= 1, d >= 1, phi > 0")
+    if N < 1 or D < 2 or d < 1 or phi <= 0.0:
+        raise InputError("need N >= 1, D >= 2, d >= 1, phi > 0")
     if not math.isfinite(phi):
         raise InputError(f"phi must be finite, got {phi}")
     return (D / (D + 1.0)) * (phi * math.factorial(D) / (2.0 * d)) ** (1.0 / D) \

@@ -88,49 +88,48 @@ class EtSolution:
 class DosmIdenticalReport:
     """Radial-oscillation analysis around the purely orbital solution.
 
-    mu and k are the effective mass and stiffness of the collective radial
-    mode; phi is the quantum-number deformation they imply.
+    ``orbital`` is the compact set solved at the orbital aggregate
+    lam = orbital.q; mu and k are the effective mass and stiffness of the
+    collective radial mode there, and phi is the quantum-number deformation
+    they imply.
     """
 
-    energy_orbital: float
-    rho0: float
-    p0: float
+    orbital: EtSolution
     mu: float
     k: float
-    lam: float
     phi: float
     n_pairs: float
 
     def level(self, nu: float) -> float:
         """Energy with radial aggregate nu on top of the orbital motion."""
-        return self.energy_orbital + math.sqrt(self.k / (self.n_pairs * self.mu)) * nu
-
-
-def _signed_power(law: laws.Law) -> tuple[float, float] | None:
-    """(G, beta) if ``law`` is a power potential in the sign convention, else None."""
-    p = laws.power_parameters(law)
-    if p is None:
-        return None
-    c, e = p
-    if e == 0.0 or math.copysign(1.0, c) != math.copysign(1.0, e):
-        return None
-    return abs(c), e
+        return self.orbital.energy + math.sqrt(self.k / (self.n_pairs * self.mu)) * nu
 
 
 def _variational_character(system: IdenticalSystem) -> str:
     """Bound character of the undeformed solution, when the laws reveal it.
 
-    Known only for pure power laws: upper bound below the harmonic exponent,
-    lower bound above it, exact at it.  Everything else is "unknown".
+    Envelope theory bounds the eigenvalue from above when T(sqrt(x)) and
+    V(sqrt(x)) are both concave, from below when both are convex, and is
+    exact when both are linear.  Both laws must be power laws c r^e, the
+    kinetic one with c, e > 0; x -> c x^(e/2) has a curvature of the sign of
+    c e (e - 2).  Everything else is "unknown".
     """
     kin = laws.power_parameters(system.kinetic)
-    pot = _signed_power(system.potential)
+    pot = laws.power_parameters(system.potential)
     if kin is None or pot is None or kin[0] <= 0.0 or kin[1] <= 0.0:
         return "unknown"
-    beta = pot[1]
-    if beta == 2.0:
+    curvatures = {_sign(c) * _sign(e) * _sign(e - 2.0) for c, e in (kin, pot)}
+    if curvatures == {0}:
         return "exact"
-    return "upper" if beta < 2.0 else "lower"
+    if curvatures <= {-1, 0}:
+        return "upper"
+    if curvatures <= {0, 1}:
+        return "lower"
+    return "unknown"
+
+
+def _sign(x: float) -> int:
+    return (x > 0.0) - (x < 0.0)
 
 
 def solve_et(system: IdenticalSystem, Q: float) -> EtSolution:
@@ -217,8 +216,7 @@ def dosm_identical(system: IdenticalSystem, lam: float) -> DosmIdenticalReport:
         raise UnstableOrbitalError(
             f"radial stiffness k={k} is not positive; no harmonic quantization")
     phi = lam / (N * p0 * t1) * math.sqrt(k / (c2 * mu))
-    return DosmIdenticalReport(energy_orbital=orbital.energy, rho0=rho0, p0=p0,
-                               mu=mu, k=k, lam=lam, phi=phi, n_pairs=c2)
+    return DosmIdenticalReport(orbital=orbital, mu=mu, k=k, phi=phi, n_pairs=c2)
 
 
 def phi_identical(system: IdenticalSystem, lam: float) -> float:

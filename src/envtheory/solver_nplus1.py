@@ -109,22 +109,16 @@ class Np1Solution:
 class DosmNp1Report:
     """Coupled radial-oscillation analysis around the orbital solution.
 
-    (mu_a, k_a) belong to the block radial mode, (mu_b, k_b) to the relative
-    one, k_c couples them.  (A, B, mu) are the normal-mode constants; D_a and
-    D_b are the first-order responses of the energy to an increase of the
-    respective quantum numbers, and (phi_a, phi_b) the deformations obtained
-    by matching the two spectra.
+    ``orbital`` is the five-equation set solved at the orbital aggregates
+    (lam_a, lam_b) = (orbital.q_a, orbital.q_b).  (mu_a, k_a) belong to the
+    block radial mode, (mu_b, k_b) to the relative one, k_c couples them.
+    (A, B, mu) are the normal-mode constants; D_a and D_b are the first-order
+    responses of the energy to an increase of the respective quantum numbers,
+    which fix the masses mu_a = p_a^2/D_a and mu_b = P0^2/D_b, and (phi_a,
+    phi_b) are the deformations obtained by matching the two spectra.
     """
 
-    energy_orbital: float
-    p_a: float
-    r_aa: float
-    P0: float
-    R0: float
-    p_a_prime: float
-    r_0_prime: float
-    lam_a: float
-    lam_b: float
+    orbital: Np1Solution
     mu_a: float
     mu_b: float
     k_a: float
@@ -141,7 +135,7 @@ class DosmNp1Report:
 
     def level(self, nu_a: float, nu_b: float) -> float:
         """Energy with radial aggregates (nu_a, nu_b) on top of the orbital motion."""
-        return (self.energy_orbital
+        return (self.orbital.energy
                 + math.sqrt(self.A / (self.n_pairs * self.mu)) * nu_a
                 + math.sqrt(self.B / self.mu) * nu_b)
 
@@ -316,23 +310,21 @@ def dosm_np1(system: NPlusOneSystem, lam_a: float, lam_b: float) -> DosmNp1Repor
     """Quantize the two coupled radial modes around the orbital solution.
 
     The orbital solution is the five-equation set solved with the quantum
-    numbers replaced by (lam_a, lam_b).  The coupled quadratic form in the
-    two radial displacements is the Hessian of the energy surface there,
-    (k_a, k_b, k_c) = (E_rr, E_RR, 2 E_rR); its normal modes and the
-    first-order responses (D_a, D_b), minus the kinetic part of the log
-    gradient, fix the two deformation parameters.
+    numbers replaced by (lam_a, lam_b).  Everything else is read off the
+    energy surface there: the coupled quadratic form in the two radial
+    displacements is its Hessian, (k_a, k_b, k_c) = (E_rr, E_RR, 2 E_rR), and
+    minus the kinetic part of its log gradient gives the responses (D_a, D_b)
+    and with them the masses mu_a = p_a^2/D_a and mu_b = P0^2/D_b.  The
+    normal modes and the responses fix the two deformation parameters.
     """
     if lam_a <= 0.0 or lam_b <= 0.0:
         raise InputError("lam_a and lam_b must be positive")
-    N_a = system.N_a
-    c2 = pair_count(N_a)
+    c2 = pair_count(system.N_a)
     orbital = solve_et_np1(system, lam_a, lam_b)
     r_aa, R0 = orbital.r_aa, orbital.R0
-    p_a, P0, pap, r0p = orbital.p_a, orbital.P0, orbital.p_a_prime, orbital.r_0_prime
     _, kinetic, potential, (h11, h12, h22) = _surface(system, lam_a, lam_b, r_aa, R0)
-    ta1 = system.kinetic_a.d1(pap)
-    mu_a = pap / (N_a * ta1)
-    mu_b = 1.0 / (ta1 / (N_a * pap) + system.kinetic_b.d1(P0) / P0)
+    D_a, D_b = -kinetic[0], -kinetic[1]
+    mu_a, mu_b = orbital.p_a ** 2 / D_a, orbital.P0 ** 2 / D_b
     # Second derivatives in (r_aa, R0) from those in their logarithms.
     k_a = (h11 - kinetic[0] - potential[0]) / r_aa ** 2
     k_b = (h22 - kinetic[1] - potential[1]) / R0 ** 2
@@ -342,14 +334,11 @@ def dosm_np1(system: NPlusOneSystem, lam_a: float, lam_b: float) -> DosmNp1Repor
     if A <= 0.0 or B <= 0.0:
         raise UnstableOrbitalError(
             f"unstable radial quadratic form (A={A}, B={B})")
-    D_a, D_b = -kinetic[0], -kinetic[1]
     phi_a = lam_a / D_a * math.sqrt(A / (c2 * mu))
     phi_b = lam_b / D_b * math.sqrt(B / mu)
-    return DosmNp1Report(energy_orbital=orbital.energy, p_a=p_a, r_aa=r_aa,
-                         P0=P0, R0=R0, p_a_prime=pap, r_0_prime=r0p,
-                         lam_a=lam_a, lam_b=lam_b, mu_a=mu_a, mu_b=mu_b,
-                         k_a=k_a, k_b=k_b, k_c=k_c, A=A, B=B, mu=mu,
-                         D_a=D_a, D_b=D_b, phi_a=phi_a, phi_b=phi_b, n_pairs=c2)
+    return DosmNp1Report(orbital=orbital, mu_a=mu_a, mu_b=mu_b, k_a=k_a, k_b=k_b,
+                         k_c=k_c, A=A, B=B, mu=mu, D_a=D_a, D_b=D_b,
+                         phi_a=phi_a, phi_b=phi_b, n_pairs=c2)
 
 
 def phi_pair(system: NPlusOneSystem, lam_a: float, lam_b: float) -> tuple[float, float]:

@@ -180,7 +180,7 @@ def test_criterion_07_quadratic_forms_match_finite_differences():
                     + c2 * split.potential_aa.value(r)
                     + N_a * split.potential_ab.value(r0p))
 
-        r, R = rep.r_aa, rep.R0
+        r, R = rep.orbital.r_aa, rep.orbital.R0
         hr, hR = 1e-3 * r, 1e-3 * R
         worst_k = max(worst_k,
                       abs(rep.k_a / _fd2(lambda x: surface(x, R), r, hr) - 1.0),
@@ -198,8 +198,8 @@ def test_criterion_07_quadratic_forms_match_finite_differences():
             return ((N_a + 1) * merged.kinetic.value(p)
                     + sq ** 2 * merged.potential.value(rho))
 
-        worst_k = max(worst_k, abs(rep_m.k / _fd2(surface_m, rep_m.rho0,
-                                                  1e-3 * rep_m.rho0) - 1.0))
+        worst_k = max(worst_k, abs(rep_m.k / _fd2(surface_m, rep_m.orbital.rho0,
+                                                  1e-3 * rep_m.orbital.rho0) - 1.0))
 
         h = 1e-3
         slope_a = (solve_et_np1(split, lam_a + h, lam_b).energy
@@ -229,8 +229,8 @@ def test_criterion_08_identical_limit_reduction():
                           + 1.0 / rs.mu_b)
         k_combo = rs.k_a + rs.k_b * f + rs.k_c * math.sqrt(f)
         worst_coeff = max(worst_coeff,
-                          abs(rs.r_0_prime / rs.r_aa - 1.0),
-                          abs(rs.p_a_prime / rs.P0 - 1.0),
+                          abs(rs.orbital.r_0_prime / rs.orbital.r_aa - 1.0),
+                          abs(rs.orbital.p_a_prime / rs.orbital.P0 - 1.0),
                           abs(mu_combo / rm.mu - 1.0),
                           abs(k_combo / rm.k - 1.0))
         e_split = solve_et_np1(split, (N_a - 1) + lam_a, 1.0 + lam_b).energy

@@ -582,3 +582,86 @@ def test_non_finite_numbers_exit_two(capsys, argv):
     rc, out, err = _run(capsys, *argv)
     assert rc == 2 and out == ""
     assert json.loads(err)["error"] == "InputError"
+
+
+@pytest.mark.parametrize("method", ["et", "iet", "dosm"])
+@pytest.mark.parametrize("command, text", [
+    ("solve-identical", HO_IDENTICAL),
+    ("solve-np1", HO_SPLIT.replace("Na = 2", "Na = 3")),
+], ids=["identical", "split"])
+def test_explicit_modes_must_number_n_minus_one(tmp_path, capsys, command, text, method):
+    # N = 3 (Na = 3) takes two internal modes; five is an input error for
+    # every method, not only for the improved solve that reads them all.
+    state = "\n[state]\nmode = explicit\nmodes = 0,0 0,0 0,0 0,0 0,0\n"
+    path = _write(tmp_path, text + state + f"method = {method}\n")
+    rc, out, err = _run(capsys, command, path)
+    assert rc == 2, err
+    assert out == ""
+    record = json.loads(err)
+    assert record["error"] == "InputError"
+    assert "5 internal modes, expected 2" in record["message"]
+
+
+UROH_SPLIT = """
+[system]
+type = nplusone
+Na = 2
+D = 3
+
+[kinetic-a]
+kind = power
+coefficient = 1
+exponent = 1
+
+[kinetic-b]
+kind = power
+coefficient = 1
+exponent = 1
+
+[potential-aa]
+kind = power
+coefficient = 1
+exponent = 2
+
+[potential-ab]
+kind = power
+coefficient = 10
+exponent = 2
+"""
+
+# Complete method = dosm records, key order included: the orbital fields are
+# read through the report's orbital solution, the rest off the report itself.
+DOSM_IDENTICAL_RECORD = {
+    "command": "solve-identical", "type": "identical", "D": 3, "state_mode": "bgs",
+    "N": 3, "kinetic": "power(0.5, 2)", "potential": "power(1, 1)",
+    "modes": "0,0 0,0", "method": "dosm", "nu": 1.0, "lam": 1.0,
+    "energy": 6.72293660011, "energy_orbital": 3.12012573458,
+    "rho0": 0.693361274351, "p0": 0.832683177656, "mu": 0.333333333333,
+    "k": 12.9802461328, "phi": 1.73205080757}
+DOSM_SPLIT_RECORD = {
+    "command": "solve-np1", "type": "nplusone", "D": 3, "state_mode": "bgs",
+    "Na": 2, "kinetic_a": "power(1, 1)", "kinetic_b": "power(1, 1)",
+    "potential_aa": "power(1, 2)", "potential_ab": "power(10, 2)",
+    "relative": "0,0", "modes": "0,0", "method": "dosm", "nu_a": 0.5,
+    "lam_a": 0.5, "nu_b": 0.5, "lam_b": 0.5, "energy": 16.292704507,
+    "energy_orbital": 7.38029734957, "p_a": 1.23259656629,
+    "r_aa": 0.405647730714, "P0": 1.84252469238, "R0": 0.271366783885,
+    "mu_a": 0.769418385167, "mu_b": 1.15253272839, "k_a": 40.3009339966,
+    "k_b": 129.61053366, "k_c": -12.8583468523, "A": 48.6028422354,
+    "B": 106.621157385, "phi_a": 1.81914590711, "phi_b": 1.80619392589}
+
+
+@pytest.mark.parametrize("text, expected", [
+    (LINEAR_IDENTICAL, DOSM_IDENTICAL_RECORD),
+    (UROH_SPLIT, DOSM_SPLIT_RECORD),
+], ids=["identical", "split"])
+def test_dosm_record_is_pinned(tmp_path, capsys, text, expected):
+    path = _write(tmp_path, text + "\n[state]\nmethod = dosm\n")
+    record = _run_json(capsys, expected["command"], path, "--output", "json")
+    assert record.pop("definition") == path
+    assert list(record) == list(expected)
+    for key, value in expected.items():
+        if isinstance(value, float):
+            assert record[key] == pytest.approx(value, rel=1e-10), key
+        else:
+            assert record[key] == value, key

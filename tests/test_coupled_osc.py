@@ -114,3 +114,61 @@ def test_mass_validation():
         OscPair(0.0, 1.0, 1.0, 1.0)
     with pytest.raises(InputError):
         OscPair(1.0, -2.0, 1.0, 1.0)
+
+
+def _diagonal(pair):
+    ratio = math.sqrt(pair.mu_b / pair.mu_a)
+    return ratio * pair.k_a, pair.k_b / ratio
+
+
+def _assert_eigenvalues(pair):
+    A, B, _ = normal_modes(pair)
+    a, b = _diagonal(pair)
+    eig = np.linalg.eigvalsh([[a, pair.k_c / 2.0], [pair.k_c / 2.0, b]])
+    assert sorted((A, B)) == pytest.approx(list(eig), rel=1e-12)
+    return A, B, a, b
+
+
+@pytest.mark.parametrize("k_c", [9e-14, 1e-16, 1e-30, 5e-324, -9e-14, -1e-16,
+                                 -1e-30, -5e-324])
+def test_vanishing_coupling_keeps_the_uncoupled_assignment(k_c):
+    # Couplings far below the stiffnesses: the constants are the matrix
+    # eigenvalues, and A is still the one that continues a.
+    for k_a, k_b in ((1.0, 3.0), (3.0, 1.0)):
+        A, B, a, b = _assert_eigenvalues(OscPair(1.0, 2.0, k_a, k_b, k_c))
+        assert A == pytest.approx(a, rel=1e-12)
+        assert B == pytest.approx(b, rel=1e-12)
+
+
+@pytest.mark.parametrize("k_c", [0.7, -0.7])
+@pytest.mark.parametrize("delta", [0.0, 1e-13, -1e-13, 1e-15, -1e-15])
+def test_nearly_degenerate_diagonal(k_c, delta):
+    # |b - a| far below |k_c|, on both sides of zero.  A continues a, so it
+    # is the lower root for b > a and the upper one for b < a; at b = a it
+    # is a - k_c/2 for either coupling sign.
+    pair = OscPair(1.0, 1.0, 2.0, 2.0 + delta * abs(k_c), k_c)
+    A, B, a, b = _assert_eigenvalues(pair)
+    if b == a:
+        assert (A, B) == (a - 0.5 * k_c, a + 0.5 * k_c)
+    else:
+        lower, upper = sorted((A, B))
+        assert A == (lower if b > a else upper)
+
+
+@pytest.mark.parametrize("k_c", [0.0, -0.0])
+def test_signed_zero_coupling_is_exactly_uncoupled(k_c):
+    pair = OscPair(2.0, 3.0, 1.5, 0.8, k_c)
+    assert normal_modes(pair)[:2] == _diagonal(pair)
+
+
+def test_strong_stiffness_contrast_keeps_the_small_constant_precise():
+    # With |b - a| >> |k_c| the small constant is a near-cancellation of
+    # (a+b)/2 and the discriminant; compare it with a 50-digit evaluation.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    pair = OscPair(1.0, 1.0, 1.37e9, 1.77, -3.85)
+    A, B, _ = normal_modes(pair)
+    a, b, k_c = (mpmath.mpf(x) for x in (pair.k_a, pair.k_b, pair.k_c))
+    disc = mpmath.sqrt((a - b) ** 2 / 4 + k_c ** 2 / 4)
+    assert A == pytest.approx(float((a + b) / 2 + disc), rel=1e-15)
+    assert B == pytest.approx(float((a + b) / 2 - disc), rel=1e-14)

@@ -119,6 +119,32 @@ def test_variational_character():
     assert solve_et(well, 1.0).variational == "unknown"
 
 
+@pytest.mark.parametrize("alpha, beta, character", [
+    (2.0, 2.0, "exact"), (1.0, 2.0, "upper"), (2.0, 1.0, "upper"),
+    (1.0, 1.0, "upper"), (2.0, 4.0, "lower"), (3.0, 3.0, "lower"),
+    (1.0, 3.0, "unknown"), (3.0, 1.0, "unknown"),
+])
+def test_variational_character_reads_both_exponents(alpha, beta, character):
+    # T(sqrt(x)) and V(sqrt(x)) both concave: upper bound; both convex: lower
+    # bound; both linear: exact; mixed curvature: no bound is known.
+    system = IdenticalSystem(2, 3, laws.kinetic_power(1.0, alpha),
+                             laws.potential_power(1.0, beta))
+    assert solve_et(system, 1.5).variational == character
+
+
+def test_linear_kinetic_harmonic_pair_is_an_upper_bound():
+    # 2|p| + r^2 is -d^2/dp^2 + 2p in momentum space, an Airy problem; its
+    # ground state is 2^(2/3) a_1 with a_1 the first zero of -Ai.
+    special = pytest.importorskip("scipy.special")
+    exact = 2.0 ** (2.0 / 3.0) * -special.ai_zeros(1)[0][0]
+    system = IdenticalSystem(2, 3, laws.kinetic_power(1.0, 1.0), laws.harmonic(1.0))
+    solution = solve_et(system, 1.5)
+    assert exact == pytest.approx(3.71151, abs=1e-5)
+    assert solution.energy == pytest.approx(3.93111, abs=1e-5)
+    assert solution.variational == "upper"
+    assert solution.energy > exact
+
+
 def test_dosm_harmonic_is_exact():
     N, m, k = 4, 0.8, 1.7
     lam = 2.5
@@ -126,7 +152,7 @@ def test_dosm_harmonic_is_exact():
     omega = math.sqrt(2.0 * N * k / m)
     assert report.phi == pytest.approx(2.0, rel=1e-10)
     assert report.mu == pytest.approx(m / N, rel=1e-10)
-    assert report.energy_orbital == pytest.approx(omega * lam, rel=1e-10)
+    assert report.orbital.energy == pytest.approx(omega * lam, rel=1e-10)
     # The radial mode frequency is twice the trap frequency, so each radial
     # quantum costs 2 omega and the deformed spectrum is omega (2 nu + lam).
     assert math.sqrt(report.k / (report.n_pairs * report.mu)) == pytest.approx(
@@ -168,7 +194,7 @@ def test_dosm_stiffness_matches_energy_curvature():
             return (system.N * system.kinetic.value(p)
                     + c2 * system.potential.value(rho))
 
-        fd = _fd_second(energy, report.rho0, 1e-3 * report.rho0)
+        fd = _fd_second(energy, report.orbital.rho0, 1e-3 * report.orbital.rho0)
         assert report.k == pytest.approx(fd, rel=1e-6), system.potential.kind
 
 

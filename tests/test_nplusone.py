@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import pytest
 from scipy.optimize import minimize
 
-from envtheory import laws, solver_nplus1
+from envtheory import laws, repro, solver_nplus1
 from envtheory.errors import (DegenerateOrbitalError, InputError, NoBindingError,
                               NonConvergenceError, EnvTheoryError)
 from envtheory.qnum import QuantumSpec, split_ground_spec
@@ -84,11 +84,11 @@ def test_harmonic_dosm_masses_and_deformations():
     assert report.mu_b == pytest.approx(
         N_a * m_a * m_b / (N_a * m_a + m_b), rel=1e-10)
     # First-order responses are the two frequencies times the aggregates.
-    assert report.D_a == pytest.approx(w_a * report.lam_a, rel=1e-9)
-    assert report.D_b == pytest.approx(w_b * report.lam_b, rel=1e-9)
+    assert report.D_a == pytest.approx(w_a * report.orbital.q_a, rel=1e-9)
+    assert report.D_b == pytest.approx(w_b * report.orbital.q_b, rel=1e-9)
     for nu_a, nu_b in ((0.5, 0.5), (0.5, 1.5), (2.5, 0.5)):
         assert report.level(nu_a, nu_b) == pytest.approx(
-            w_a * (2 * nu_a + report.lam_a) + w_b * (2 * nu_b + report.lam_b),
+            w_a * (2 * nu_a + report.orbital.q_a) + w_b * (2 * nu_b + report.orbital.q_b),
             rel=1e-9)
 
 
@@ -153,13 +153,31 @@ FD_SYSTEMS = [
 ]
 
 
+@pytest.mark.parametrize("system", [
+    repro.build_uroh(10.0),
+    NPlusOneSystem(3, 3, laws.kinetic_power(0.5, 1.5), laws.kinetic_power(0.2, 1.5),
+                   laws.power(1.0, 1.0), laws.harmonic(0.7)),
+], ids=["table2-abs-p", "power-1.5"])
+def test_dosm_masses_match_the_kinetic_law(system):
+    # The masses come from the surface gradient as p_a^2/D_a and P0^2/D_b;
+    # away from quadratic kinetics they must still equal the hand formulas
+    # in the laws' first derivatives.
+    report = dosm_np1(system, 1.5, 0.5)
+    orbital = report.orbital
+    pap, P0 = orbital.p_a_prime, orbital.P0
+    ta1 = system.kinetic_a.d1(pap)
+    assert report.mu_a == pytest.approx(pap / (system.N_a * ta1), rel=1e-12)
+    assert report.mu_b == pytest.approx(
+        1.0 / (ta1 / (system.N_a * pap) + system.kinetic_b.d1(P0) / P0), rel=1e-12)
+
+
 @pytest.mark.parametrize("system", FD_SYSTEMS,
                          ids=["harmonic", "linear-kinetic", "coulomb"])
 def test_dosm_quadratic_form_matches_energy_hessian(system):
     lam_a, lam_b = 1.5, 0.5
     report = dosm_np1(system, lam_a, lam_b)
     energy = _constrained_energy(system, lam_a, lam_b)
-    r, R = report.r_aa, report.R0
+    r, R = report.orbital.r_aa, report.orbital.R0
     h_r, h_R = 1e-3 * r, 1e-3 * R
     # The relative test degenerates when a constant vanishes (harmonic
     # laws have no cross-coupling at all), so anchor the absolute floor
@@ -226,10 +244,10 @@ def test_identical_limit_of_split_solver(N_a, alpha, beta):
 
     rep_split = dosm_np1(split, lam_a, lam_b)
     rep_merged = dosm_identical(merged, lam_a + lam_b)
-    assert rep_split.r_0_prime == pytest.approx(rep_split.r_aa, rel=1e-10)
-    assert rep_split.p_a_prime == pytest.approx(rep_split.P0, rel=1e-10)
-    assert rep_split.energy_orbital == pytest.approx(
-        rep_merged.energy_orbital, rel=1e-10)
+    assert rep_split.orbital.r_0_prime == pytest.approx(rep_split.orbital.r_aa, rel=1e-10)
+    assert rep_split.orbital.p_a_prime == pytest.approx(rep_split.orbital.P0, rel=1e-10)
+    assert rep_split.orbital.energy == pytest.approx(
+        rep_merged.orbital.energy, rel=1e-10)
     # Substituting the symmetric relations P0^2 = N_a^2/(N_a^2-1) p_r^2 and
     # R0^2 = (N_a+1)/(2 N_a) r^2 into the split quadratic form collapses it
     # onto the merged one; masses combine harmonically, stiffnesses linearly.
@@ -391,7 +409,7 @@ def test_improved_atoms_beyond_oxygen_converge_to_the_energy_minimum(Z, mass):
     system = NPlusOneSystem(Z, 3, laws.kinetic_power(0.5, 2.0),
                             laws.kinetic_power(0.5 / mass, 2.0),
                             laws.power(1.0, -1.0), laws.coulomb(Z))
-    orbital = dosm_np1(system, lam_a, lam_b).energy_orbital
+    orbital = dosm_np1(system, lam_a, lam_b).orbital.energy
     c2 = 0.5 * Z * (Z - 1)
 
     def energy(u):

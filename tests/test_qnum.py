@@ -164,6 +164,16 @@ def test_bgs_rejects_dimension_below_two():
         qnum.bgs(3, 1)
 
 
+@pytest.mark.parametrize("D", [1, 0, -1])
+def test_fgs_closed_forms_reject_dimension_below_two(D):
+    # Both closed forms count shells in D >= 2 dimensions, like bgs and fgs_fill.
+    with pytest.raises(InputError):
+        qnum.fgs_approx(8, D, 1)
+    for variant in (2, 1):
+        with pytest.raises(InputError):
+            qnum.fgs_closed(8, D, 1, variant)
+
+
 @pytest.mark.parametrize("phi", [math.nan, math.inf])
 def test_non_finite_phi_is_rejected(phi):
     # With phi = inf the key phi*0 + 0 is nan, and with phi = nan every key

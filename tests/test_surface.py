@@ -108,7 +108,7 @@ def test_dosm_constants_are_the_symbolic_hessian(case):
     r, R = sp.symbols("r R", positive=True)
     in_r = {u[0]: sp.log(r), u[1]: sp.log(R)}
     total = (kin + pot).subs(in_r)
-    at = {r: report.r_aa, R: report.R0}
+    at = {r: report.orbital.r_aa, R: report.orbital.R0}
 
     def num(expr):
         return float(expr.evalf(30, subs=at))
