@@ -18,10 +18,11 @@ The two quantization conditions eliminate p_a and P0, which leaves the energy
 surface E(r_aa, R0); the two equations of motion are its stationary
 conditions.  One function evaluates E with its exact gradient and Hessian in
 log coordinates, chain-ruled from the laws' first and second derivatives.
-Newton steps on the gradient with that Hessian.  The improved variant
-quantizes the two coupled radial modes around the purely orbital solution
-and deforms both quantum numbers; the mode stiffnesses are the same Hessian
-at the orbital point, and the responses D_a, D_b its kinetic gradient.
+The solution is the minimum of E reached by one damped Newton descent from a
+structural start.  The improved variant quantizes the two coupled radial
+modes around the purely orbital solution and deforms both quantum numbers;
+the mode stiffnesses are the same Hessian at the orbital minimum, and the
+responses D_a, D_b its kinetic gradient.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (DegenerateOrbitalError, EnvTheoryError, InputError,
                      NoBindingError, NonConvergenceError, UnstableOrbitalError)
 from .qnum import QuantumSpec, fgs_fill, spec_from_filling
 from .rootscan import find_roots
-from .solver_identical import IdenticalSystem, pair_count, solve_et
+from .solver_identical import SCAN_HI, IdenticalSystem, pair_count, solve_et
 
 __all__ = [
     "NPlusOneSystem",
@@ -85,7 +86,10 @@ class NPlusOneSystem:
 
 @dataclass(frozen=True)
 class Np1Solution:
-    """Converged solution of the five-equation set."""
+    """Converged solution of the five-equation set: a minimum of E(r_aa, R0).
+
+    ``n_roots`` is 1, the one minimum the descent reached.
+    """
 
     energy: float
     p_a: float
@@ -100,7 +104,6 @@ class Np1Solution:
     residual_b: float
     iterations: int
     n_roots: int
-    all_roots: tuple[tuple[float, float, float], ...]
     phi_a: float | None = None
     phi_b: float | None = None
 
@@ -196,36 +199,72 @@ def _scaled(surface) -> tuple[float, float]:
     return tuple((k + v) / max(abs(k), abs(v), 1e-300) for k, v in zip(kinetic, potential))
 
 
+def _abs_hessian(h11: float, h12: float, h22: float) -> tuple[float, float, float]:
+    """|H| = V |Lambda| V^T of a symmetric 2x2 H, in closed form.
+
+    It is the square root (H^2 + |det H| I)/sqrt(tr H^2 + 2 |det H|) of H^2,
+    taken with H scaled to its largest entry so that no square overflows or
+    underflows.  It equals H where H is positive definite.
+    """
+    scale = max(abs(h11), abs(h12), abs(h22))
+    if not 0.0 < scale < math.inf:
+        return 0.0, 0.0, 0.0
+    h11, h12, h22 = h11 / scale, h12 / scale, h22 / scale
+    det = abs(h11 * h22 - h12 * h12)
+    norm = scale / math.sqrt(h11 * h11 + 2.0 * h12 * h12 + h22 * h22 + 2.0 * det)
+    return ((h11 * h11 + h12 * h12 + det) * norm, h12 * (h11 + h22) * norm,
+            (h22 * h22 + h12 * h12 + det) * norm)
+
+
 def _newton(system: NPlusOneSystem, q_a: float, q_b: float, r_aa: float,
             R0: float) -> tuple[float, float, float, int, tuple[float, float]]:
-    """Newton on the gradient of E in log coordinates, which keeps them positive.
+    """Damped Newton descent on E in log coordinates, which keeps them positive.
 
-    Each step solves the exact 2x2 Hessian system; a halving line search on
-    the norm of the scaled residuals damps it.  Returns (r_aa, R0, E,
-    iterations, scaled residuals).
+    Each step is u <- u - t |H|^-1 g with the exact gradient g and Hessian H.
+    Where E is convex |H| = H and this is Newton's step; elsewhere |H| keeps
+    it a descent direction, so the iteration ends only at a minimum.  A
+    trial is kept when E falls or it already meets NEWTON_TOL; otherwise,
+    and where the surface cannot be evaluated, t is halved.  A stationary
+    point that is not a minimum (a start on a saddle or a maximum) raises
+    NonConvergenceError.  A step that carries a radius beyond both SCAN_HI
+    and the start's radii means E falls toward infinite separation and has
+    no minimum: NoBindingError.  Returns (r_aa, R0, E, iterations, scaled
+    residuals).
     """
+    far = max(SCAN_HI, r_aa, R0)
     surface = _surface(system, q_a, q_b, r_aa, R0)
     f = _scaled(surface)
     for iterations in range(1, NEWTON_MAX_STEPS + 1):
+        energy, (k1, k2), (v1, v2), (h11, h12, h22) = surface
         if max(abs(f[0]), abs(f[1])) < NEWTON_TOL:
-            return r_aa, R0, surface[0], iterations, f
-        _, (k1, k2), (v1, v2), (h11, h12, h22) = surface
+            if h11 > 0.0 and h11 * h22 - h12 * h12 > 0.0:
+                return r_aa, R0, energy, iterations, f
+            raise NonConvergenceError("stationary point is not a minimum of E",
+                                      (r_aa, R0), f)
         g1, g2 = k1 + v1, k2 + v2
-        det = h11 * h22 - h12 * h12
-        if not (det != 0.0 and math.isfinite(det)):
+        a11, a12, a22 = _abs_hessian(h11, h12, h22)
+        det = a11 * a22 - a12 * a12
+        if not (det > 0.0 and math.isfinite(det)):
             raise NonConvergenceError("singular Hessian", (r_aa, R0), f)
-        du1, du2 = (h12 * g2 - h22 * g1) / det, (h12 * g1 - h11 * g2) / det
+        du1, du2 = (a12 * g2 - a22 * g1) / det, (a12 * g1 - a11 * g2) / det
         step = 1.0
         for _ in range(NEWTON_MAX_HALVINGS):
-            trial_r, trial_R = r_aa * math.exp(step * du1), R0 * math.exp(step * du2)
-            trial = _surface(system, q_a, q_b, trial_r, trial_R)
+            try:
+                trial_r, trial_R = r_aa * math.exp(step * du1), R0 * math.exp(step * du2)
+                trial = _surface(system, q_a, q_b, trial_r, trial_R)
+            except (OverflowError, ValueError, ZeroDivisionError):
+                step *= 0.5
+                continue
             f_trial = _scaled(trial)
-            if math.hypot(*f_trial) < math.hypot(*f):
+            if trial[0] < energy or max(abs(f_trial[0]), abs(f_trial[1])) < NEWTON_TOL:
                 break
             step *= 0.5
         else:
             raise NonConvergenceError("no descent direction", (r_aa, R0), f)
         r_aa, R0, surface, f = trial_r, trial_R, trial, f_trial
+        if max(r_aa, R0) > far:
+            raise NoBindingError(f"no minimum of E: it falls toward (r_aa, R0) = "
+                                 f"({r_aa:.3g}, {R0:.3g}), E = {surface[0]:.6g}")
     raise NonConvergenceError(f"Newton did not converge in {NEWTON_MAX_STEPS} steps",
                               (r_aa, R0), f)
 
@@ -268,42 +307,19 @@ def _initial_guess(system: NPlusOneSystem, q_a: float, q_b: float) -> tuple[floa
 def solve_et_np1(system: NPlusOneSystem, q_a: float, q_b: float) -> Np1Solution:
     """Solve the five-equation set at global quantum numbers (q_a, q_b).
 
-    Mixed attractive/repulsive potentials can produce several Newton basins,
-    so the iteration is retried from perturbed starting points (each
-    coordinate scaled by 1/10 and 10); all converged roots are collected and
-    the lowest-energy one is returned.
+    The solution is the minimum of E(r_aa, R0) that one damped Newton
+    descent reaches from the structural start of _initial_guess, so it is
+    always a point the improved method can quantize; n_roots is 1.
     """
     if q_a <= 0.0 or q_b <= 0.0:
         raise InputError("q_a and q_b must be positive")
-    r_aa0, R00 = _initial_guess(system, q_a, q_b)
-    roots: list[tuple[float, float, float, int, tuple[float, float]]] = []
-    failure: NonConvergenceError | None = None
-    for scale_r in (1.0, 0.1, 10.0):
-        for scale_R in (1.0, 0.1, 10.0):
-            try:
-                r_aa, R0, energy, iters, res = _newton(system, q_a, q_b,
-                                                       r_aa0 * scale_r, R00 * scale_R)
-            except (NonConvergenceError, OverflowError, ValueError,
-                    ZeroDivisionError) as exc:
-                if isinstance(exc, NonConvergenceError):
-                    failure = exc
-                continue
-            if any(abs(r_aa - r) / r < 1e-8 and abs(R0 - R) / R < 1e-8
-                   for _, r, R, _, _ in roots):
-                continue
-            roots.append((energy, r_aa, R0, iters, res))
-    if not roots:
-        if failure is not None:
-            raise failure
-        raise NonConvergenceError("no starting point converged")
-    roots.sort(key=lambda t: t[0])
-    energy, r_aa, R0, iters, res = roots[0]
+    r_aa, R0, energy, iters, res = _newton(system, q_a, q_b,
+                                           *_initial_guess(system, q_a, q_b))
     p_a, P0, pap, r0p = _geometry(system, q_a, q_b, r_aa, R0)
     return Np1Solution(energy=energy, p_a=p_a, r_aa=r_aa, P0=P0, R0=R0,
                        p_a_prime=pap, r_0_prime=r0p, q_a=q_a, q_b=q_b,
                        residual_a=abs(res[0]), residual_b=abs(res[1]),
-                       iterations=iters, n_roots=len(roots),
-                       all_roots=tuple((e, r, R) for e, r, R, _, _ in roots))
+                       iterations=iters, n_roots=1)
 
 
 def dosm_np1(system: NPlusOneSystem, lam_a: float, lam_b: float) -> DosmNp1Report:

@@ -297,7 +297,7 @@ def test_solver_failure_exits_one(tmp_path, capsys):
     assert rc == 1
     assert out == ""
     record = json.loads(err)
-    assert record["error"] == "NonConvergenceError"
+    assert record["error"] == "NoBindingError"
     assert record["exit"] == 1
 
 

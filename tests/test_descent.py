@@ -1,0 +1,166 @@
+"""The N_a+1 solve as one damped Newton descent on the energy surface.
+
+solve_et_np1 runs a single descent on E(r_aa, R0) from its structural start,
+stepping along -|H|^-1 g, so every point it returns is a local minimum of E,
+the kind of point the improved method can quantize; a surface that falls
+toward infinite separation has nothing to bind and says so.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from envtheory import laws, solver_nplus1
+from envtheory.errors import EnvTheoryError, NoBindingError, NonConvergenceError
+from envtheory.solver_nplus1 import (NEWTON_TOL, NPlusOneSystem, _abs_hessian,
+                                     _surface, solve_et_np1)
+
+
+def _eigh_abs(h11, h12, h22):
+    """V |Lambda| V^T from numpy's symmetric eigensolver."""
+    w, v = np.linalg.eigh(np.array([[h11, h12], [h12, h22]]))
+    a = v @ np.diag(np.abs(w)) @ v.T
+    return a[0, 0], a[0, 1], a[1, 1]
+
+
+def test_abs_hessian_matches_eigh():
+    # Entries of random sign spread over 12 decades.
+    rng = np.random.default_rng(7)
+    entries = 10.0 ** rng.uniform(-6.0, 6.0, size=(4000, 3)) * rng.choice([-1.0, 1.0],
+                                                                        size=(4000, 3))
+    for h11, h12, h22 in entries:
+        got = _abs_hessian(h11, h12, h22)
+        want = _eigh_abs(h11, h12, h22)
+        scale = max(abs(h11), abs(h12), abs(h22))
+        assert max(abs(g - w) for g, w in zip(got, want)) < 1e-14 * scale
+
+
+@pytest.mark.parametrize("h", [
+    (2.0, 0.5, 1.0),           # positive definite: |H| = H
+    (1e-6, 1e-7, 1e6),
+    (3.0, -1e-300, 5.0),
+    (-2.0, 0.5, -1.0),         # negative definite: |H| = -H
+    (-1e6, 1e-300, -1e-6),
+])
+def test_abs_hessian_of_a_definite_matrix_is_plus_or_minus_itself(h):
+    sign = 1.0 if h[0] > 0.0 else -1.0
+    got = _abs_hessian(*h)
+    for g, x in zip(got, h):
+        assert g == pytest.approx(sign * x, rel=1e-14, abs=1e-14 * max(map(abs, h)))
+
+
+@pytest.mark.parametrize("h", [
+    (1.0, 2.0, 1.0), (-0.451, -0.573, 28.8), (1e-3, 1e-300, -1e3), (4.0, 1e-150, -1e-4),
+])
+def test_abs_hessian_of_an_indefinite_matrix(h):
+    got = _abs_hessian(*h)
+    want = _eigh_abs(*h)
+    scale = max(map(abs, h))
+    assert max(abs(g - w) for g, w in zip(got, want)) < 1e-14 * scale
+    # Positive definite, with the eigenvalue magnitudes of H.
+    assert got[0] > 0.0 and got[0] * got[2] - got[1] ** 2 > 0.0
+    assert got[0] * got[2] - got[1] ** 2 == pytest.approx(
+        abs(h[0] * h[2] - h[1] ** 2), rel=1e-12)
+
+
+def _positive_definite_at(system, q_a, q_b, solution):
+    _, _, _, (h11, h12, h22) = _surface(system, q_a, q_b, solution.r_aa, solution.R0)
+    return h11 > 0.0 and h11 * h22 - h12 * h12 > 0.0
+
+
+def test_returns_the_bound_minimum_not_a_saddle():
+    # A stationary-point search ended on a saddle here (E = +0.9487 at
+    # (6.60, 2.69), det H = -41.2); the descent reaches the bound minimum.
+    system = NPlusOneSystem(2, 3, laws.kinetic_power(2.15798708984197, 1.0),
+                            laws.kinetic_power(0.49222335103806325, 2.0),
+                            laws.power(-1.9029176593021873, -0.20578701628085933),
+                            laws.gaussian_well(25.185223582142193, 1.8228197607025454))
+    solution = solve_et_np1(system, 3.0, 1.5)
+    assert solution.energy == pytest.approx(-27.2547544277, rel=1e-10)
+    assert solution.n_roots == 1
+    assert _positive_definite_at(system, 3.0, 1.5, solution)
+
+
+def test_a_start_on_a_maximum_is_not_returned():
+    # The block alone collapses (T ~ p^1.375 against -r^-1.5), so its only
+    # stationary point, which is the structural start, is a maximum of E in
+    # r_aa; a stationary-point search returned it with E = 5.5e8.
+    system = NPlusOneSystem(2, 3, laws.kinetic_power(1.0, 1.375),
+                            laws.kinetic_power(1.0, 1.0), laws.power(-0.25, -1.5),
+                            laws.harmonic(1.0))
+    with pytest.raises(NonConvergenceError, match="not a minimum"):
+        solve_et_np1(system, 1.0, 1.0)
+
+
+def _yukawa(g, a):
+    return laws.custom(lambda r: -g * math.exp(-r / a) / r,
+                       lambda r: g * math.exp(-r / a) * (1.0 + r / a) / r ** 2,
+                       lambda r: -g * math.exp(-r / a) * (2.0 + 2.0 * r / a
+                                                          + r * r / (a * a)) / r ** 3,
+                       kind="yukawa")
+
+
+def test_screened_system_without_a_minimum_does_not_bind():
+    # A repulsive block with a Yukawa cross potential whose E has no
+    # stationary point: it falls toward infinite separation, E -> 0+.
+    system = NPlusOneSystem(7, 3, laws.kinetic_power(0.5, 2.0),
+                            laws.kinetic_power(0.5 / 0.6678247003638428, 2.0),
+                            laws.power(0.8356465891619671, -1.0),
+                            _yukawa(7.337248329324384, 0.9041973705362464))
+    with pytest.raises(NoBindingError):
+        solve_et_np1(system, 9.0, 1.5)
+
+
+def test_one_solve_is_one_descent(monkeypatch):
+    calls = []
+    original = solver_nplus1._newton
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(solver_nplus1, "_newton", counted)
+    system = NPlusOneSystem(3, 3, laws.kinetic_power(0.5, 2.0),
+                            laws.kinetic_power(0.5 / 1836.0, 2.0),
+                            laws.power(1.0, -1.0), laws.coulomb(3.0))
+    solve_et_np1(system, 3.0, 1.5)
+    assert len(calls) == 1
+
+
+_positive = st.floats(0.2, 5.0)
+
+
+@st.composite
+def _potential(draw):
+    kind = draw(st.sampled_from(["power", "coulomb", "gaussian", "exponential", "harmonic"]))
+    if kind == "power":
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        exponent = draw(st.one_of(st.floats(-1.5, -0.1), st.floats(0.1, 2.0)))
+        return laws.power(sign * draw(_positive), exponent)
+    if kind == "coulomb":
+        return laws.coulomb(draw(_positive))
+    if kind == "gaussian":
+        return laws.gaussian_well(draw(st.floats(1.0, 30.0)), draw(_positive))
+    if kind == "exponential":
+        return laws.exponential_well(draw(st.floats(1.0, 30.0)), draw(_positive))
+    return laws.harmonic(draw(_positive))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(N_a=st.integers(2, 6),
+       alpha_a=st.floats(1.0, 2.0), alpha_b=st.floats(1.0, 2.0),
+       F_a=_positive, F_b=st.floats(0.01, 5.0),
+       v_aa=_potential(), v_ab=_potential(),
+       q_a=st.floats(0.5, 8.0), q_b=st.floats(0.5, 3.0))
+def test_every_solve_is_a_minimum_or_an_error(N_a, alpha_a, alpha_b, F_a, F_b,
+                                              v_aa, v_ab, q_a, q_b):
+    system = NPlusOneSystem(N_a, 3, laws.kinetic_power(F_a, alpha_a),
+                            laws.kinetic_power(F_b, alpha_b), v_aa, v_ab)
+    try:
+        solution = solve_et_np1(system, q_a, q_b)
+    except EnvTheoryError:
+        return
+    assert max(solution.residual_a, solution.residual_b) < NEWTON_TOL
+    assert _positive_definite_at(system, q_a, q_b, solution)
