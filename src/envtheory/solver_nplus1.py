@@ -19,10 +19,12 @@ surface E(r_aa, R0); the two equations of motion are its stationary
 conditions.  One function evaluates E with its exact gradient and Hessian in
 log coordinates, chain-ruled from the laws' first and second derivatives.
 The solution is the minimum of E reached by one damped Newton descent from a
-structural start.  The improved variant quantizes the two coupled radial
-modes around the purely orbital solution and deforms both quantum numbers;
-the mode stiffnesses are the same Hessian at the orbital minimum, and the
-responses D_a, D_b its kinetic gradient.
+structural start, built from the block and the relative motion taken alone.
+The improved variant quantizes the two coupled radial modes around the
+purely orbital solution and deforms both quantum numbers; the mode
+stiffnesses are the same Hessian at the orbital minimum, and the responses
+D_a, D_b its kinetic gradient.  The deformed solve starts its descent from
+the orbital minimum, so an improved solve pays for one structural start.
 """
 
 from __future__ import annotations
@@ -223,13 +225,14 @@ def _newton(system: NPlusOneSystem, q_a: float, q_b: float, r_aa: float,
     Each step is u <- u - t |H|^-1 g with the exact gradient g and Hessian H.
     Where E is convex |H| = H and this is Newton's step; elsewhere |H| keeps
     it a descent direction, so the iteration ends only at a minimum.  A
-    trial is kept when E falls or it already meets NEWTON_TOL; otherwise,
-    and where the surface cannot be evaluated, t is halved.  A stationary
-    point that is not a minimum (a start on a saddle or a maximum) raises
-    NonConvergenceError.  A step that carries a radius beyond both SCAN_HI
-    and the start's radii means E falls toward infinite separation and has
-    no minimum: NoBindingError.  Returns (r_aa, R0, E, iterations, scaled
-    residuals).
+    trial is kept when E falls, when it already meets NEWTON_TOL, or when E
+    is unchanged to the last bit and the largest scaled residual shrinks (a
+    decrease below one ulp of E); otherwise, and where the surface cannot be
+    evaluated, t is halved.  A stationary point that is not a minimum (a
+    start on a saddle or a maximum) raises NonConvergenceError.  A step that
+    carries a radius beyond both SCAN_HI and the start's radii means E falls
+    toward infinite separation and has no minimum: NoBindingError.  Returns
+    (r_aa, R0, E, iterations, scaled residuals).
     """
     far = max(SCAN_HI, r_aa, R0)
     surface = _surface(system, q_a, q_b, r_aa, R0)
@@ -256,7 +259,9 @@ def _newton(system: NPlusOneSystem, q_a: float, q_b: float, r_aa: float,
                 step *= 0.5
                 continue
             f_trial = _scaled(trial)
-            if trial[0] < energy or max(abs(f_trial[0]), abs(f_trial[1])) < NEWTON_TOL:
+            worst = max(abs(f_trial[0]), abs(f_trial[1]))
+            if (trial[0] < energy or worst < NEWTON_TOL
+                    or (trial[0] == energy and worst < max(abs(f[0]), abs(f[1])))):
                 break
             step *= 0.5
         else:
@@ -269,26 +274,63 @@ def _newton(system: NPlusOneSystem, q_a: float, q_b: float, r_aa: float,
                               (r_aa, R0), f)
 
 
-def _initial_guess(system: NPlusOneSystem, q_a: float, q_b: float) -> tuple[float, float]:
-    """Starting point from two decoupled sub-problems.
+def _block_cannot_bind(system: NPlusOneSystem) -> bool:
+    """Whether the block alone provably has no ET root: a decreasing V_aa.
 
-    r_aa comes from the identical block alone; when the block potential
-    alone supports no orbit (a repulsive V_aa), the cross potential is
-    substituted, and failing that a unit length is used.  R0 comes from a
-    two-body reduction of the relative motion against N_a copies of the
-    cross potential; the block-recoil kinetic term is kept because it
-    dominates when the distinct particle is much heavier than the block.
+    With T_a = c p^e (c, e > 0) and V_aa = c' r^e' where c' e' < 0, the block
+    residual N T_a'(p) p - C2 V_aa'(r) r is positive at every r, so its scan
+    could only exhaust its ranges and raise NoRootError.  (With exponents in
+    the tens, both terms can underflow to zero together at the far end of
+    the scan, which reported that zero as a spurious root.)
+    """
+    kin = laws.power_parameters(system.kinetic_a)
+    pot = laws.power_parameters(system.potential_aa)
+    return (kin is not None and pot is not None and kin[0] > 0.0 and kin[1] > 0.0
+            and pot[0] * pot[1] < 0.0)
+
+
+def _block_orbit(system: NPlusOneSystem, potential: laws.Law, q_a: float) -> float | None:
+    """rho0 of the identical block alone under ``potential``, if it is a minimum.
+
+    The block's ET root is kept only where its radial stiffness
+    k = 2N p0 T'(p0)/rho0^2 + N p0^2 T''(p0)/rho0^2 + C2 V''(rho0), the
+    dosm_identical expression, is positive; a collapsing block's root is the
+    top of a barrier, and a start there would sit on a maximum of E.
+    """
+    N, T = system.N_a, system.kinetic_a
+    try:
+        orbit = solve_et(IdenticalSystem(N, system.D, T, potential), q_a)
+        rho0, p0 = orbit.rho0, orbit.p0
+        k = ((2.0 * N * p0 * T.d1(p0) + N * p0 ** 2 * T.d2(p0)) / rho0 ** 2
+             + pair_count(N) * potential.d2(rho0))
+    except (EnvTheoryError, ArithmeticError):
+        return None
+    return rho0 if k > 0.0 else None
+
+
+def _initial_guess(system: NPlusOneSystem, q_a: float, q_b: float) -> tuple[float, float]:
+    """Structural starting point from two decoupled sub-problems.
+
+    r_aa comes from the identical block alone, where that block has a stable
+    orbit.  A decreasing V_aa has none, and its scan is skipped; a block
+    orbit on a maximum (a collapsing block) is rejected.  Then the cross
+    potential is substituted, and failing that a unit length is used.  R0
+    comes from a two-body reduction of the relative motion against N_a
+    copies of the cross potential; the block-recoil kinetic term is kept
+    because it dominates when the distinct particle is much heavier than the
+    block.  The improved solve needs this start only for its orbital solve:
+    the deformed solve starts from the orbital minimum.
     """
     N_a = system.N_a
-    try:
-        block = IdenticalSystem(N_a, system.D, system.kinetic_a, system.potential_aa)
-        r_aa0 = solve_et(block, q_a).rho0
-    except EnvTheoryError:
-        try:
-            block = IdenticalSystem(N_a, system.D, system.kinetic_a, system.potential_ab)
-            r_aa0 = solve_et(block, q_a).rho0
-        except EnvTheoryError:
-            r_aa0 = 1.0
+    potentials = (system.potential_aa, system.potential_ab)
+    if _block_cannot_bind(system):
+        potentials = potentials[1:]
+    r_aa0 = 1.0
+    for potential in potentials:
+        rho0 = _block_orbit(system, potential, q_a)
+        if rho0 is not None:
+            r_aa0 = rho0
+            break
     p_a0 = q_a / (math.sqrt(pair_count(N_a)) * r_aa0)
 
     def two_body(R0: float) -> float:
@@ -304,6 +346,25 @@ def _initial_guess(system: NPlusOneSystem, q_a: float, q_b: float) -> tuple[floa
     return r_aa0, R00
 
 
+def _solve(system: NPlusOneSystem, q_a: float, q_b: float,
+           start: tuple[float, float] | None = None) -> Np1Solution:
+    """The minimum of E(r_aa, R0; q_a, q_b) one descent reaches from ``start``.
+
+    Without a start, the descent begins at the structural start of
+    _initial_guess.
+    """
+    if q_a <= 0.0 or q_b <= 0.0:
+        raise InputError("q_a and q_b must be positive")
+    if start is None:
+        start = _initial_guess(system, q_a, q_b)
+    r_aa, R0, energy, iters, res = _newton(system, q_a, q_b, *start)
+    p_a, P0, pap, r0p = _geometry(system, q_a, q_b, r_aa, R0)
+    return Np1Solution(energy=energy, p_a=p_a, r_aa=r_aa, P0=P0, R0=R0,
+                       p_a_prime=pap, r_0_prime=r0p, q_a=q_a, q_b=q_b,
+                       residual_a=abs(res[0]), residual_b=abs(res[1]),
+                       iterations=iters, n_roots=1)
+
+
 def solve_et_np1(system: NPlusOneSystem, q_a: float, q_b: float) -> Np1Solution:
     """Solve the five-equation set at global quantum numbers (q_a, q_b).
 
@@ -311,15 +372,7 @@ def solve_et_np1(system: NPlusOneSystem, q_a: float, q_b: float) -> Np1Solution:
     descent reaches from the structural start of _initial_guess, so it is
     always a point the improved method can quantize; n_roots is 1.
     """
-    if q_a <= 0.0 or q_b <= 0.0:
-        raise InputError("q_a and q_b must be positive")
-    r_aa, R0, energy, iters, res = _newton(system, q_a, q_b,
-                                           *_initial_guess(system, q_a, q_b))
-    p_a, P0, pap, r0p = _geometry(system, q_a, q_b, r_aa, R0)
-    return Np1Solution(energy=energy, p_a=p_a, r_aa=r_aa, P0=P0, R0=R0,
-                       p_a_prime=pap, r_0_prime=r0p, q_a=q_a, q_b=q_b,
-                       residual_a=abs(res[0]), residual_b=abs(res[1]),
-                       iterations=iters, n_roots=1)
+    return _solve(system, q_a, q_b)
 
 
 def dosm_np1(system: NPlusOneSystem, lam_a: float, lam_b: float) -> DosmNp1Report:
@@ -367,8 +420,10 @@ def solve_iet_np1(system: NPlusOneSystem, spec: QuantumSpec) -> Np1Solution:
     """Improved solve: deform both quantum numbers and re-solve.
 
     The spec's aggregates (nu_a, lam_a) and (nu_b, lam_b) fix the pair
-    (phi_a, phi_b); the five-equation set is then solved at
-    Q_a = phi_a*nu_a + lam_a and Q_b = phi_b*nu_b + lam_b.
+    (phi_a, phi_b) at the orbital minimum; the five-equation set is then
+    solved at Q_a = phi_a*nu_a + lam_a and Q_b = phi_b*nu_b + lam_b by a
+    descent that starts from that orbital minimum, so only the orbital solve
+    pays for a structural start.
     """
     if spec.relative_mode is None:
         raise InputError("split systems need a relative mode in the spec")
@@ -380,8 +435,10 @@ def solve_iet_np1(system: NPlusOneSystem, spec: QuantumSpec) -> Np1Solution:
     if lam_a == 0.0 or lam_b == 0.0:
         raise DegenerateOrbitalError("a vanishing orbital aggregate degenerates "
                                      "the orbital-only set")
-    phi_a, phi_b = phi_pair(system, lam_a, lam_b)
-    solution = solve_et_np1(system, phi_a * nu_a + lam_a, phi_b * nu_b + lam_b)
+    report = dosm_np1(system, lam_a, lam_b)
+    phi_a, phi_b = report.phi_a, report.phi_b
+    solution = _solve(system, phi_a * nu_a + lam_a, phi_b * nu_b + lam_b,
+                      (report.orbital.r_aa, report.orbital.R0))
     return replace(solution, phi_a=phi_a, phi_b=phi_b)
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from envtheory import laws, solver_nplus1
-from envtheory.errors import EnvTheoryError, NoBindingError, NonConvergenceError
+from envtheory.errors import EnvTheoryError, NoBindingError
 from envtheory.solver_nplus1 import (NEWTON_TOL, NPlusOneSystem, _abs_hessian,
                                      _surface, solve_et_np1)
 
@@ -84,14 +84,32 @@ def test_returns_the_bound_minimum_not_a_saddle():
 
 
 def test_a_start_on_a_maximum_is_not_returned():
-    # The block alone collapses (T ~ p^1.375 against -r^-1.5), so its only
-    # stationary point, which is the structural start, is a maximum of E in
-    # r_aa; a stationary-point search returned it with E = 5.5e8.
+    # The block alone collapses (T ~ p^1.375 against -r^-1.5): its only ET
+    # root is the top of a barrier, with radial stiffness -7.9e22, and a
+    # stationary-point search returned it with E = 5.5e8.  The start rejects
+    # that root and takes r_aa from the harmonic cross potential, whose
+    # block orbit lies in the basin of the bound minimum.
     system = NPlusOneSystem(2, 3, laws.kinetic_power(1.0, 1.375),
                             laws.kinetic_power(1.0, 1.0), laws.power(-0.25, -1.5),
                             laws.harmonic(1.0))
-    with pytest.raises(NonConvergenceError, match="not a minimum"):
-        solve_et_np1(system, 1.0, 1.0)
+    solution = solve_et_np1(system, 1.0, 1.0)
+    assert solution.energy == pytest.approx(5.16967340066, rel=1e-10)
+    assert solution.r_aa == pytest.approx(1.22740, rel=1e-5)
+    assert solution.R0 == pytest.approx(0.77551, rel=1e-5)
+    assert _positive_definite_at(system, 1.0, 1.0, solution)
+
+
+def test_a_decrease_below_one_ulp_of_e_is_still_a_descent():
+    # E = 6.3e26 is almost all T_b, while its r_aa-dependent part is about
+    # 1e8, below ulp(E) = 1.4e11: steps toward the minimum leave E unchanged
+    # to the last bit, and only the shrinking residual shows the progress.
+    system = NPlusOneSystem(3, 3, laws.kinetic_power(0.5, 1.0),
+                            laws.kinetic_power(0.5, 300.0), laws.power(1.0, 300.0),
+                            laws.power(1.0, 300.0))
+    solution = solve_et_np1(system, 2.0, 1.5)
+    assert solution.r_aa == pytest.approx(4.33e-10, rel=1e-2)
+    assert max(solution.residual_a, solution.residual_b) < NEWTON_TOL
+    assert _positive_definite_at(system, 2.0, 1.5, solution)
 
 
 def _yukawa(g, a):
