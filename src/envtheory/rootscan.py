@@ -1,13 +1,15 @@
 """Bracketing root scan on a geometric grid with bisection in log x.
 
-All transcendental equations in this package are solved the same way: sample
-the residual on a geometric grid over many decades, locate sign changes, and
-halve each bracket at its geometric midpoint sqrt(a)*sqrt(b) until that
-midpoint is no longer strictly inside.  The bracket then holds adjacent
-floats, so roots have full relative precision at any scale and there is no
-tolerance to choose.  Non-finite samples (overflow of a steep law, singular
-points) are treated as holes in the grid rather than errors, since they
-routinely occur at the extreme ends of the scan range.
+Every equation in this package whose root has no closed form is solved the
+same way (the identical solver takes the one root of a power-law balance in
+closed form): sample the residual on a geometric grid over many decades,
+locate sign changes, and halve each bracket at its geometric midpoint
+sqrt(a)*sqrt(b) until that midpoint is no longer strictly inside.  The
+bracket then holds adjacent floats, so roots have full relative precision at
+any scale and there is no tolerance to choose.  Non-finite samples (overflow
+of a steep law, singular points) are treated as holes in the grid rather
+than errors, since they routinely occur at the extreme ends of the scan
+range.
 """
 
 from __future__ import annotations

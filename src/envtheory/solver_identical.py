@@ -8,10 +8,12 @@ rho0, with C2 = N(N-1)/2 interacting pairs:
     N T'(p0) p0 = C2 V'(rho0) rho0,
     Q = sqrt(C2) rho0 p0.
 
-The quantization condition eliminates p0, leaving one transcendental equation
-in rho0.  The improved variant deforms the global quantum number to
-Q_phi = phi*nu + lam, with phi extracted by quantizing small radial
-oscillations around the purely orbital solution (Q replaced by lam alone).
+The quantization condition eliminates p0, leaving one equation in rho0.  For
+two power laws T = c p^a and V = c' r^b it is a power balance whose one root
+is known in closed form; every other law is solved by the root scan.  The
+improved variant deforms the global quantum number to Q_phi = phi*nu + lam,
+with phi extracted by quantizing small radial oscillations around the purely
+orbital solution (Q replaced by lam alone).
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import math
 from dataclasses import dataclass, replace
 
 from . import laws
-from .errors import (DegenerateOrbitalError, InputError, UnstableOrbitalError,
-                     UnsupportedRegimeError)
+from .errors import (DegenerateOrbitalError, InputError, NoRootError,
+                     UnstableOrbitalError, UnsupportedRegimeError)
 from .qnum import QuantumSpec
 from .rootscan import find_roots
 
@@ -132,16 +134,47 @@ def _sign(x: float) -> int:
     return (x > 0.0) - (x < 0.0)
 
 
+def _power_root(system: IdenticalSystem, Q: float) -> float | None:
+    """The one root rho0 of the motion residual for two power laws, in closed form.
+
+    With T = c p^a (c, a > 0) and V = c' r^b the residual is
+    N c a (Q/sqrt(C2))^a rho^-a - C2 c' b rho^b.  Where c' b > 0 it changes
+    sign once, at rho0^(a+b) = N c a (Q/sqrt(C2))^a / (C2 c' b), taken in
+    logarithms; where c' b <= 0 it is positive everywhere and NoRootError is
+    raised.  None leaves the root to the scan: other laws, a + b = 0, and a
+    root outside [SCAN_LO, SCAN_HI].
+    """
+    kin = laws.power_parameters(system.kinetic)
+    pot = laws.power_parameters(system.potential)
+    if kin is None or pot is None or kin[0] <= 0.0 or kin[1] <= 0.0:
+        return None
+    (c, a), (cv, b) = kin, pot
+    if cv * b <= 0.0:
+        raise NoRootError(f"no root: V = {cv:g} r^{b:g} does not increase, so the "
+                          f"motion residual is positive at every rho0")
+    if a + b == 0.0:
+        return None
+    c2 = pair_count(system.N)
+    ratio = system.N * c * a / (c2 * cv * b)
+    if not 0.0 < ratio < math.inf:
+        return None
+    log_rho = (math.log(ratio) + a * (math.log(Q) - 0.5 * math.log(c2))) / (a + b)
+    if not math.log(SCAN_LO) <= log_rho <= math.log(SCAN_HI):
+        return None
+    return math.exp(log_rho)
+
+
 def solve_et(system: IdenticalSystem, Q: float) -> EtSolution:
     """Solve the compact set at global quantum number Q.
 
-    p0 is eliminated through the quantization condition and the equation of
-    motion is solved for rho0 by sign-change bracketing.  If several roots
-    exist, all are kept in ascending energy and the lowest-energy one is
-    returned.
+    p0 is eliminated through the quantization condition.  For two power laws
+    the equation of motion has one root, taken in closed form (_power_root);
+    otherwise it is solved for rho0 by sign-change bracketing.  If several
+    roots exist, all are kept in ascending energy and the lowest-energy one
+    is returned.
     """
-    if Q <= 0.0:
-        raise InputError("Q must be positive")
+    if not 0.0 < Q < math.inf:
+        raise InputError("Q must be positive and finite")
     N, T, V = system.N, system.kinetic, system.potential
     c2 = pair_count(N)
     sq = math.sqrt(c2)
@@ -150,7 +183,8 @@ def solve_et(system: IdenticalSystem, Q: float) -> EtSolution:
         p0 = Q / (sq * rho)
         return N * T.d1(p0) * p0 - c2 * V.d1(rho) * rho
 
-    roots = find_roots(motion, SCAN_LO, SCAN_HI)
+    root = _power_root(system, Q)
+    roots = [root] if root is not None else find_roots(motion, SCAN_LO, SCAN_HI)
     found = []
     for rho in roots:
         p0 = Q / (sq * rho)
@@ -202,8 +236,8 @@ def dosm_identical(system: IdenticalSystem, lam: float) -> DosmIdenticalReport:
     and matching its spectrum against the first-order response of the energy
     to a quantum-number increase yields the deformation parameter phi.
     """
-    if lam <= 0.0:
-        raise InputError("lam must be positive")
+    if not 0.0 < lam < math.inf:
+        raise InputError("lam must be positive and finite")
     N, T, V = system.N, system.kinetic, system.potential
     c2 = pair_count(N)
     orbital = solve_et(system, lam)

@@ -274,21 +274,6 @@ def _newton(system: NPlusOneSystem, q_a: float, q_b: float, r_aa: float,
                               (r_aa, R0), f)
 
 
-def _block_cannot_bind(system: NPlusOneSystem) -> bool:
-    """Whether the block alone provably has no ET root: a decreasing V_aa.
-
-    With T_a = c p^e (c, e > 0) and V_aa = c' r^e' where c' e' < 0, the block
-    residual N T_a'(p) p - C2 V_aa'(r) r is positive at every r, so its scan
-    could only exhaust its ranges and raise NoRootError.  (With exponents in
-    the tens, both terms can underflow to zero together at the far end of
-    the scan, which reported that zero as a spurious root.)
-    """
-    kin = laws.power_parameters(system.kinetic_a)
-    pot = laws.power_parameters(system.potential_aa)
-    return (kin is not None and pot is not None and kin[0] > 0.0 and kin[1] > 0.0
-            and pot[0] * pot[1] < 0.0)
-
-
 def _block_orbit(system: NPlusOneSystem, potential: laws.Law, q_a: float) -> float | None:
     """rho0 of the identical block alone under ``potential``, if it is a minimum.
 
@@ -312,21 +297,19 @@ def _initial_guess(system: NPlusOneSystem, q_a: float, q_b: float) -> tuple[floa
     """Structural starting point from two decoupled sub-problems.
 
     r_aa comes from the identical block alone, where that block has a stable
-    orbit.  A decreasing V_aa has none, and its scan is skipped; a block
-    orbit on a maximum (a collapsing block) is rejected.  Then the cross
-    potential is substituted, and failing that a unit length is used.  R0
-    comes from a two-body reduction of the relative motion against N_a
-    copies of the cross potential; the block-recoil kinetic term is kept
-    because it dominates when the distinct particle is much heavier than the
-    block.  The improved solve needs this start only for its orbital solve:
-    the deformed solve starts from the orbital minimum.
+    orbit.  A decreasing power-law V_aa has none, and solve_et says so
+    without a scan; a block orbit on a maximum (a collapsing block) is
+    rejected.  Then the cross potential is substituted, and failing that a
+    unit length is used.  R0 comes from a two-body reduction of the relative
+    motion against N_a copies of the cross potential; the block-recoil
+    kinetic term is kept because it dominates when the distinct particle is
+    much heavier than the block.  The improved solve needs this start only
+    for its orbital solve: the deformed solve starts from the orbital
+    minimum.
     """
     N_a = system.N_a
-    potentials = (system.potential_aa, system.potential_ab)
-    if _block_cannot_bind(system):
-        potentials = potentials[1:]
     r_aa0 = 1.0
-    for potential in potentials:
+    for potential in (system.potential_aa, system.potential_ab):
         rho0 = _block_orbit(system, potential, q_a)
         if rho0 is not None:
             r_aa0 = rho0
@@ -353,8 +336,8 @@ def _solve(system: NPlusOneSystem, q_a: float, q_b: float,
     Without a start, the descent begins at the structural start of
     _initial_guess.
     """
-    if q_a <= 0.0 or q_b <= 0.0:
-        raise InputError("q_a and q_b must be positive")
+    if not (0.0 < q_a < math.inf and 0.0 < q_b < math.inf):
+        raise InputError("q_a and q_b must be positive and finite")
     if start is None:
         start = _initial_guess(system, q_a, q_b)
     r_aa, R0, energy, iters, res = _newton(system, q_a, q_b, *start)
@@ -386,8 +369,8 @@ def dosm_np1(system: NPlusOneSystem, lam_a: float, lam_b: float) -> DosmNp1Repor
     and with them the masses mu_a = p_a^2/D_a and mu_b = P0^2/D_b.  The
     normal modes and the responses fix the two deformation parameters.
     """
-    if lam_a <= 0.0 or lam_b <= 0.0:
-        raise InputError("lam_a and lam_b must be positive")
+    if not (0.0 < lam_a < math.inf and 0.0 < lam_b < math.inf):
+        raise InputError("lam_a and lam_b must be positive and finite")
     c2 = pair_count(system.N_a)
     orbital = solve_et_np1(system, lam_a, lam_b)
     r_aa, R0 = orbital.r_aa, orbital.R0

@@ -272,9 +272,25 @@ def test_solve_et_input_validation():
         IdenticalSystem(3, 1, laws.kinetic_power(0.5, 2.0), laws.harmonic(1.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_quantum_numbers_are_input_errors(bad):
+    with pytest.raises(InputError):
+        solve_et(_ho_system(3), bad)
+    with pytest.raises(InputError):
+        dosm_identical(_ho_system(3), bad)
+
+
 def test_solve_et_returns_lowest_of_sorted_roots():
-    sol = solve_et(_ho_system(3), 3.0)
-    again = solve_et(_ho_system(3), 3.0)
+    # A Gaussian well on a weak harmonic tail is not a power law, so it is
+    # scanned; at Q = 1.5 its motion residual has three roots, whose energy
+    # order differs from their order in rho0.
+    well = laws.make_weighted_sum([(1.0, laws.gaussian_well(5.0, 0.5)),
+                                   (1.0, laws.harmonic(1e-3))])
+    system = IdenticalSystem(3, 3, laws.kinetic_power(0.5, 2.0), well)
+    sol = solve_et(system, 1.5)
+    again = solve_et(system, 1.5)
     assert sol.energy == again.energy
     assert sol.all_roots == again.all_roots
+    assert sol.n_roots == 3
     assert list(sol.all_roots) == sorted(sol.all_roots)
+    assert (sol.energy, sol.rho0) == sol.all_roots[0]

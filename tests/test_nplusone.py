@@ -17,6 +17,7 @@ import math
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 from envtheory import laws, repro, solver_nplus1
@@ -271,6 +272,19 @@ def test_same_law_linear_kinetic_limit():
     assert sol.energy == pytest.approx(ref.energy, rel=1e-10)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(beta=st.one_of(st.floats(-1.5, -0.1), st.floats(0.1, 3.0)),
+       q=st.floats(1.5, 6.0))
+def test_equal_masses_reduce_the_power_split_to_three_identical(beta, q):
+    # At m = 1 the third particle is one more copy of the pair, so the
+    # descent on E(r_aa, R0) must land on the identical solver's closed-form
+    # root at Q = q_a + q_b.
+    split = repro.build_power(1.0, beta)
+    merged = IdenticalSystem(3, 3, split.kinetic_a, split.potential_aa)
+    assert solve_et_np1(split, q, q).energy == pytest.approx(
+        solve_et(merged, 2.0 * q).energy, rel=1e-12)
+
+
 def test_helium_reference_binding():
     report = atom_report(2.0, 2, 7294.30, "et")
     assert report.binding_ev == pytest.approx(33.0, abs=0.5)
@@ -353,6 +367,16 @@ def test_all_repulsive_system_does_not_bind():
                             laws.power(1.0, -1.0), laws.power(1.0, -1.0))
     with pytest.raises(NoBindingError):
         solve_et_np1(system, 2.0, 1.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_quantum_numbers_are_input_errors(bad):
+    system = _ho_split(2, 1.0, 1.0, 1.0, 1.0)
+    for q_a, q_b in [(bad, 1.5), (1.5, bad)]:
+        with pytest.raises(InputError):
+            solve_et_np1(system, q_a, q_b)
+        with pytest.raises(InputError):
+            dosm_np1(system, q_a, q_b)
 
 
 def test_solver_input_validation():

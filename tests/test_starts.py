@@ -1,9 +1,10 @@
 """Where the N_a+1 descents start, and what those starts cost.
 
 A plain solve starts from structure: the identical block alone gives r_aa,
-unless the laws show that the block cannot bind, in which case its scan is
-skipped.  The improved solve starts its deformed descent from the orbital
-minimum it has just found, so it pays for one structural start, not two.
+unless the block cannot bind; for a decreasing power-law block the
+identical solver says so without a scan.  The improved solve starts its
+deformed descent from the orbital minimum it has just found, so it pays for
+one structural start, not two.
 """
 
 import pytest
@@ -24,17 +25,38 @@ def _helium():
     return solver_nplus1._atom_system(Z, n_e, mass)
 
 
+def _count_scans(monkeypatch):
+    """Count the root scans the identical solver makes."""
+    calls = []
+
+    def counted(fn, lo, hi):
+        calls.append((lo, hi))
+        return rootscan.find_roots(fn, lo, hi)
+
+    monkeypatch.setattr(solver_identical, "find_roots", counted)
+    return calls
+
+
 def test_a_repulsive_block_is_not_scanned(monkeypatch):
     system = _helium()
+    scans = _count_scans(monkeypatch)
     blocks = []
 
     def recorded(block, q):
-        blocks.append(block.potential)
-        return solve_et(block, q)
+        try:
+            solution = solve_et(block, q)
+        except NoRootError:
+            blocks.append((block.potential, "no root"))
+            raise
+        blocks.append((block.potential, solution.rho0))
+        return solution
 
     monkeypatch.setattr(solver_nplus1, "solve_et", recorded)
     start = solver_nplus1._initial_guess(system, 1.5, 1.5)
-    assert blocks == [system.potential_ab]
+    # The repulsive 1/r block is refused without a scan sample, and the
+    # Coulomb block then sets r_aa in closed form.
+    assert blocks == [(system.potential_aa, "no root"), (system.potential_ab, 2.25)]
+    assert scans == []
     # The start the scan of the repulsive block used to fall back to.
     assert start == (2.25, 0.28132711500760865)
 
@@ -44,21 +66,30 @@ def test_a_repulsive_block_is_not_scanned(monkeypatch):
     (laws.kinetic_power(1.0, 1.0), laws.power(3.0, -0.2)),
     (laws.kinetic_power(0.1, 1.5), laws.power(-2.0, 1.5)),
 ])
-def test_a_decreasing_block_potential_has_no_root_to_find(kinetic, potential):
+def test_a_decreasing_block_potential_has_no_root_to_find(monkeypatch, kinetic,
+                                                          potential):
+    scans = _count_scans(monkeypatch)
     system = NPlusOneSystem(3, 3, kinetic, kinetic, potential, laws.coulomb(1.0))
-    assert solver_nplus1._block_cannot_bind(system)
+    assert solver_nplus1._block_orbit(system, potential, 2.0) is None
     with pytest.raises(NoRootError):
         solve_et(IdenticalSystem(3, 3, kinetic, potential), 2.0)
+    assert scans == []
 
 
 @pytest.mark.parametrize("potential", [
     laws.coulomb(1.0), laws.power(-1.0, -0.5), laws.harmonic(1.0),
     laws.gaussian_well(5.0, 1.0),
 ])
-def test_a_block_that_may_bind_is_scanned(potential):
+def test_a_block_that_may_bind_is_scanned(monkeypatch, potential):
+    # The block's root is sought and kept: in closed form for a power law,
+    # by the scan for the Gaussian well.
+    scans = _count_scans(monkeypatch)
     system = NPlusOneSystem(3, 3, laws.kinetic_power(0.5, 2.0),
                             laws.kinetic_power(0.5, 2.0), potential, laws.coulomb(1.0))
-    assert not solver_nplus1._block_cannot_bind(system)
+    rho0 = solver_nplus1._block_orbit(system, potential, 2.0)
+    assert len(scans) == (laws.power_parameters(potential) is None)
+    assert rho0 == solve_et(IdenticalSystem(3, 3, system.kinetic_a, potential), 2.0).rho0
+    assert rho0 > 0.0
 
 
 def test_an_improved_solve_makes_one_structural_start(monkeypatch):
@@ -102,7 +133,9 @@ def test_reproducing_the_tables_stays_within_its_scan_budget(monkeypatch):
     # Every residual evaluation of every root scan in one run_all(): 121,883
     # with a cold start for each N_a+1 solve and a scan of every block,
     # 50,752 with the orbital minimum as the deformed solve's start and no
-    # scan of a block that cannot bind.
+    # scan of a block that cannot bind, 20,658 with the power-law compact
+    # set solved in closed form.  What is left is _initial_guess's two-body
+    # scan for R0.
     evals = [0]
 
     def counted(fn, lo, hi):
@@ -113,5 +146,7 @@ def test_reproducing_the_tables_stays_within_its_scan_budget(monkeypatch):
 
     for module in (solver_identical, solver_nplus1):
         monkeypatch.setattr(module, "find_roots", counted)
+    repro.run_table(1)
+    assert evals[0] == 0
     repro.run_all()
-    assert 0 < evals[0] <= 55_000
+    assert 0 < evals[0] <= 22_000
