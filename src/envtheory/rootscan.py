@@ -1,15 +1,17 @@
 """Bracketing root scan on a geometric grid with bisection in log x.
 
 Every equation in this package whose root has no closed form is solved the
-same way (the identical solver takes the one root of a power-law balance in
-closed form): sample the residual on a geometric grid over many decades,
-locate sign changes, and halve each bracket at its geometric midpoint
-sqrt(a)*sqrt(b) until that midpoint is no longer strictly inside.  The
-bracket then holds adjacent floats, so roots have full relative precision at
-any scale and there is no tolerance to choose.  Non-finite samples (overflow
-of a steep law, singular points) are treated as holes in the grid rather
-than errors, since they routinely occur at the extreme ends of the scan
-range.
+same way (the identical solver decides a power-law balance in closed form
+and never calls this scan): sample the residual on a geometric grid over
+many decades, locate sign changes, and halve each bracket at its geometric
+midpoint sqrt(a)*sqrt(b) until that midpoint is no longer strictly inside.
+The bracket then holds adjacent floats, so roots have full relative
+precision at any scale and there is no tolerance to choose.  Non-finite
+samples (overflow of a steep law, singular points) are treated as holes in
+the grid rather than errors, since they routinely occur at the extreme ends
+of the scan range.  An exactly-zero sample is a root only when both of its
+neighbours are nonzero: next to another zero, the residual vanishes on the
+whole bracket or both of its terms have underflowed, and neither is a root.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ def find_roots(fn: Callable[[float], float], lo: float, hi: float) -> list[float
 
     On failure the range is widened by a factor 1e4 on both ends, up to two
     times (with the panel count scaled to keep the grid density), before a
-    NoRootError with a sampled trace is raised.
+    NoRootError with a sampled trace is raised.  An exactly-zero sample next
+    to another one is not a root.
     """
     trace: list[tuple[float, float]] = []
     for attempt in range(_EXPANSIONS + 1):
@@ -69,10 +72,11 @@ def find_roots(fn: Callable[[float], float], lo: float, hi: float) -> list[float
             if math.isnan(fa) or math.isnan(fb):
                 continue
             if fa == 0.0:
-                roots.append(grid[i])
+                if fb != 0.0 and (i == 0 or vals[i - 1] != 0.0):
+                    roots.append(grid[i])
             elif fa * fb < 0.0:
                 roots.append(_bisect(fn, grid[i], fa, grid[i + 1], fb))
-        if vals[-1] == 0.0:
+        if vals[-1] == 0.0 and vals[-2] != 0.0:
             roots.append(grid[-1])
         if roots:
             return roots

@@ -9,17 +9,19 @@ rho0, with C2 = N(N-1)/2 interacting pairs:
     Q = sqrt(C2) rho0 p0.
 
 The quantization condition eliminates p0, leaving one equation in rho0.  For
-two power laws T = c p^a and V = c' r^b it is a power balance whose one root
-is known in closed form; every other law is solved by the root scan.  The
-improved variant deforms the global quantum number to Q_phi = phi*nu + lam,
-with phi extracted by quantizing small radial oscillations around the purely
-orbital solution (Q replaced by lam alone).
+two power laws T = c p^a and V = c' r^b it is a power balance, decided in
+closed form: its one root, or NoRootError where it has none.  Every other
+pair of laws is solved by the root scan.  The improved variant deforms the
+global quantum number to Q_phi = phi*nu + lam, with phi extracted by
+quantizing small radial oscillations around the purely orbital solution (Q
+replaced by lam alone).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from . import laws
 from .errors import (DegenerateOrbitalError, InputError, NoRootError,
@@ -134,15 +136,21 @@ def _sign(x: float) -> int:
     return (x > 0.0) - (x < 0.0)
 
 
-def _power_root(system: IdenticalSystem, Q: float) -> float | None:
+def _power_root(system: IdenticalSystem, Q: float,
+                motion: Callable[[float], float]) -> float | None:
     """The one root rho0 of the motion residual for two power laws, in closed form.
 
     With T = c p^a (c, a > 0) and V = c' r^b the residual is
-    N c a (Q/sqrt(C2))^a rho^-a - C2 c' b rho^b.  Where c' b > 0 it changes
-    sign once, at rho0^(a+b) = N c a (Q/sqrt(C2))^a / (C2 c' b), taken in
-    logarithms; where c' b <= 0 it is positive everywhere and NoRootError is
-    raised.  None leaves the root to the scan: other laws, a + b = 0, and a
-    root outside [SCAN_LO, SCAN_HI].
+    N c a (Q/sqrt(C2))^a rho^-a - C2 c' b rho^b.  Where c' b > 0 and
+    a + b != 0 it changes sign once, at
+    rho0^(a+b) = N c a (Q/sqrt(C2))^a / (C2 c' b), taken in logarithms (of
+    the ratio's factors where the ratio itself over- or underflows).
+    NoRootError is raised, without a sample, where no isolated root exists:
+    c' b <= 0 (the residual is positive everywhere), a + b = 0 (it is
+    rho^b (N c a (Q/sqrt(C2))^a - C2 c' b), of one sign or identically zero),
+    and a root beyond the floating range, where ``motion``, the residual,
+    cannot be evaluated (the scan treats such points as holes).  None means
+    the laws are not such a pair, and the scan solves them.
     """
     kin = laws.power_parameters(system.kinetic)
     pot = laws.power_parameters(system.potential)
@@ -153,23 +161,35 @@ def _power_root(system: IdenticalSystem, Q: float) -> float | None:
         raise NoRootError(f"no root: V = {cv:g} r^{b:g} does not increase, so the "
                           f"motion residual is positive at every rho0")
     if a + b == 0.0:
-        return None
-    c2 = pair_count(system.N)
-    ratio = system.N * c * a / (c2 * cv * b)
-    if not 0.0 < ratio < math.inf:
-        return None
-    log_rho = (math.log(ratio) + a * (math.log(Q) - 0.5 * math.log(c2))) / (a + b)
-    if not math.log(SCAN_LO) <= log_rho <= math.log(SCAN_HI):
-        return None
-    return math.exp(log_rho)
+        raise NoRootError(f"no isolated root: T = {c:g} p^{a:g} against V = {cv:g} r^{b:g} "
+                          f"has a + b = 0, so the motion residual is a constant times "
+                          f"rho^{b:g}, of one sign or zero at every rho0")
+    N, c2 = system.N, pair_count(system.N)
+    ratio = N * c * a / (c2 * cv * b)
+    if 0.0 < ratio < math.inf:
+        log_ratio = math.log(ratio)
+    else:
+        log_ratio = (math.log(N) + math.log(c) + math.log(a) - math.log(c2)
+                     - math.log(abs(cv)) - math.log(abs(b)))
+    log_rho = (log_ratio + a * (math.log(Q) - 0.5 * math.log(c2))) / (a + b)
+    try:
+        rho0 = math.exp(log_rho)
+        in_range = math.isfinite(motion(rho0))
+    except ArithmeticError:
+        in_range = False
+    if not in_range:
+        raise NoRootError(f"no root in the floating range: at rho0 = exp({log_rho:.6g}) "
+                          f"the motion residual cannot be evaluated")
+    return rho0
 
 
 def solve_et(system: IdenticalSystem, Q: float) -> EtSolution:
     """Solve the compact set at global quantum number Q.
 
     p0 is eliminated through the quantization condition.  For two power laws
-    the equation of motion has one root, taken in closed form (_power_root);
-    otherwise it is solved for rho0 by sign-change bracketing.  If several
+    the equation of motion is decided in closed form (_power_root), which
+    returns its one root or raises NoRootError, and never scans; every other
+    pair of laws is solved for rho0 by sign-change bracketing.  If several
     roots exist, all are kept in ascending energy and the lowest-energy one
     is returned.
     """
@@ -183,7 +203,7 @@ def solve_et(system: IdenticalSystem, Q: float) -> EtSolution:
         p0 = Q / (sq * rho)
         return N * T.d1(p0) * p0 - c2 * V.d1(rho) * rho
 
-    root = _power_root(system, Q)
+    root = _power_root(system, Q, motion)
     roots = [root] if root is not None else find_roots(motion, SCAN_LO, SCAN_HI)
     found = []
     for rho in roots:

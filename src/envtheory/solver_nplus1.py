@@ -39,7 +39,7 @@ from .errors import (DegenerateOrbitalError, EnvTheoryError, InputError,
                      NoBindingError, NonConvergenceError, UnstableOrbitalError)
 from .qnum import QuantumSpec, fgs_fill, spec_from_filling
 from .rootscan import find_roots
-from .solver_identical import SCAN_HI, IdenticalSystem, pair_count, solve_et
+from .solver_identical import SCAN_HI, SCAN_LO, IdenticalSystem, pair_count, solve_et
 
 __all__ = [
     "NPlusOneSystem",
@@ -228,14 +228,18 @@ def _newton(system: NPlusOneSystem, q_a: float, q_b: float, r_aa: float,
     trial is kept when E falls, when it already meets NEWTON_TOL, or when E
     is unchanged to the last bit and the largest scaled residual shrinks (a
     decrease below one ulp of E); otherwise, and where the surface cannot be
-    evaluated, t is halved.  A stationary point that is not a minimum (a
-    start on a saddle or a maximum) raises NonConvergenceError.  A step that
-    carries a radius beyond both SCAN_HI and the start's radii means E falls
-    toward infinite separation and has no minimum: NoBindingError.  Returns
-    (r_aa, R0, E, iterations, scaled residuals).
+    evaluated, t is halved.  A start where E cannot be evaluated, and a
+    stationary point that is not a minimum (a start on a saddle or a
+    maximum), raise NonConvergenceError.  A step that carries a radius
+    beyond both SCAN_HI and the start's radii means E falls toward infinite
+    separation and has no minimum: NoBindingError.  Returns (r_aa, R0, E,
+    iterations, scaled residuals).
     """
     far = max(SCAN_HI, r_aa, R0)
-    surface = _surface(system, q_a, q_b, r_aa, R0)
+    try:
+        surface = _surface(system, q_a, q_b, r_aa, R0)
+    except (OverflowError, ValueError, ZeroDivisionError):
+        raise NonConvergenceError("E cannot be evaluated at the start", (r_aa, R0)) from None
     f = _scaled(surface)
     for iterations in range(1, NEWTON_MAX_STEPS + 1):
         energy, (k1, k2), (v1, v2), (h11, h12, h22) = surface
@@ -323,7 +327,7 @@ def _initial_guess(system: NPlusOneSystem, q_a: float, q_b: float) -> tuple[floa
                 - N_a * system.potential_ab.d1(R0) * R0)
 
     try:
-        R00 = min(find_roots(two_body, 1e-8, 1e8))
+        R00 = min(find_roots(two_body, SCAN_LO, SCAN_HI))
     except EnvTheoryError:
         R00 = r_aa0
     return r_aa0, R00

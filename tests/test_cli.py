@@ -301,6 +301,36 @@ def test_solver_failure_exits_one(tmp_path, capsys):
     assert record["exit"] == 1
 
 
+CRITICAL_PAIR = """
+[system]
+type = identical
+N = 2
+D = 2
+
+[kinetic]
+kind = power
+coefficient = 1
+exponent = 1
+
+[potential]
+kind = coulomb
+strength = 2
+"""
+
+
+def test_a_vanishing_power_balance_exits_one(tmp_path, capsys):
+    # T = |p| against V = -2/r at Q = 1: the motion residual is zero at every
+    # rho0, so there is no solution to report (it used to exit 0 with E = 0
+    # and n_roots = 273, one per zero grid sample).
+    path = _write(tmp_path, CRITICAL_PAIR)
+    rc, out, err = _run(capsys, "solve-identical", path)
+    assert rc == 1
+    assert out == ""
+    record = json.loads(err)
+    assert record["error"] == "NoRootError"
+    assert record["exit"] == 1
+
+
 def test_residual_gate_uses_tol(tmp_path, capsys):
     path = _write(tmp_path, HO_IDENTICAL)
     rc, _, err = _run(capsys, "solve-identical", path, "--tol", "1e-30")

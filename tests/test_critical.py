@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from envtheory import laws
+from envtheory import critical, laws, rootscan
 from envtheory.critical import critical_g, u_star
 from envtheory.errors import InputError, NoRootError
 from envtheory.qnum import bgs, fgs_closed
@@ -30,6 +30,23 @@ def test_u_star_exponential():
     for scale in (0.5, 1.0, 2.5):
         assert u_star(_exponential_shape(scale)) == pytest.approx(
             2.0 * scale, rel=1e-10)
+
+
+@pytest.mark.parametrize("shape, root", [(_gaussian_shape(), 1.0),
+                                         (_exponential_shape(), 2.0)])
+def test_u_star_scan_finds_a_single_root(monkeypatch, shape, root):
+    # Far out the balance 2 v + u v' underflows to exactly zero (beyond
+    # u = 27.5 for the Gaussian, 758 for the exponential); those samples
+    # are not roots.
+    found = []
+
+    def recorded(fn, lo, hi):
+        found.extend(rootscan.find_roots(fn, lo, hi))
+        return found
+
+    monkeypatch.setattr(critical, "find_roots", recorded)
+    assert u_star(shape) == pytest.approx(root, rel=1e-10)
+    assert found == [pytest.approx(root, rel=1e-10)]
 
 
 def test_critical_g_gaussian_closed_form():

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from envtheory import laws, solver_nplus1
-from envtheory.errors import EnvTheoryError, NoBindingError
+from envtheory.errors import EnvTheoryError, NoBindingError, NonConvergenceError
+from envtheory.qnum import QuantumSpec
 from envtheory.solver_nplus1 import (NEWTON_TOL, NPlusOneSystem, _abs_hessian,
-                                     _surface, solve_et_np1)
+                                     _surface, solve_et_np1, solve_iet_np1)
 
 
 def _eigh_abs(h11, h12, h22):
@@ -129,6 +130,19 @@ def test_screened_system_without_a_minimum_does_not_bind():
                             _yukawa(7.337248329324384, 0.9041973705362464))
     with pytest.raises(NoBindingError):
         solve_et_np1(system, 9.0, 1.5)
+
+
+def test_a_start_where_e_cannot_be_evaluated_is_a_solver_error():
+    # T_a = 2.80 p^1.014 against V_aa = -0.197/r: the block alone orbits at
+    # r_aa = 3.9e41 (a + b = 0.014), and E overflows at that start.
+    system = NPlusOneSystem(4, 3, laws.kinetic_power(2.8016273660031485, 1.0141293070974613),
+                            laws.kinetic_power(3.1307950223563457, 1.5891570855144925),
+                            laws.coulomb(0.19729224144349278),
+                            laws.exponential_well(0.7638465908505869, 2.5540209586575613))
+    spec = QuantumSpec(3, ((1, 2), (1, 2), (1, 2)), (2, 2))
+    assert solver_nplus1._block_orbit(system, system.potential_aa, spec.lam) > 1e40
+    with pytest.raises(NonConvergenceError, match="cannot be evaluated at the start"):
+        solve_iet_np1(system, spec)
 
 
 def test_one_solve_is_one_descent(monkeypatch):

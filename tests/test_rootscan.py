@@ -48,6 +48,20 @@ def test_exact_grid_hit_is_reported():
     assert roots[0] == 1e-2
 
 
+def test_zeros_next_to_zeros_are_not_roots():
+    # Zero on the whole of [1, 100], which holds many grid samples, and a
+    # sign change at 1e3: only the sign change is a root.
+    def fn(x):
+        return 0.0 if 1.0 <= x <= 100.0 else x - 1e3
+
+    assert find_roots(fn, 1e-2, 1e4) == [pytest.approx(1e3, rel=1e-12)]
+
+
+def test_a_residual_that_vanishes_everywhere_has_no_root():
+    with pytest.raises(NoRootError):
+        find_roots(lambda x: 0.0, 0.1, 10.0)
+
+
 def test_no_root_error_carries_trace():
     with pytest.raises(NoRootError) as info:
         find_roots(lambda x: 1.0 + x, 0.1, 10.0)
