@@ -1,17 +1,21 @@
 """Bracketing root scan on a geometric grid with bisection in log x.
 
-Every equation in this package whose root has no closed form is solved the
-same way (the identical solver decides a power-law balance in closed form
-and never calls this scan): sample the residual on a geometric grid over
-many decades, locate sign changes, and halve each bracket at its geometric
-midpoint sqrt(a)*sqrt(b) until that midpoint is no longer strictly inside.
-The bracket then holds adjacent floats, so roots have full relative
-precision at any scale and there is no tolerance to choose.  Non-finite
-samples (overflow of a steep law, singular points) are treated as holes in
-the grid rather than errors, since they routinely occur at the extreme ends
-of the scan range.  An exactly-zero sample is a root only when both of its
+An equation with any number of roots and no closed form is solved by the
+scan (the identical solver decides a power-law balance in closed form and
+never calls it): sample the residual on a geometric grid over many decades,
+locate sign changes, and halve each bracket at its geometric midpoint
+sqrt(a)*sqrt(b) until that midpoint is no longer strictly inside.  The
+bracket then holds adjacent floats, so roots have full relative precision
+at any scale and there is no tolerance to choose.  Non-finite samples
+(overflow of a steep law, singular points) are treated as holes in the grid
+rather than errors, since they routinely occur at the extreme ends of the
+scan range.  An exactly-zero sample is a root only when both of its
 neighbours are nonzero: next to another zero, the residual vanishes on the
 whole bracket or both of its terms have underflowed, and neither is a root.
+
+An equation known to change sign exactly once needs no grid: walk_root
+steps from a start by factors of 4 until the sign changes, over the range
+the scan would end on, and bisects that one bracket the same way.
 """
 
 from __future__ import annotations
@@ -21,11 +25,12 @@ from typing import Callable
 
 from .errors import NoRootError
 
-__all__ = ["find_roots"]
+__all__ = ["find_roots", "walk_root"]
 
 _PANELS = 400
 _EXPANSIONS = 2
 _EXPAND_FACTOR = 1e4
+_WALK_FACTOR = 4.0
 
 
 def _sample(fn: Callable[[float], float], x: float) -> float:
@@ -86,3 +91,36 @@ def find_roots(fn: Callable[[float], float], lo: float, hi: float) -> list[float
     raise NoRootError(
         f"no sign change on the scanned range up to [{lo:.3g}, {hi:.3g}]",
         trace=trace)
+
+
+def walk_root(fn: Callable[[float], float], x: float, lo: float,
+              hi: float) -> float | None:
+    """The one root of ``fn``, which is positive below it and negative above it.
+
+    The walk starts at x, moved into the range that find_roots(fn, lo, hi)
+    ends on after its widenings, and steps by factors of 4 toward the root
+    until the sign changes; that bracket is bisected as find_roots does.
+    NoRootError is raised where the walk reaches the end of that range
+    without a sign change, as the scan would.  A sample that is not finite,
+    or is exactly zero (a root hit exactly, or terms that underflowed), is a
+    case the scan decides: None is returned.
+    """
+    for _ in range(_EXPANSIONS):
+        lo /= _EXPAND_FACTOR
+        hi *= _EXPAND_FACTOR
+    x = min(max(x, lo), hi)
+    fx = _sample(fn, x)
+    if math.isnan(fx) or fx == 0.0:
+        return None
+    up = fx > 0.0
+    while True:
+        y = min(x * _WALK_FACTOR, hi) if up else max(x / _WALK_FACTOR, lo)
+        if y == x:
+            raise NoRootError(f"no sign change on the walked range [{lo:.3g}, {hi:.3g}]",
+                              trace=[(x, fx)])
+        fy = _sample(fn, y)
+        if math.isnan(fy) or fy == 0.0:
+            return None
+        if (fy > 0.0) != up:
+            return _bisect(fn, x, fx, y, fy) if up else _bisect(fn, y, fy, x, fx)
+        x, fx = y, fy

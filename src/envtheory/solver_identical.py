@@ -189,9 +189,10 @@ def solve_et(system: IdenticalSystem, Q: float) -> EtSolution:
     p0 is eliminated through the quantization condition.  For two power laws
     the equation of motion is decided in closed form (_power_root), which
     returns its one root or raises NoRootError, and never scans; every other
-    pair of laws is solved for rho0 by sign-change bracketing.  If several
-    roots exist, all are kept in ascending energy and the lowest-energy one
-    is returned.
+    pair of laws is solved for rho0 by sign-change bracketing, where a motion
+    residual within four machine epsilons (4 * 2^-52) of its terms counts as
+    zero (so a balance that vanishes identically raises NoRootError).  If several roots exist,
+    all are kept in ascending energy and the lowest-energy one is returned.
     """
     if not 0.0 < Q < math.inf:
         raise InputError("Q must be positive and finite")
@@ -201,7 +202,12 @@ def solve_et(system: IdenticalSystem, Q: float) -> EtSolution:
 
     def motion(rho: float) -> float:
         p0 = Q / (sq * rho)
-        return N * T.d1(p0) * p0 - c2 * V.d1(rho) * rho
+        lhs, rhs = N * T.d1(p0) * p0, c2 * V.d1(rho) * rho
+        diff = lhs - rhs
+        # Within four machine epsilons of finite terms, diff is rounding, not
+        # a sign: it is zero, and the scan takes no zero next to a zero for
+        # a root.
+        return 0.0 if abs(diff) <= 4.0 * 2.0 ** -52 * abs(lhs) < math.inf else diff
 
     root = _power_root(system, Q, motion)
     roots = [root] if root is not None else find_roots(motion, SCAN_LO, SCAN_HI)

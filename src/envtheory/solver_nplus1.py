@@ -38,7 +38,7 @@ from .coupled_osc import OscPair, normal_modes
 from .errors import (DegenerateOrbitalError, EnvTheoryError, InputError,
                      NoBindingError, NonConvergenceError, UnstableOrbitalError)
 from .qnum import QuantumSpec, fgs_fill, spec_from_filling
-from .rootscan import find_roots
+from .rootscan import find_roots, walk_root
 from .solver_identical import SCAN_HI, SCAN_LO, IdenticalSystem, pair_count, solve_et
 
 __all__ = [
@@ -307,9 +307,13 @@ def _initial_guess(system: NPlusOneSystem, q_a: float, q_b: float) -> tuple[floa
     unit length is used.  R0 comes from a two-body reduction of the relative
     motion against N_a copies of the cross potential; the block-recoil
     kinetic term is kept because it dominates when the distinct particle is
-    much heavier than the block.  The improved solve needs this start only
-    for its orbital solve: the deformed solve starts from the orbital
-    minimum.
+    much heavier than the block.  Its lowest root is R0.  Where the residual
+    provably changes sign once (_one_sign_change: power laws T_b and V_ab,
+    as in every table), that root is walked to from r_aa, with no scan;
+    otherwise, and where the walk meets a sample it cannot evaluate, the
+    root scan finds it.  Without a root R0 = r_aa.  The improved solve needs
+    this start only for its orbital solve: the deformed solve starts from
+    the orbital minimum.
     """
     N_a = system.N_a
     r_aa0 = 1.0
@@ -327,10 +331,37 @@ def _initial_guess(system: NPlusOneSystem, q_a: float, q_b: float) -> tuple[floa
                 - N_a * system.potential_ab.d1(R0) * R0)
 
     try:
-        R00 = min(find_roots(two_body, SCAN_LO, SCAN_HI))
+        R00 = None
+        if _one_sign_change(system, p_a0):
+            R00 = walk_root(two_body, r_aa0, SCAN_LO, SCAN_HI)
+        if R00 is None:
+            R00 = min(find_roots(two_body, SCAN_LO, SCAN_HI))
     except EnvTheoryError:
         R00 = r_aa0
     return r_aa0, R00
+
+
+def _one_sign_change(system: NPlusOneSystem, p_a0: float) -> bool:
+    """Whether the two-body residual of _initial_guess changes sign exactly once.
+
+    With T_b = c_b p^a_b and V_ab = c' r^b the residual is
+    k1 R^-2 + k2 R^-a_b - k3 R^b, with k1 = T_a'(p_a0) q_b^2/(N_a p_a0),
+    k2 = c_b a_b q_b^a_b and k3 = N_a c' b.  Where c_b, a_b, c' b > 0,
+    a_b + b > 0, 2 + b > 0 and T_a'(p_a0) >= 0, residual/(k3 R^b) + 1 falls
+    strictly from infinity to 0, so the residual is positive below its one
+    root and negative above it.
+    """
+    kin = laws.power_parameters(system.kinetic_b)
+    pot = laws.power_parameters(system.potential_ab)
+    if kin is None or pot is None:
+        return False
+    (c_b, a_b), (cv, b) = kin, pot
+    try:
+        recoil = system.kinetic_a.d1(p_a0)
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return False
+    return (c_b > 0.0 and a_b > 0.0 and cv * b > 0.0 and a_b + b > 0.0 and 2.0 + b > 0.0
+            and recoil >= 0.0)
 
 
 def _solve(system: NPlusOneSystem, q_a: float, q_b: float,

@@ -331,6 +331,23 @@ def test_a_vanishing_power_balance_exits_one(tmp_path, capsys):
     assert record["exit"] == 1
 
 
+@pytest.mark.parametrize("terms", [
+    "terms = g\n\n[potential.g]\nkind = coulomb\nstrength = 2",
+    "terms = g h\n\n[potential.g]\nkind = coulomb\nstrength = 1\n\n"
+    "[potential.h]\nkind = coulomb\nstrength = 1",
+], ids=["one-term", "two-terms"])
+def test_a_vanishing_balance_written_as_a_sum_exits_one(tmp_path, capsys, terms):
+    # The same pair with V as a sum law: the scanned residual is rounding
+    # noise around zero (it used to exit 0 with E = 0 and n_roots = 70).
+    text = CRITICAL_PAIR.replace("kind = coulomb\nstrength = 2", "kind = sum\n" + terms)
+    rc, out, err = _run(capsys, "solve-identical", _write(tmp_path, text))
+    assert rc == 1
+    assert out == ""
+    record = json.loads(err)
+    assert record["error"] == "NoRootError"
+    assert record["exit"] == 1
+
+
 def test_residual_gate_uses_tol(tmp_path, capsys):
     path = _write(tmp_path, HO_IDENTICAL)
     rc, _, err = _run(capsys, "solve-identical", path, "--tol", "1e-30")

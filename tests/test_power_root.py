@@ -138,6 +138,20 @@ def test_a_vanishing_balance_has_no_isolated_root():
     assert scans == []
 
 
+@pytest.mark.parametrize("potential", [
+    laws.make_weighted_sum([(1.0, laws.coulomb(2.0))]),
+    laws.make_weighted_sum([(1.0, laws.coulomb(1.0)), (1.0, laws.coulomb(1.0))]),
+], ids=["one-term", "two-terms"])
+def test_a_vanishing_balance_written_as_a_sum_has_no_root(potential):
+    # The same critical pair with V as a sum law, which the scan solves: its
+    # motion residual is rounding noise around zero, which the scan used to
+    # list as 70 roots with E = 0.
+    system = IdenticalSystem(2, 2, laws.kinetic_power(1.0, 1.0), potential)
+    with _counted_scans() as scans, pytest.raises(NoRootError):
+        solve_et(system, 1.0)
+    assert len(scans) == 1
+
+
 def _harmonic_root(N, Q, F, k):
     """rho0 of T = F p^2 against V = k r^2: rho0^4 = N F Q^2/(C2^2 k), in logs."""
     c2 = pair_count(N)

@@ -4,15 +4,20 @@ A plain solve starts from structure: the identical block alone gives r_aa,
 unless the block cannot bind; for a decreasing power-law block the
 identical solver says so without a scan.  The improved solve starts its
 deformed descent from the orbital minimum it has just found, so it pays for
-one structural start, not two.
+one structural start, not two.  The two-body R0 of that start is walked to
+where its residual provably changes sign once, and scanned for otherwise.
 """
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from envtheory import laws, repro, rootscan, solver_identical, solver_nplus1
 from envtheory.errors import NoRootError
 from envtheory.qnum import fgs_fill, spec_from_filling
-from envtheory.solver_identical import IdenticalSystem, solve_et
+from envtheory.solver_identical import (SCAN_HI, SCAN_LO, IdenticalSystem, pair_count,
+                                        solve_et)
 from envtheory.solver_nplus1 import (NPlusOneSystem, atom_report, solve_et_np1,
                                      solve_iet_np1)
 
@@ -25,15 +30,15 @@ def _helium():
     return solver_nplus1._atom_system(Z, n_e, mass)
 
 
-def _count_scans(monkeypatch):
-    """Count the root scans the identical solver makes."""
+def _count_scans(monkeypatch, module=solver_identical):
+    """Count the root scans ``module`` makes: the identical solver's by default."""
     calls = []
 
     def counted(fn, lo, hi):
         calls.append((lo, hi))
         return rootscan.find_roots(fn, lo, hi)
 
-    monkeypatch.setattr(solver_identical, "find_roots", counted)
+    monkeypatch.setattr(module, "find_roots", counted)
     return calls
 
 
@@ -130,23 +135,115 @@ def test_warm_and_cold_starts_reach_one_minimum_on_the_atoms(label, Z, n_electro
 
 
 def test_reproducing_the_tables_stays_within_its_scan_budget(monkeypatch):
-    # Every residual evaluation of every root scan in one run_all(): 121,883
-    # with a cold start for each N_a+1 solve and a scan of every block,
-    # 50,752 with the orbital minimum as the deformed solve's start and no
-    # scan of a block that cannot bind, 20,658 with the power-law compact
-    # set solved in closed form.  What is left is _initial_guess's two-body
-    # scan for R0.
-    evals = [0]
+    # Root-scan residual evaluations in one run_all(): 121,883 with a cold
+    # start for each N_a+1 solve and a scan of every block, 50,752 with the
+    # orbital minimum as the deformed solve's start and no scan of a block
+    # that cannot bind, 20,658 with the power-law compact set solved in
+    # closed form, and none once the two-body R0 of every table's power
+    # laws is walked to.  The walk takes 2,522 evaluations.
+    scans = [_count_scans(monkeypatch, module) for module in (solver_identical, solver_nplus1)]
+    walked = [0]
 
-    def counted(fn, lo, hi):
-        def residual(x):
-            evals[0] += 1
-            return fn(x)
-        return rootscan.find_roots(residual, lo, hi)
+    def walk(fn, x, lo, hi):
+        def residual(R):
+            walked[0] += 1
+            return fn(R)
+        return rootscan.walk_root(residual, x, lo, hi)
 
-    for module in (solver_identical, solver_nplus1):
-        monkeypatch.setattr(module, "find_roots", counted)
+    monkeypatch.setattr(solver_nplus1, "walk_root", walk)
     repro.run_table(1)
-    assert evals[0] == 0
+    assert scans == [[], []] and walked[0] == 0
     repro.run_all()
-    assert 0 < evals[0] <= 22_000
+    assert scans == [[], []]
+    assert 0 < walked[0] <= 3_000
+
+
+def _scanned_start(system, q_a, q_b):
+    """_initial_guess with the walk left out, so R0 comes from the scan."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver_nplus1, "walk_root", lambda fn, x, lo, hi: None)
+        return solver_nplus1._initial_guess(system, q_a, q_b)
+
+
+@st.composite
+def _one_sign_change_system(draw, a_b=None):
+    """A random split system whose T_b and V_ab meet _one_sign_change.
+
+    T_b = c_b p^a_b, V_ab = c' r^b with c' b > 0, a_b + b > 0 and
+    2 + b > 0; T_a is a kinetic power or a sum of two; V_aa is any power
+    law, so that r_aa, and with it p_a0, comes from the block, from V_ab, or
+    is 1.
+    """
+    def log_uniform(lo, hi):
+        return 10.0 ** draw(st.floats(lo, hi))
+
+    if a_b is None:
+        a_b = draw(st.floats(0.5, 3.0))
+    b = draw(st.floats(max(-a_b, -2.0) + 0.05, 3.0).filter(lambda b: abs(b) >= 0.05))
+    kinetic_a = laws.kinetic_power(log_uniform(-2, 2), draw(st.floats(0.5, 3.0)))
+    if draw(st.booleans()):
+        kinetic_a = laws.make_weighted_sum(
+            [(1.0, kinetic_a), (1.0, laws.kinetic_power(log_uniform(-2, 2), 1.0))])
+    potential_aa = laws.power(draw(st.sampled_from([-1.0, 1.0])) * log_uniform(-2, 2),
+                              draw(st.floats(-1.5, 2.0).filter(lambda e: abs(e) >= 0.1)))
+    return NPlusOneSystem(
+        N_a=draw(st.integers(2, 8)), D=3, kinetic_a=kinetic_a,
+        kinetic_b=laws.kinetic_power(log_uniform(-3, 3), a_b),
+        potential_aa=potential_aa,
+        potential_ab=laws.power(math.copysign(log_uniform(-3, 3), b), b))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(system=_one_sign_change_system(), q_a=st.floats(0.5, 20.0),
+       q_b=st.floats(0.5, 20.0))
+def test_the_walked_r0_is_the_scanned_r0(system, q_a, q_b):
+    # The scan's lowest root, or r_aa where the scan finds none, without a
+    # scan; every draw meets the condition.
+    with pytest.MonkeyPatch.context() as patch:
+        scans = _count_scans(patch, solver_nplus1)
+        r_aa, R0 = solver_nplus1._initial_guess(system, q_a, q_b)
+    assert scans == []
+    expect_r_aa, expect_R0 = _scanned_start(system, q_a, q_b)
+    assert r_aa == expect_r_aa
+    assert R0 == pytest.approx(expect_R0, rel=1e-14, abs=0.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(system=_one_sign_change_system(a_b=2.0), q_a=st.floats(0.5, 20.0),
+       q_b=st.floats(0.5, 20.0))
+def test_the_walked_r0_has_its_closed_form_for_quadratic_t_b(system, q_a, q_b):
+    # With a_b = 2 both kinetic terms go as R^-2: R0^(2+b) = (k1 + k2)/k3,
+    # where it lies in the range the widened scan ends on; else R0 = r_aa.
+    # A rounding of the residual's terms moves either root by its relative
+    # size over 2 + b, the log slope of residual/(k3 R^b) at the root.
+    r_aa, R0 = solver_nplus1._initial_guess(system, q_a, q_b)
+    N_a = system.N_a
+    p_a0 = q_a / (math.sqrt(pair_count(N_a)) * r_aa)
+    c_b = laws.power_parameters(system.kinetic_b)[0]
+    cv, b = laws.power_parameters(system.potential_ab)
+    k1 = system.kinetic_a.d1(p_a0) * q_b ** 2 / (N_a * p_a0)
+    k2 = 2.0 * c_b * q_b ** 2
+    k3 = N_a * cv * b
+    root = ((k1 + k2) / k3) ** (1.0 / (2.0 + b))
+    if SCAN_LO * 1e-8 <= root <= SCAN_HI * 1e8:
+        assert R0 == pytest.approx(root, rel=1e-14 / (2.0 + b), abs=0.0)
+    else:
+        assert R0 == r_aa
+
+
+@pytest.mark.parametrize("kinetic_b, potential_ab", [
+    (laws.kinetic_power(0.5, 2.0), laws.gaussian_well(5.0, 1.0)),
+    (laws.kinetic_power(1.0, 1.0), laws.power(-1.0, -1.5)),  # a_b + b < 0
+    (laws.kinetic_power(1.0, 1.0), laws.power(-1.0, -1.0)),  # a_b + b = 0
+    (laws.kinetic_power(0.5, 3.0), laws.power(-1.0, -2.5)),  # 2 + b < 0
+    (laws.kinetic_power(0.5, 2.0), laws.power(1.0, -1.0)),   # c' b < 0
+    (laws.kinetic_power(0.5, 2.0), laws.power(-1.0, 1.0)),   # c' b < 0
+], ids=["gaussian", "a_b+b<0", "a_b+b=0", "2+b<0", "repulsive", "falling"])
+def test_other_two_body_laws_are_scanned(monkeypatch, kinetic_b, potential_ab):
+    scans, walks = _count_scans(monkeypatch, solver_nplus1), []
+    monkeypatch.setattr(solver_nplus1, "walk_root",
+                        lambda fn, x, lo, hi: walks.append(x) or rootscan.walk_root(fn, x, lo, hi))
+    system = NPlusOneSystem(3, 3, laws.kinetic_power(0.5, 2.0), kinetic_b,
+                            laws.harmonic(1.0), potential_ab)
+    solver_nplus1._initial_guess(system, 2.0, 1.5)
+    assert len(scans) == 1 and walks == []
