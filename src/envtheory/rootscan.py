@@ -1,21 +1,26 @@
-"""Bracketing root scan on a geometric grid with bisection in log x.
+"""Bracketing root scan on a geometric grid, polished by regula falsi in log x.
 
 An equation with any number of roots and no closed form is solved by the
 scan (the identical solver decides a power-law balance in closed form and
 never calls it): sample the residual on a geometric grid over many decades,
-locate sign changes, and halve each bracket at its geometric midpoint
-sqrt(a)*sqrt(b) until that midpoint is no longer strictly inside.  The
-bracket then holds adjacent floats, so roots have full relative precision
-at any scale and there is no tolerance to choose.  Non-finite samples
-(overflow of a steep law, singular points) are treated as holes in the grid
-rather than errors, since they routinely occur at the extreme ends of the
-scan range.  An exactly-zero sample is a root only when both of its
-neighbours are nonzero: next to another zero, the residual vanishes on the
-whole bracket or both of its terms have underflowed, and neither is a root.
+locate sign changes, and polish each bracket by Illinois regula falsi in
+log x.  The trial interpolates the residual linearly in log x; an endpoint
+kept twice in a row has its weight halved, so that both ends close in.  A
+trial that rounds onto an endpoint moves one float inside.  A bracket
+wider than bisection would have left it with 12 steps in hand is halved at
+its geometric midpoint instead, so a polish costs at most about 13
+evaluations more than bisection.  The polish stops only when the
+bracket holds adjacent floats, so roots have full relative precision at any
+scale and there is no tolerance to choose.  Non-finite samples (overflow of
+a steep law, singular points) are treated as holes in the grid rather than
+errors, since they routinely occur at the extreme ends of the scan range.
+An exactly-zero sample is a root only when both of its neighbours are
+nonzero: next to another zero, the residual vanishes on the whole bracket
+or both of its terms have underflowed, and neither is a root.
 
 An equation known to change sign exactly once needs no grid: walk_root
 steps from a start by factors of 4 until the sign changes, over the range
-the scan would end on, and bisects that one bracket the same way.
+the scan would end on, and polishes that one bracket the same way.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ _PANELS = 400
 _EXPANSIONS = 2
 _EXPAND_FACTOR = 1e4
 _WALK_FACTOR = 4.0
+_POLISH_SLACK = 2.0 ** 12
 
 
 def _sample(fn: Callable[[float], float], x: float) -> float:
@@ -41,20 +47,42 @@ def _sample(fn: Callable[[float], float], x: float) -> float:
     return v if math.isfinite(v) else math.nan
 
 
-def _bisect(fn: Callable[[float], float], a: float, fa: float,
+def _polish(fn: Callable[[float], float], a: float, fa: float,
             b: float, fb: float) -> float:
-    """Root of fn in (a, b), where fa and fb have opposite signs."""
+    """Root of fn in (a, b), where fa and fb have opposite signs.
+
+    Returns an exact zero where a trial hits one, else the endpoint with the
+    smaller |f| once a and b are adjacent floats.
+    """
+    wa = wb = 1.0  # Illinois weights of fa and fb
+    moved = 0  # the end the last trial replaced: -1 for a, 1 for b
+    bound = _POLISH_SLACK * math.log1p((b - a) / a)
     while True:
-        m = math.sqrt(a) * math.sqrt(b)
+        width = math.log1p((b - a) / a)
+        if width <= bound:
+            m = a + a * math.expm1(width * fa * wa / (fa * wa - fb * wb))
+            if m <= a:
+                m = math.nextafter(a, b)
+            elif m >= b:
+                m = math.nextafter(b, a)
+        else:
+            m = math.sqrt(a) * math.sqrt(b)
+            if not a < m < b:
+                m = a + 0.5 * (b - a)
+        bound *= 0.5
         if not a < m < b:
             return a if abs(fa) <= abs(fb) else b
         fm = fn(m)
         if fm == 0.0:
             return m
         if (fm < 0.0) == (fa < 0.0):
-            a, fa = m, fm
+            if moved < 0:
+                wb *= 0.5
+            a, fa, wa, moved = m, fm, 1.0, -1
         else:
-            b, fb = m, fm
+            if moved > 0:
+                wa *= 0.5
+            b, fb, wb, moved = m, fm, 1.0, 1
 
 
 def find_roots(fn: Callable[[float], float], lo: float, hi: float) -> list[float]:
@@ -67,6 +95,9 @@ def find_roots(fn: Callable[[float], float], lo: float, hi: float) -> list[float
     """
     trace: list[tuple[float, float]] = []
     for attempt in range(_EXPANSIONS + 1):
+        if attempt:
+            lo /= _EXPAND_FACTOR
+            hi *= _EXPAND_FACTOR
         n = _PANELS * (attempt + 1)
         step = math.log(hi / lo) / n
         grid = [lo] + [lo * math.exp(step * i) for i in range(1, n)] + [hi]
@@ -80,14 +111,12 @@ def find_roots(fn: Callable[[float], float], lo: float, hi: float) -> list[float
                 if fb != 0.0 and (i == 0 or vals[i - 1] != 0.0):
                     roots.append(grid[i])
             elif fa * fb < 0.0:
-                roots.append(_bisect(fn, grid[i], fa, grid[i + 1], fb))
+                roots.append(_polish(fn, grid[i], fa, grid[i + 1], fb))
         if vals[-1] == 0.0 and vals[-2] != 0.0:
             roots.append(grid[-1])
         if roots:
             return roots
         trace = [(grid[i], vals[i]) for i in range(0, n + 1, max(1, n // 16))]
-        lo /= _EXPAND_FACTOR
-        hi *= _EXPAND_FACTOR
     raise NoRootError(
         f"no sign change on the scanned range up to [{lo:.3g}, {hi:.3g}]",
         trace=trace)
@@ -99,7 +128,7 @@ def walk_root(fn: Callable[[float], float], x: float, lo: float,
 
     The walk starts at x, moved into the range that find_roots(fn, lo, hi)
     ends on after its widenings, and steps by factors of 4 toward the root
-    until the sign changes; that bracket is bisected as find_roots does.
+    until the sign changes; that bracket is polished as find_roots does.
     NoRootError is raised where the walk reaches the end of that range
     without a sign change, as the scan would.  A sample that is not finite,
     or is exactly zero (a root hit exactly, or terms that underflowed), is a
@@ -122,5 +151,5 @@ def walk_root(fn: Callable[[float], float], x: float, lo: float,
         if math.isnan(fy) or fy == 0.0:
             return None
         if (fy > 0.0) != up:
-            return _bisect(fn, x, fx, y, fy) if up else _bisect(fn, y, fy, x, fx)
+            return _polish(fn, x, fx, y, fy) if up else _polish(fn, y, fy, x, fx)
         x, fx = y, fy

@@ -23,8 +23,12 @@ structural start, built from the block and the relative motion taken alone.
 The improved variant quantizes the two coupled radial modes around the
 purely orbital solution and deforms both quantum numbers; the mode
 stiffnesses are the same Hessian at the orbital minimum, and the responses
-D_a, D_b its kinetic gradient.  The deformed solve starts its descent from
-the orbital minimum, so an improved solve pays for one structural start.
+D_a, D_b its kinetic gradient, both as the orbital descent last evaluated
+them.  The kinetic energy depends on the radii only through log q - log r,
+so the minimum moves with log q along H^-1 H_kin, the Hessian's inverse
+times its kinetic part.  The deformed solve starts its descent on that
+tangent, and from the orbital minimum itself where that descent fails, so
+an improved solve pays for one structural start.
 """
 
 from __future__ import annotations
@@ -58,6 +62,8 @@ __all__ = [
 NEWTON_TOL = 1e-11
 NEWTON_MAX_STEPS = 200
 NEWTON_MAX_HALVINGS = 30
+# Largest move of log r_aa or log R0 a tangent-predicted start makes.
+PREDICTOR_MAX_STEP = 2.0
 
 # Energy unit of the atomic Hamiltonian expressed in eV (twice the Rydberg).
 ATOMIC_UNIT_EV = 27.21
@@ -121,6 +127,9 @@ class DosmNp1Report:
     responses of the energy to an increase of the respective quantum numbers,
     which fix the masses mu_a = p_a^2/D_a and mu_b = P0^2/D_b, and (phi_a,
     phi_b) are the deformations obtained by matching the two spectra.
+    ``radius_response`` is the tangent of the minimum's path as the quantum
+    numbers move, H^-1 H_kin, row by row: (d log r_aa/d log q_a,
+    d log r_aa/d log q_b, d log R0/d log q_a, d log R0/d log q_b).
     """
 
     orbital: Np1Solution
@@ -137,12 +146,28 @@ class DosmNp1Report:
     phi_a: float
     phi_b: float
     n_pairs: float
+    radius_response: tuple[float, float, float, float]
 
     def level(self, nu_a: float, nu_b: float) -> float:
         """Energy with radial aggregates (nu_a, nu_b) on top of the orbital motion."""
         return (self.orbital.energy
                 + math.sqrt(self.A / (self.n_pairs * self.mu)) * nu_a
                 + math.sqrt(self.B / self.mu) * nu_b)
+
+    def radii(self, q_a: float, q_b: float) -> tuple[float, float]:
+        """(r_aa, R0) of the minimum at quantum numbers (q_a, q_b), to first order in log q.
+
+        A step that moves log r_aa or log R0 by more than PREDICTOR_MAX_STEP
+        is shortened to that length: farther out, the tangent of a curving
+        path can carry the start into the basin of another minimum.
+        """
+        s_a = math.log(q_a / self.orbital.q_a)
+        s_b = math.log(q_b / self.orbital.q_b)
+        m11, m12, m21, m22 = self.radius_response
+        du_a, du_b = m11 * s_a + m12 * s_b, m21 * s_a + m22 * s_b
+        shrink = min(1.0, PREDICTOR_MAX_STEP / max(abs(du_a), abs(du_b), 1e-300))
+        return (self.orbital.r_aa * math.exp(shrink * du_a),
+                self.orbital.R0 * math.exp(shrink * du_b))
 
 
 def _geometry(system: NPlusOneSystem, q_a: float, q_b: float,
@@ -167,9 +192,10 @@ def _root_sum(t1: float, t2: float, sign: float):
 def _surface(system: NPlusOneSystem, q_a: float, q_b: float, r_aa: float, R0: float):
     """Energy E(r_aa, R0; q_a, q_b) with its derivatives in u = (log r_aa, log R0).
 
-    Returns (E, kinetic, potential, (H11, H12, H22)): the gradient of E is
-    kinetic + potential, componentwise, and H is its exact Hessian, chain-ruled
-    from the laws' d1 and d2 through p_a' and r_0'.
+    Returns (E, kinetic, potential, kinetic_hessian, potential_hessian): the
+    gradient of E is kinetic + potential and its exact Hessian (H11, H12, H22)
+    is kinetic_hessian + potential_hessian, componentwise, chain-ruled from the
+    laws' d1 and d2 through p_a' and r_0'.
     """
     N_a = system.N_a
     c2 = pair_count(N_a)
@@ -186,19 +212,27 @@ def _surface(system: NPlusOneSystem, q_a: float, q_b: float, r_aa: float, R0: fl
               + c2 * vaa.value(r_aa) + N_a * vab.value(r0p))
     kinetic = (N_a * ta1 * pg1, N_a * ta1 * pg2 - tb1 * P0)
     potential = (c2 * vaa1 * r_aa + N_a * vab1 * rg1, N_a * vab1 * rg2)
-    h11 = (N_a * (ta2 * pg1 * pg1 + ta1 * ph11)
-           + c2 * (vaa.d2(r_aa) * r_aa ** 2 + vaa1 * r_aa)
-           + N_a * (vab2 * rg1 * rg1 + vab1 * rh11))
-    h12 = N_a * (ta2 * pg1 * pg2 + ta1 * ph12 + vab2 * rg1 * rg2 + vab1 * rh12)
-    h22 = (N_a * (ta2 * pg2 * pg2 + ta1 * ph22) + tb2 * P0 ** 2 + tb1 * P0
-           + N_a * (vab2 * rg2 * rg2 + vab1 * rh22))
-    return energy, kinetic, potential, (h11, h12, h22)
+    kinetic_hessian = (N_a * (ta2 * pg1 * pg1 + ta1 * ph11),
+                       N_a * (ta2 * pg1 * pg2 + ta1 * ph12),
+                       N_a * (ta2 * pg2 * pg2 + ta1 * ph22) + tb2 * P0 ** 2 + tb1 * P0)
+    potential_hessian = (c2 * (vaa.d2(r_aa) * r_aa ** 2 + vaa1 * r_aa)
+                         + N_a * (vab2 * rg1 * rg1 + vab1 * rh11),
+                         N_a * (vab2 * rg1 * rg2 + vab1 * rh12),
+                         N_a * (vab2 * rg2 * rg2 + vab1 * rh22))
+    return energy, kinetic, potential, kinetic_hessian, potential_hessian
+
+
+def _hessian(surface) -> tuple[float, float, float]:
+    """(H11, H12, H22) of a _surface result: its kinetic plus its potential Hessian."""
+    (k11, k12, k22), (v11, v12, v22) = surface[3], surface[4]
+    return k11 + v11, k12 + v12, k22 + v22
 
 
 def _scaled(surface) -> tuple[float, float]:
     """Equations of motion scaled as (kinetic + potential)/max(|kinetic|, |potential|)."""
-    _, kinetic, potential, _ = surface
-    return tuple((k + v) / max(abs(k), abs(v), 1e-300) for k, v in zip(kinetic, potential))
+    _, (k1, k2), (v1, v2), _, _ = surface
+    return ((k1 + v1) / max(abs(k1), abs(v1), 1e-300),
+            (k2 + v2) / max(abs(k2), abs(v2), 1e-300))
 
 
 def _abs_hessian(h11: float, h12: float, h22: float) -> tuple[float, float, float]:
@@ -219,7 +253,7 @@ def _abs_hessian(h11: float, h12: float, h22: float) -> tuple[float, float, floa
 
 
 def _newton(system: NPlusOneSystem, q_a: float, q_b: float, r_aa: float,
-            R0: float) -> tuple[float, float, float, int, tuple[float, float]]:
+            R0: float) -> tuple[float, float, tuple, int, tuple[float, float]]:
     """Damped Newton descent on E in log coordinates, which keeps them positive.
 
     Each step is u <- u - t |H|^-1 g with the exact gradient g and Hessian H.
@@ -232,8 +266,8 @@ def _newton(system: NPlusOneSystem, q_a: float, q_b: float, r_aa: float,
     stationary point that is not a minimum (a start on a saddle or a
     maximum), raise NonConvergenceError.  A step that carries a radius
     beyond both SCAN_HI and the start's radii means E falls toward infinite
-    separation and has no minimum: NoBindingError.  Returns (r_aa, R0, E,
-    iterations, scaled residuals).
+    separation and has no minimum: NoBindingError.  Returns (r_aa, R0, the
+    _surface result there, iterations, scaled residuals).
     """
     far = max(SCAN_HI, r_aa, R0)
     try:
@@ -242,10 +276,11 @@ def _newton(system: NPlusOneSystem, q_a: float, q_b: float, r_aa: float,
         raise NonConvergenceError("E cannot be evaluated at the start", (r_aa, R0)) from None
     f = _scaled(surface)
     for iterations in range(1, NEWTON_MAX_STEPS + 1):
-        energy, (k1, k2), (v1, v2), (h11, h12, h22) = surface
+        energy, (k1, k2), (v1, v2), _, _ = surface
+        h11, h12, h22 = _hessian(surface)
         if max(abs(f[0]), abs(f[1])) < NEWTON_TOL:
             if h11 > 0.0 and h11 * h22 - h12 * h12 > 0.0:
-                return r_aa, R0, energy, iterations, f
+                return r_aa, R0, surface, iterations, f
             raise NonConvergenceError("stationary point is not a minimum of E",
                                       (r_aa, R0), f)
         g1, g2 = k1 + v1, k2 + v2
@@ -365,22 +400,22 @@ def _one_sign_change(system: NPlusOneSystem, p_a0: float) -> bool:
 
 
 def _solve(system: NPlusOneSystem, q_a: float, q_b: float,
-           start: tuple[float, float] | None = None) -> Np1Solution:
+           start: tuple[float, float] | None = None) -> tuple[Np1Solution, tuple]:
     """The minimum of E(r_aa, R0; q_a, q_b) one descent reaches from ``start``.
 
     Without a start, the descent begins at the structural start of
-    _initial_guess.
+    _initial_guess.  Returns the solution and the _surface result at it.
     """
     if not (0.0 < q_a < math.inf and 0.0 < q_b < math.inf):
         raise InputError("q_a and q_b must be positive and finite")
     if start is None:
         start = _initial_guess(system, q_a, q_b)
-    r_aa, R0, energy, iters, res = _newton(system, q_a, q_b, *start)
+    r_aa, R0, surface, iters, res = _newton(system, q_a, q_b, *start)
     p_a, P0, pap, r0p = _geometry(system, q_a, q_b, r_aa, R0)
-    return Np1Solution(energy=energy, p_a=p_a, r_aa=r_aa, P0=P0, R0=R0,
+    return Np1Solution(energy=surface[0], p_a=p_a, r_aa=r_aa, P0=P0, R0=R0,
                        p_a_prime=pap, r_0_prime=r0p, q_a=q_a, q_b=q_b,
                        residual_a=abs(res[0]), residual_b=abs(res[1]),
-                       iterations=iters, n_roots=1)
+                       iterations=iters, n_roots=1), surface
 
 
 def solve_et_np1(system: NPlusOneSystem, q_a: float, q_b: float) -> Np1Solution:
@@ -390,7 +425,7 @@ def solve_et_np1(system: NPlusOneSystem, q_a: float, q_b: float) -> Np1Solution:
     descent reaches from the structural start of _initial_guess, so it is
     always a point the improved method can quantize; n_roots is 1.
     """
-    return _solve(system, q_a, q_b)
+    return _solve(system, q_a, q_b)[0]
 
 
 def dosm_np1(system: NPlusOneSystem, lam_a: float, lam_b: float) -> DosmNp1Report:
@@ -398,18 +433,23 @@ def dosm_np1(system: NPlusOneSystem, lam_a: float, lam_b: float) -> DosmNp1Repor
 
     The orbital solution is the five-equation set solved with the quantum
     numbers replaced by (lam_a, lam_b).  Everything else is read off the
-    energy surface there: the coupled quadratic form in the two radial
-    displacements is its Hessian, (k_a, k_b, k_c) = (E_rr, E_RR, 2 E_rR), and
-    minus the kinetic part of its log gradient gives the responses (D_a, D_b)
-    and with them the masses mu_a = p_a^2/D_a and mu_b = P0^2/D_b.  The
-    normal modes and the responses fix the two deformation parameters.
+    energy surface there, as the descent that found it last evaluated it: the
+    coupled quadratic form in the two radial displacements is its Hessian,
+    (k_a, k_b, k_c) = (E_rr, E_RR, 2 E_rR), and minus the kinetic part of its
+    log gradient gives the responses (D_a, D_b) and with them the masses
+    mu_a = p_a^2/D_a and mu_b = P0^2/D_b.  The normal modes and the responses
+    fix the two deformation parameters.  The kinetic energy depends on
+    u = (log r_aa, log R0) only through log q - u, so the gradient moves with
+    log q as -H_kin, the kinetic part of the Hessian, and the minimum moves as
+    du/dlog q = H^-1 H_kin: the report's radius_response.
     """
     if not (0.0 < lam_a < math.inf and 0.0 < lam_b < math.inf):
         raise InputError("lam_a and lam_b must be positive and finite")
     c2 = pair_count(system.N_a)
-    orbital = solve_et_np1(system, lam_a, lam_b)
+    orbital, surface = _solve(system, lam_a, lam_b)
     r_aa, R0 = orbital.r_aa, orbital.R0
-    _, kinetic, potential, (h11, h12, h22) = _surface(system, lam_a, lam_b, r_aa, R0)
+    kinetic, potential, (t11, t12, t22) = surface[1], surface[2], surface[3]
+    h11, h12, h22 = _hessian(surface)
     D_a, D_b = -kinetic[0], -kinetic[1]
     mu_a, mu_b = orbital.p_a ** 2 / D_a, orbital.P0 ** 2 / D_b
     # Second derivatives in (r_aa, R0) from those in their logarithms.
@@ -423,9 +463,13 @@ def dosm_np1(system: NPlusOneSystem, lam_a: float, lam_b: float) -> DosmNp1Repor
             f"unstable radial quadratic form (A={A}, B={B})")
     phi_a = lam_a / D_a * math.sqrt(A / (c2 * mu))
     phi_b = lam_b / D_b * math.sqrt(B / mu)
+    det = h11 * h22 - h12 * h12
+    response = ((h22 * t11 - h12 * t12) / det, (h22 * t12 - h12 * t22) / det,
+                (h11 * t12 - h12 * t11) / det, (h11 * t22 - h12 * t12) / det)
     return DosmNp1Report(orbital=orbital, mu_a=mu_a, mu_b=mu_b, k_a=k_a, k_b=k_b,
                          k_c=k_c, A=A, B=B, mu=mu, D_a=D_a, D_b=D_b,
-                         phi_a=phi_a, phi_b=phi_b, n_pairs=c2)
+                         phi_a=phi_a, phi_b=phi_b, n_pairs=c2,
+                         radius_response=response)
 
 
 def phi_pair(system: NPlusOneSystem, lam_a: float, lam_b: float) -> tuple[float, float]:
@@ -440,8 +484,10 @@ def solve_iet_np1(system: NPlusOneSystem, spec: QuantumSpec) -> Np1Solution:
     The spec's aggregates (nu_a, lam_a) and (nu_b, lam_b) fix the pair
     (phi_a, phi_b) at the orbital minimum; the five-equation set is then
     solved at Q_a = phi_a*nu_a + lam_a and Q_b = phi_b*nu_b + lam_b by a
-    descent that starts from that orbital minimum, so only the orbital solve
-    pays for a structural start.
+    descent that starts from the tangent prediction of the minimum there,
+    DosmNp1Report.radii, so only the orbital solve pays for a structural
+    start.  Where that descent fails (NonConvergenceError or
+    NoBindingError), it starts again from the orbital minimum itself.
     """
     if spec.relative_mode is None:
         raise InputError("split systems need a relative mode in the spec")
@@ -455,8 +501,11 @@ def solve_iet_np1(system: NPlusOneSystem, spec: QuantumSpec) -> Np1Solution:
                                      "the orbital-only set")
     report = dosm_np1(system, lam_a, lam_b)
     phi_a, phi_b = report.phi_a, report.phi_b
-    solution = _solve(system, phi_a * nu_a + lam_a, phi_b * nu_b + lam_b,
-                      (report.orbital.r_aa, report.orbital.R0))
+    q_a, q_b = phi_a * nu_a + lam_a, phi_b * nu_b + lam_b
+    try:
+        solution, _ = _solve(system, q_a, q_b, report.radii(q_a, q_b))
+    except (NonConvergenceError, NoBindingError):
+        solution, _ = _solve(system, q_a, q_b, (report.orbital.r_aa, report.orbital.R0))
     return replace(solution, phi_a=phi_a, phi_b=phi_b)
 
 

@@ -67,7 +67,8 @@ def test_abs_hessian_of_an_indefinite_matrix(h):
 
 
 def _positive_definite_at(system, q_a, q_b, solution):
-    _, _, _, (h11, h12, h22) = _surface(system, q_a, q_b, solution.r_aa, solution.R0)
+    h11, h12, h22 = solver_nplus1._hessian(
+        _surface(system, q_a, q_b, solution.r_aa, solution.R0))
     return h11 > 0.0 and h11 * h22 - h12 * h12 > 0.0
 
 

@@ -1,14 +1,16 @@
 """Root scanning: bracketing, expansion, hole tolerance, failure traces.
 
-Also the walk to the one root of a residual that changes sign once.
+Also the walk to the one root of a residual that changes sign once, and the
+regula falsi polish both of them end with.
 """
 
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
+from envtheory import rootscan
 from envtheory.errors import NoRootError
 from envtheory.rootscan import find_roots, walk_root
 
@@ -74,6 +76,16 @@ def test_no_root_error_carries_trace():
     xs = [x for x, _ in trace]
     assert xs == sorted(xs)
     assert all(math.isfinite(v) for _, v in trace)
+
+
+def test_no_root_error_names_the_last_range_it_sampled():
+    # A scan of [1e-8, 1e8] ends on [1e-16, 1e16] after two widenings by 1e4.
+    with pytest.raises(NoRootError) as info:
+        find_roots(lambda x: 1.0 + x, 1e-8, 1e8)
+    assert str(info.value) == "no sign change on the scanned range up to [1e-16, 1e+16]"
+    xs = [x for x, _ in info.value.trace]
+    assert xs[0] == pytest.approx(1e-16, rel=1e-12)
+    assert xs[-1] == pytest.approx(1e16, rel=1e-12)
 
 
 def test_roots_have_full_relative_precision_at_small_scale():
@@ -142,3 +154,67 @@ def test_the_walk_leaves_non_finite_and_zero_samples_to_the_scan():
     assert walk_root(overflowing, 1.0, 1e-8, 1e8) is None
     assert walk_root(_falling(1.0), 1.0, 1e-8, 1e8) is None
     assert walk_root(lambda x: math.inf, 1.0, 1e-8, 1e8) is None
+
+
+def _bisected(fn, a, fa, b, fb):
+    """Bisection in log x down to adjacent floats: the polish's reference."""
+    while True:
+        m = math.sqrt(a) * math.sqrt(b)
+        if not a < m < b:
+            m = a + 0.5 * (b - a)
+            if not a < m < b:
+                return a if abs(fa) <= abs(fb) else b
+        fm = fn(m)
+        if fm == 0.0:
+            return m
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = m, fm
+        else:
+            b, fb = m, fm
+
+
+# Monotone residuals with a simple root at r, where their log-x slope is at
+# least 1, so that no run of floats rounds to zero around it.
+_RESIDUALS = {
+    "power": lambda r, p, c: lambda x: (x / r) ** p - 1.0,
+    "exponential": lambda r, p, c: lambda x: math.exp(p * x / r) - math.exp(p),
+    "cancelling": lambda r, p, c: lambda x: c * (x / r) ** p - c * (r / x) ** p,
+    "sum": lambda r, p, c: lambda x: (x / r) ** (2.0 * p) + c * (x / r) ** p - (1.0 + c),
+}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(shape=st.sampled_from(sorted(_RESIDUALS)), log_root=st.floats(-12.0, 12.0),
+       p=st.floats(1.0, 3.0), log_c=st.floats(-3.0, 8.0), position=st.floats(0.001, 0.999))
+def test_the_polish_lands_on_the_bisected_root(shape, log_root, p, log_c, position):
+    # On a factor-4 bracket, as the walk makes: the root bisection reaches,
+    # or the float next to it where |f| is no larger, in at most 20
+    # evaluations where bisection takes about 53.
+    r = 10.0 ** log_root
+    fn = _RESIDUALS[shape](r, p, 10.0 ** log_c)
+    a = r / 4.0 ** position
+    b = 4.0 * a
+    fa, fb = fn(a), fn(b)
+    assume(fa < 0.0 < fb)
+    calls = []
+    root = rootscan._polish(lambda x: calls.append(x) or fn(x), a, fa, b, fb)
+    expect = _bisected(fn, a, fa, b, fb)
+    assert len(calls) <= 20
+    assert root == expect or (root in (math.nextafter(expect, 0.0),
+                                       math.nextafter(expect, math.inf))
+                              and abs(fn(root)) <= abs(fn(expect)))
+
+
+@pytest.mark.parametrize("order", [3, 5])
+def test_a_polish_costs_little_more_than_bisection_at_a_multiple_root(order):
+    # There regula falsi converges only linearly; once the bracket falls
+    # behind what bisection would have left with 12 steps in hand, the
+    # polish bisects.
+    def fn(x):
+        return (x - math.pi) ** order
+
+    calls, bisections = [], []
+    root = rootscan._polish(lambda x: calls.append(x) or fn(x), 1.0, fn(1.0), 4.0, fn(4.0))
+    assert root == _bisected(lambda x: bisections.append(x) or fn(x), 1.0, fn(1.0),
+                             4.0, fn(4.0))
+    assert len(calls) <= len(bisections) + 14

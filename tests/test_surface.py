@@ -2,8 +2,8 @@
 
 The solver's Newton steps, its DOSM stiffnesses and its responses all come
 from one function returning E(r_aa, R0; Q_a, Q_b), its gradient in
-u = (log r_aa, log R0) split into kinetic and potential parts, and its
-Hessian in u.  Here sympy differentiates the same energy written out from
+u = (log r_aa, log R0) and its Hessian in u, each split into kinetic and
+potential parts.  Here sympy differentiates the same energy written out from
 the compact equation set, independently of the chain rule in the solver.
 """
 
@@ -14,7 +14,7 @@ import pytest
 import sympy as sp
 
 from envtheory import laws
-from envtheory.solver_nplus1 import NPlusOneSystem, _surface, dosm_np1
+from envtheory.solver_nplus1 import NPlusOneSystem, _surface, dosm_np1, solve_et_np1
 
 X = sp.Symbol("x", positive=True)
 
@@ -83,18 +83,19 @@ def test_surface_matches_symbolic_derivatives(case):
         def num(expr):
             return float(expr.evalf(30, subs=at))
 
-        energy, kinetic, potential, (h11, h12, h22) = _surface(system, q_a, q_b, r_aa, R0)
+        energy, kinetic, potential, kinetic_hessian, potential_hessian = _surface(
+            system, q_a, q_b, r_aa, R0)
+        pairs = ((u[0], u[0]), (u[0], u[1]), (u[1], u[1]))
         sym_kin = [num(sp.diff(kin, v)) for v in u]
         sym_pot = [num(sp.diff(pot, v)) for v in u]
-        total = kin + pot
-        sym_hess = [num(sp.diff(total, a, b)) for a, b in ((u[0], u[0]), (u[0], u[1]),
-                                                           (u[1], u[1]))]
-        scale = max(map(abs, sym_kin + sym_pot + sym_hess))
+        sym_kin_hess = [num(sp.diff(kin, a, b)) for a, b in pairs]
+        sym_pot_hess = [num(sp.diff(pot, a, b)) for a, b in pairs]
+        scale = max(map(abs, sym_kin + sym_pot + sym_kin_hess + sym_pot_hess))
         # Away from a stationary point: the gradient itself is tested, not zero.
         assert max(abs(k + v) for k, v in zip(sym_kin, sym_pot)) > 1e-3 * scale
-        _close(energy, num(total), abs(num(total)))
-        for got, exact in zip(kinetic + potential + (h11, h12, h22),
-                              sym_kin + sym_pot + sym_hess):
+        _close(energy, num(kin + pot), abs(num(kin + pot)))
+        for got, exact in zip(kinetic + potential + kinetic_hessian + potential_hessian,
+                              sym_kin + sym_pot + sym_kin_hess + sym_pot_hess):
             _close(got, exact, scale)
 
 
@@ -119,3 +120,28 @@ def test_dosm_constants_are_the_symbolic_hessian(case):
     _close(report.D_a, -num(r * sp.diff(kin.subs(in_r), r)), report.D_a)
     _close(report.D_b, -num(R * sp.diff(kin.subs(in_r), R)), report.D_b)
 
+
+
+@pytest.mark.parametrize("case", ["coulomb", "power", "yukawa"])
+def test_radius_response_is_the_slope_of_the_minimum(case):
+    # H^-1 H_kin against central differences of log r_aa and log R0 of the
+    # minimum in log q_a and log q_b: the path the deformed solve starts on.
+    # (The Gaussian case has no minimum at these quantum numbers.)
+    N_a, (t_a, _), (t_b, _), (v_aa, _), (v_ab, _) = CASES[case]
+    system = NPlusOneSystem(N_a, 3, t_a, t_b, v_aa, v_ab)
+    lam_a, lam_b, h = 2.5, 1.5, 1e-5
+    report = dosm_np1(system, lam_a, lam_b)
+
+    def log_radii(s_a, s_b):
+        solution = solve_et_np1(system, lam_a * math.exp(s_a), lam_b * math.exp(s_b))
+        return math.log(solution.r_aa), math.log(solution.R0)
+
+    columns = []
+    for step in ((h, 0.0), (0.0, h)):
+        up, down = log_radii(*step), log_radii(-step[0], -step[1])
+        columns.append([(u - d) / (2.0 * h) for u, d in zip(up, down)])
+    slopes = (columns[0][0], columns[1][0], columns[0][1], columns[1][1])
+    scale = max(map(abs, slopes))
+    for got, expect in zip(report.radius_response, slopes):
+        assert got == pytest.approx(expect, rel=1e-6, abs=1e-6 * scale)
+    assert report.radii(lam_a, lam_b) == (report.orbital.r_aa, report.orbital.R0)
