@@ -18,8 +18,16 @@ The two quantization conditions eliminate p_a and P0, which leaves the energy
 surface E(r_aa, R0); the two equations of motion are its stationary
 conditions.  One function evaluates E with its exact gradient and Hessian in
 log coordinates, chain-ruled from the laws' first and second derivatives.
-The solution is the minimum of E reached by one damped Newton descent from a
-structural start, built from the block and the relative motion taken alone.
+The solution is the minimum of E reached by one damped Newton descent.
+Where the laws are homogeneous powers (T_a and T_b share an exponent alpha,
+V_aa and V_ab an exponent beta, alpha + beta > 0), E(lam r_aa, lam R0) =
+lam^-alpha K + lam^beta V, and the descent starts at the minimum of E along
+the scale through the unit shape, which one evaluation of the surface
+gives: the virial start.  Every N_a+1 system of the paper's tables is of
+this kind.  Other laws, and a virial descent that fails, start from
+structure, built from the block and the relative motion taken alone.
+Where E is convex each step is a plain Newton step on its Hessian H.
+
 The improved variant quantizes the two coupled radial modes around the
 purely orbital solution and deforms both quantum numbers; the mode
 stiffnesses are the same Hessian at the orbital minimum, and the responses
@@ -28,7 +36,7 @@ them.  The kinetic energy depends on the radii only through log q - log r,
 so the minimum moves with log q along H^-1 H_kin, the Hessian's inverse
 times its kinetic part.  The deformed solve starts its descent on that
 tangent, and from the orbital minimum itself where that descent fails, so
-an improved solve pays for one structural start.
+an improved solve pays for at most one cold start.
 """
 
 from __future__ import annotations
@@ -36,6 +44,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable
 
 from . import laws
 from .coupled_osc import OscPair, normal_modes
@@ -240,8 +250,12 @@ def _abs_hessian(h11: float, h12: float, h22: float) -> tuple[float, float, floa
 
     It is the square root (H^2 + |det H| I)/sqrt(tr H^2 + 2 |det H|) of H^2,
     taken with H scaled to its largest entry so that no square overflows or
-    underflows.  It equals H where H is positive definite.
+    underflows.  Where H is positive definite (h11 > 0 and det H > 0) it is H
+    itself, returned as is, so the descent takes a plain Newton step; a det
+    that overflows to infinity still ends the descent as a singular Hessian.
     """
+    if h11 > 0.0 and h11 * h22 - h12 * h12 > 0.0:
+        return h11, h12, h22
     scale = max(abs(h11), abs(h12), abs(h22))
     if not 0.0 < scale < math.inf:
         return 0.0, 0.0, 0.0
@@ -346,9 +360,11 @@ def _initial_guess(system: NPlusOneSystem, q_a: float, q_b: float) -> tuple[floa
     provably changes sign once (_one_sign_change: power laws T_b and V_ab,
     as in every table), that root is walked to from r_aa, with no scan;
     otherwise, and where the walk meets a sample it cannot evaluate, the
-    root scan finds it.  Without a root R0 = r_aa.  The improved solve needs
-    this start only for its orbital solve: the deformed solve starts from
-    the orbital minimum.
+    root scan finds it.  Without a root R0 = r_aa.  A cold solve needs this
+    start only where its laws have no virial start, or where the descent
+    from the virial start fails; the improved solve needs it at most for
+    its orbital solve, since the deformed solve starts from the orbital
+    minimum.
     """
     N_a = system.N_a
     r_aa0 = 1.0
@@ -399,18 +415,63 @@ def _one_sign_change(system: NPlusOneSystem, p_a0: float) -> bool:
             and recoil >= 0.0)
 
 
+def _virial_start(system: NPlusOneSystem, q_a: float,
+                  q_b: float) -> tuple[float, float] | None:
+    """(lam, lam), the minimum of E along the scale through (r_aa, R0) = (1, 1).
+
+    Where T_a and T_b are powers p^alpha of one exponent, V_aa and V_ab
+    powers r^beta of one exponent, and alpha + beta > 0, the energy is
+    homogeneous: E(lam r_aa, lam R0) = lam^-alpha K + lam^beta V.  Its log
+    gradient then sums to -alpha K over the kinetic parts and to beta V over
+    the potential ones, so the scale's minimum is at
+    lam^(alpha+beta) = -(k1 + k2)/(v1 + v2), read off one _surface call at
+    (1, 1).  None for other laws, and where that ratio is not positive and
+    finite (for example an atom whose repulsive block outweighs the nucleus).
+    """
+    exponents = [laws.power_parameters(law) for law in (
+        system.kinetic_a, system.kinetic_b, system.potential_aa, system.potential_ab)]
+    if None in exponents:
+        return None
+    (_, alpha), (_, alpha_b), (_, beta), (_, beta_ab) = exponents
+    if alpha != alpha_b or beta != beta_ab or not alpha + beta > 0.0:
+        return None
+    try:
+        _, (k1, k2), (v1, v2), _, _ = _surface(system, q_a, q_b, 1.0, 1.0)
+        ratio = -(k1 + k2) / (v1 + v2)
+        # A negative ratio to a fractional power would be a complex number.
+        if not 0.0 < ratio < math.inf:
+            return None
+        scale = ratio ** (1.0 / (alpha + beta))
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return None
+    return scale, scale
+
+
 def _solve(system: NPlusOneSystem, q_a: float, q_b: float,
-           start: tuple[float, float] | None = None) -> tuple[Np1Solution, tuple]:
+           start: tuple[float, float] | None = None,
+           fallback: Callable[[], tuple[float, float]] | None = None,
+           ) -> tuple[Np1Solution, tuple]:
     """The minimum of E(r_aa, R0; q_a, q_b) one descent reaches from ``start``.
 
-    Without a start, the descent begins at the structural start of
-    _initial_guess.  Returns the solution and the _surface result at it.
+    Where that descent fails (NonConvergenceError or NoBindingError) and a
+    ``fallback`` is given, one more descent begins at fallback(), and its
+    error is the one raised.  Without a start the descent begins at the
+    virial start of homogeneous power laws, with the structural start of
+    _initial_guess as its fallback, or at the structural start itself where
+    the laws have no virial start.  Returns the solution and the _surface
+    result at it.
     """
     if not (0.0 < q_a < math.inf and 0.0 < q_b < math.inf):
         raise InputError("q_a and q_b must be positive and finite")
     if start is None:
-        start = _initial_guess(system, q_a, q_b)
-    r_aa, R0, surface, iters, res = _newton(system, q_a, q_b, *start)
+        start = _virial_start(system, q_a, q_b)
+        fallback = partial(_initial_guess, system, q_a, q_b)
+    try:
+        r_aa, R0, surface, iters, res = _newton(system, q_a, q_b, *(start or fallback()))
+    except (NonConvergenceError, NoBindingError):
+        if start is None or fallback is None:
+            raise
+        r_aa, R0, surface, iters, res = _newton(system, q_a, q_b, *fallback())
     p_a, P0, pap, r0p = _geometry(system, q_a, q_b, r_aa, R0)
     return Np1Solution(energy=surface[0], p_a=p_a, r_aa=r_aa, P0=P0, R0=R0,
                        p_a_prime=pap, r_0_prime=r0p, q_a=q_a, q_b=q_b,
@@ -422,8 +483,11 @@ def solve_et_np1(system: NPlusOneSystem, q_a: float, q_b: float) -> Np1Solution:
     """Solve the five-equation set at global quantum numbers (q_a, q_b).
 
     The solution is the minimum of E(r_aa, R0) that one damped Newton
-    descent reaches from the structural start of _initial_guess, so it is
-    always a point the improved method can quantize; n_roots is 1.
+    descent reaches, so it is always a point the improved method can
+    quantize; n_roots is 1.  The descent starts at the virial start of
+    homogeneous power laws, and from the structural start of _initial_guess
+    for other laws or where the first descent fails (NonConvergenceError
+    or NoBindingError); the error of that second descent is the one raised.
     """
     return _solve(system, q_a, q_b)[0]
 
@@ -485,9 +549,10 @@ def solve_iet_np1(system: NPlusOneSystem, spec: QuantumSpec) -> Np1Solution:
     (phi_a, phi_b) at the orbital minimum; the five-equation set is then
     solved at Q_a = phi_a*nu_a + lam_a and Q_b = phi_b*nu_b + lam_b by a
     descent that starts from the tangent prediction of the minimum there,
-    DosmNp1Report.radii, so only the orbital solve pays for a structural
-    start.  Where that descent fails (NonConvergenceError or
-    NoBindingError), it starts again from the orbital minimum itself.
+    DosmNp1Report.radii, so only the orbital solve pays for a cold start.
+    Where that descent fails (NonConvergenceError or NoBindingError), it
+    starts again from the orbital minimum itself, through the same fallback
+    of _solve that a cold solve uses.
     """
     if spec.relative_mode is None:
         raise InputError("split systems need a relative mode in the spec")
@@ -502,10 +567,9 @@ def solve_iet_np1(system: NPlusOneSystem, spec: QuantumSpec) -> Np1Solution:
     report = dosm_np1(system, lam_a, lam_b)
     phi_a, phi_b = report.phi_a, report.phi_b
     q_a, q_b = phi_a * nu_a + lam_a, phi_b * nu_b + lam_b
-    try:
-        solution, _ = _solve(system, q_a, q_b, report.radii(q_a, q_b))
-    except (NonConvergenceError, NoBindingError):
-        solution, _ = _solve(system, q_a, q_b, (report.orbital.r_aa, report.orbital.R0))
+    orbital = report.orbital
+    solution, _ = _solve(system, q_a, q_b, report.radii(q_a, q_b),
+                         lambda: (orbital.r_aa, orbital.R0))
     return replace(solution, phi_a=phi_a, phi_b=phi_b)
 
 

@@ -1,4 +1,4 @@
-"""Improved N_a+1 solves on two fixed sets of 600 random systems.
+"""Improved N_a+1 solves on three fixed sets of 600 random systems.
 
 Run it as a script; pytest does not collect it:
 
@@ -20,6 +20,13 @@ V_aa is one of a power law of either sign (exponent in [-1.5, -0.1] or
 [0.1, 2]), Coulomb, Gaussian, exponential, Yukawa, harmonic, or Gaussian
 plus harmonic; V_ab is drawn the same way with attractive powers only.
 Every internal and the relative (n, l) is drawn from 0-2.
+
+Set 3 is drawn from random.Random(3) and holds homogeneous systems only:
+T_a and T_b share one exponent alpha in [1, 2], and V_aa and V_ab share one
+exponent beta, drawn from [-1.5, -0.1], [0.1, 2], -1 or 2.  V_aa is
+attractive or repulsive, V_ab attractive (Coulomb at beta = -1, harmonic at
+beta = 2); strengths and N_a are drawn as in sets 1 and 2.  Sets 1 and 2
+draw no homogeneous system.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ from envtheory.errors import EnvTheoryError
 from envtheory.qnum import QuantumSpec
 from envtheory.solver_nplus1 import NPlusOneSystem, _hessian, _surface, solve_iet_np1
 
-SETS = (1, 2)
 SIZE = 600
 KINDS = ("power", "coulomb", "gaussian", "exponential", "yukawa", "harmonic",
          "gaussian+harmonic")
@@ -89,6 +95,38 @@ def random_set(seed: int) -> list[tuple[NPlusOneSystem, QuantumSpec]]:
     return out
 
 
+def _homogeneous_potential(rng: random.Random, beta: float, attractive: bool) -> laws.Law:
+    strength = rng.uniform(0.2, 5.0)
+    if attractive and beta == -1.0:
+        return laws.coulomb(strength)
+    if attractive and beta == 2.0:
+        return laws.harmonic(strength)
+    sign = 1.0 if attractive else -1.0
+    return laws.power(sign * math.copysign(strength, beta), beta)
+
+
+def homogeneous_set(seed: int) -> list[tuple[NPlusOneSystem, QuantumSpec]]:
+    """The SIZE (system, spec) pairs of one homogeneous set, in index order from 1."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(SIZE):
+        N_a = rng.randint(2, 8)
+        alpha = rng.uniform(1.0, 2.0)
+        beta = rng.choice((rng.uniform(-1.5, -0.1), rng.uniform(0.1, 2.0), -1.0, 2.0))
+        kinetic_a = laws.kinetic_power(rng.uniform(0.2, 5.0), alpha)
+        kinetic_b = laws.kinetic_power(rng.uniform(0.01, 5.0), alpha)
+        potential_aa = _homogeneous_potential(rng, beta, rng.choice((True, False)))
+        system = NPlusOneSystem(N_a, 3, kinetic_a, kinetic_b, potential_aa,
+                                _homogeneous_potential(rng, beta, True))
+        spec = QuantumSpec(3, tuple(_mode(rng) for _ in range(N_a - 1)), _mode(rng))
+        out.append((system, spec))
+    return out
+
+
+# The draw of each set, by its seed.
+SETS = {1: random_set, 2: random_set, 3: homogeneous_set}
+
+
 def outcome(system: NPlusOneSystem, spec: QuantumSpec) -> str:
     try:
         solution = solve_iet_np1(system, spec)
@@ -137,8 +175,8 @@ def main() -> None:
     if sys.argv[1:2] == ["--diff"]:
         diff(*sys.argv[2:4])
         return
-    for seed in SETS:
-        for index, (system, spec) in enumerate(random_set(seed), start=1):
+    for seed, draw in SETS.items():
+        for index, (system, spec) in enumerate(draw(seed), start=1):
             print(f"{seed}/{index} {outcome(system, spec)}", flush=True)
 
 

@@ -17,16 +17,16 @@ import math
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import minimize
 
 from envtheory import laws, repro, solver_nplus1
 from envtheory.errors import (DegenerateOrbitalError, InputError, NoBindingError,
                               EnvTheoryError)
 from envtheory.qnum import QuantumSpec, split_ground_spec
-from envtheory.solver_identical import IdenticalSystem, dosm_identical, solve_et
-from envtheory.solver_nplus1 import (NPlusOneSystem, atom_report, dosm_np1,
-                                     phi_pair, solve_atom, solve_et_np1,
+from envtheory.solver_identical import SCAN_HI, IdenticalSystem, dosm_identical, solve_et
+from envtheory.solver_nplus1 import (NEWTON_TOL, NPlusOneSystem, atom_report,
+                                     dosm_np1, phi_pair, solve_atom, solve_et_np1,
                                      solve_iet_np1)
 
 
@@ -283,6 +283,72 @@ def test_equal_masses_reduce_the_power_split_to_three_identical(beta, q):
     merged = IdenticalSystem(3, 3, split.kinetic_a, split.potential_aa)
     assert solve_et_np1(split, q, q).energy == pytest.approx(
         solve_et(merged, 2.0 * q).energy, rel=1e-12)
+
+
+@st.composite
+def _homogeneous_system(draw):
+    """(system, alpha, beta): T_a, T_b ~ p^alpha and V_aa, V_ab ~ r^beta.
+
+    V_ab is an attractive power, Coulomb or harmonic law; V_aa is any law
+    of the same exponent, attractive or repulsive.
+    """
+    alpha = draw(st.floats(1.2, 2.0))
+    kind = draw(st.sampled_from(["power", "coulomb", "harmonic"]))
+    beta = {"coulomb": -1.0, "harmonic": 2.0}.get(kind) or draw(
+        st.floats(-0.9, 2.0).filter(lambda b: abs(b) >= 0.05))
+    g_aa, g_ab = draw(st.floats(0.2, 5.0)), draw(st.floats(0.2, 5.0))
+    attractive = {"power": laws.power(math.copysign(g_ab, beta), beta),
+                  "coulomb": laws.coulomb(g_ab), "harmonic": laws.harmonic(g_ab)}[kind]
+    potential_aa = laws.power(draw(st.sampled_from([-1.0, 1.0])) * math.copysign(g_aa, beta),
+                              beta)
+    system = NPlusOneSystem(draw(st.integers(2, 6)), 3,
+                            laws.kinetic_power(draw(st.floats(0.2, 5.0)), alpha),
+                            laws.kinetic_power(draw(st.floats(0.01, 5.0)), alpha),
+                            potential_aa, attractive)
+    return system, alpha, beta
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_homogeneous_system(), q_a=st.floats(0.5, 8.0), q_b=st.floats(0.5, 3.0),
+       s=st.floats(0.2, 5.0))
+def test_homogeneous_minima_scale_with_the_quantum_numbers(case, q_a, q_b, s):
+    # E(lam r_aa, lam R0; s q_a, s q_b) = s^alpha lam^-alpha K + lam^beta V,
+    # so lam = s^(alpha/(alpha+beta)) maps the minimum at (q_a, q_b) onto
+    # the minimum at (s q_a, s q_b), and E scales by s^(alpha beta/(alpha+beta)).
+    system, alpha, beta = case
+    try:
+        base = solve_et_np1(system, q_a, q_b)
+    except EnvTheoryError:
+        assume(False)
+    length = s ** (alpha / (alpha + beta))
+    # A descent that carries a radius beyond SCAN_HI reports no binding, so
+    # the scaled minimum must lie inside that range.
+    assume(length * max(base.r_aa, base.R0) < SCAN_HI)
+    scaled = solve_et_np1(system, s * q_a, s * q_b)
+    assert scaled.energy == pytest.approx(s ** (alpha * beta / (alpha + beta)) * base.energy,
+                                          rel=1e-12)
+    # The descents stop once the scaled residuals are below NEWTON_TOL, which
+    # fixes a radius on the flat floor of E to about that relative size.
+    assert scaled.r_aa == pytest.approx(length * base.r_aa, rel=10 * NEWTON_TOL)
+    assert scaled.R0 == pytest.approx(length * base.R0, rel=10 * NEWTON_TOL)
+
+
+@pytest.mark.parametrize("table, build, keys, alpha", [
+    (2, repro.build_uroh, ("kappa",), 1.0),
+    (3, repro.build_power, ("m", "beta"), 2.0),
+])
+def test_ground_rows_scale_from_their_orbital_minimum(table, build, keys, alpha):
+    # A ground row's ET solve at (1.5, 1.5) is its orbital solve at
+    # (0.5, 0.5) scaled by s = 3.
+    rows = [rec for _, rec in repro.table_fixtures(table)
+            if all(float(rec.get(k, 0.5)) == 0.5 for k in ("nu_a", "lam_a", "nu_b", "lam_b"))]
+    assert rows
+    for rec in rows:
+        system = build(*(float(rec[k]) for k in keys))
+        beta = laws.power_parameters(system.potential_aa)[1]
+        orbital = dosm_np1(system, 0.5, 0.5).orbital
+        assert solve_et_np1(system, 1.5, 1.5).energy == pytest.approx(
+            3.0 ** (alpha * beta / (alpha + beta)) * orbital.energy, rel=1e-12)
 
 
 def test_helium_reference_binding():

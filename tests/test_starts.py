@@ -1,16 +1,20 @@
 """Where the N_a+1 descents start, and what those starts cost.
 
-A plain solve starts from structure: the identical block alone gives r_aa,
-unless the block cannot bind; for a decreasing power-law block the
-identical solver says so without a scan.  The improved solve starts its
-deformed descent from the tangent prediction of the minimum, taken at the
-orbital minimum it has just found, so it pays for one structural start, not
-two, and falls back on the orbital minimum itself where that descent fails.
-The two-body R0 of the structural start is walked to where its residual
-provably changes sign once, and scanned for otherwise.
+A plain solve of homogeneous power laws (T_a and T_b of one exponent, V_aa
+and V_ab of another) starts at the virial start: the minimum of E along the
+scale through the unit shape, read off one surface evaluation.  Other laws,
+and a virial descent that fails, start from structure: the identical block
+alone gives r_aa, unless the block cannot bind; for a decreasing power-law
+block the identical solver says so without a scan.  The improved solve
+starts its deformed descent from the tangent prediction of the minimum,
+taken at the orbital minimum it has just found, so it pays for at most one
+structural start, and falls back on the orbital minimum itself where that
+descent fails.  The two-body R0 of the structural start is walked to where
+its residual provably changes sign once, and scanned for otherwise.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,6 +104,9 @@ def test_a_block_that_may_bind_is_scanned(monkeypatch, potential):
 
 
 def test_an_improved_solve_makes_one_structural_start(monkeypatch):
+    # Helium's laws are homogeneous, so its orbital solve starts at the
+    # virial start; with a relativistic nucleus they are not, and the
+    # orbital solve pays for the one structural start.
     calls = []
     original = solver_nplus1._initial_guess
 
@@ -108,7 +115,11 @@ def test_an_improved_solve_makes_one_structural_start(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(solver_nplus1, "_initial_guess", counted)
-    solve_iet_np1(_helium(), spec_from_filling(fgs_fill(2, 3, 2, 2.0)))
+    spec = spec_from_filling(fgs_fill(2, 3, 2, 2.0))
+    helium = _helium()
+    solve_iet_np1(helium, spec)
+    assert calls == []
+    solve_iet_np1(replace(helium, kinetic_b=laws.kinetic_power(1.0, 1.0)), spec)
     assert len(calls) == 1
 
 
@@ -143,33 +154,28 @@ def test_reproducing_the_tables_stays_within_its_scan_budget(monkeypatch):
     # that cannot bind, 20,658 with the power-law compact set solved in
     # closed form, and none once the two-body R0 of every table's power
     # laws is walked to.  The walk took 2,522 evaluations while it bisected
-    # its bracket, and takes 575 with the regula falsi polish.
+    # its bracket, and 575 with the regula falsi polish.  Every N_a+1 system
+    # of the tables is homogeneous, so each cold descent now starts at the
+    # virial start: no structural start, and with it no walk.
     scans = [_count_scans(monkeypatch, module) for module in (solver_identical, solver_nplus1)]
-    walked = [0]
-
-    def walk(fn, x, lo, hi):
-        def residual(R):
-            walked[0] += 1
-            return fn(R)
-        return rootscan.walk_root(residual, x, lo, hi)
-
-    monkeypatch.setattr(solver_nplus1, "walk_root", walk)
-    repro.run_table(1)
-    assert scans == [[], []] and walked[0] == 0
+    walks, guesses = [], []
+    monkeypatch.setattr(solver_nplus1, "walk_root",
+                        lambda *args: walks.append(args) or rootscan.walk_root(*args))
+    original = solver_nplus1._initial_guess
+    monkeypatch.setattr(solver_nplus1, "_initial_guess",
+                        lambda *args: guesses.append(args) or original(*args))
     repro.run_all()
-    assert scans == [[], []]
-    assert 0 < walked[0] <= 1_000
+    assert scans == [[], []] and walks == [] and guesses == []
 
 
-def _count_deformed_iterations(monkeypatch):
-    """Iterations of the descents that start from a given point: the deformed ones."""
-    iterations = []
+def _count_iterations(monkeypatch):
+    """Descent iterations, as [deformed, cold]: the deformed descents are given a start."""
+    iterations = [[], []]
     original = solver_nplus1._solve
 
-    def counted(system, q_a, q_b, start=None):
-        solution, surface = original(system, q_a, q_b, start)
-        if start is not None:
-            iterations.append(solution.iterations)
+    def counted(system, q_a, q_b, start=None, fallback=None):
+        solution, surface = original(system, q_a, q_b, start, fallback)
+        iterations[start is None].append(solution.iterations)
         return solution, surface
 
     monkeypatch.setattr(solver_nplus1, "_solve", counted)
@@ -179,15 +185,25 @@ def _count_deformed_iterations(monkeypatch):
 def test_deformed_descents_in_the_tables_stay_within_their_budget(monkeypatch):
     # 160 iterations per run_all() from the orbital minimum, 68 from its
     # tangent prediction, with none falling back.
-    iterations = _count_deformed_iterations(monkeypatch)
+    deformed, _ = _count_iterations(monkeypatch)
     repro.run_all()
-    assert 0 < sum(iterations) <= 90
+    assert 0 < sum(deformed) <= 90
+
+
+def test_cold_descents_in_the_tables_stay_within_their_budget(monkeypatch):
+    # 309 iterations per run_all() from the structural start, 263 from the
+    # virial start.
+    _, cold = _count_iterations(monkeypatch)
+    repro.run_all()
+    assert 0 < sum(cold) <= 280
 
 
 def test_the_predicted_start_costs_no_surface_evaluation(monkeypatch):
     # The DOSM constants and the tangent predictor read the orbital point's
     # Hessian off the surface its descent last evaluated, so every _surface
-    # call of an improved solve is made by one of its two descents.
+    # call of an improved solve is made by one of its descents, except the
+    # one evaluation at the unit shape that gives a homogeneous system's
+    # cold (orbital) solve its virial start.
     calls, depth = {"descent": 0, "other": 0}, [0]
     surface, newton = solver_nplus1._surface, solver_nplus1._newton
 
@@ -205,11 +221,12 @@ def test_the_predicted_start_costs_no_surface_evaluation(monkeypatch):
     monkeypatch.setattr(solver_nplus1, "_surface", counted_surface)
     monkeypatch.setattr(solver_nplus1, "_newton", counted_newton)
     solve_iet_np1(_helium(), spec_from_filling(fgs_fill(2, 3, 2, 2.0)))
-    for label, rec in repro.table_fixtures(3):
+    rows = repro.table_fixtures(3)
+    for label, rec in rows:
         aggregates = [float(rec.get(k, 0.5)) for k in ("nu_a", "lam_a", "nu_b", "lam_b")]
         solve_iet_np1(repro.build_power(float(rec["m"]), float(rec["beta"])),
                       repro.split_spec(3, 2, *aggregates))
-    assert calls["other"] == 0 and calls["descent"] > 0
+    assert calls["other"] == 1 + len(rows) and calls["descent"] > 0
 
 
 def test_a_failed_predicted_descent_falls_back_on_the_orbital_minimum():
@@ -232,6 +249,72 @@ def test_a_failed_predicted_descent_falls_back_on_the_orbital_minimum():
     assert solution.energy == orbital_start.energy
     assert solution.energy == pytest.approx(-0.5335359740199523, rel=1e-12)
     assert (solution.r_aa, solution.R0) == (orbital_start.r_aa, orbital_start.R0)
+
+
+def test_a_failed_virial_descent_falls_back_on_the_structural_start():
+    # The orbital solve of system 3/569 of tests/np1_random_set.py, a
+    # weakly bound ion: from the virial start E falls toward infinite
+    # separation, while the descent from the structural start reaches the
+    # minimum it reached before the virial start.
+    system = NPlusOneSystem(6, 3, laws.kinetic_power(1.9101998564329037, 1.056169838887955),
+                            laws.kinetic_power(3.0676861424939337, 1.056169838887955),
+                            laws.power(1.0684598966248575, -1.0),
+                            laws.coulomb(4.489845358884624))
+    q_a, q_b = 7.5, 0.5
+    start = solver_nplus1._virial_start(system, q_a, q_b)
+    assert start is not None
+    with pytest.raises(NoBindingError):
+        solver_nplus1._newton(system, q_a, q_b, *start)
+    r_aa, R0, surface, _, _ = solver_nplus1._newton(
+        system, q_a, q_b, *solver_nplus1._initial_guess(system, q_a, q_b))
+    solution = solve_et_np1(system, q_a, q_b)
+    assert (solution.energy, solution.r_aa, solution.R0) == (surface[0], r_aa, R0)
+    assert solution.energy == pytest.approx(-0.004288316907305717, rel=1e-12)
+
+
+@pytest.mark.parametrize("system", [
+    # A power of each law, but two kinetic exponents.
+    NPlusOneSystem(2, 3, laws.kinetic_power(0.5, 2.0), laws.kinetic_power(1.0, 1.0),
+                   laws.power(1.0, -1.0), laws.coulomb(2.0)),
+    # Two potential exponents.
+    NPlusOneSystem(2, 3, laws.kinetic_power(0.5, 2.0), laws.kinetic_power(0.5, 2.0),
+                   laws.harmonic(1.0), laws.coulomb(2.0)),
+    # alpha + beta = 0: E does not scale toward a minimum.
+    NPlusOneSystem(2, 3, laws.kinetic_power(1.0, 1.0), laws.kinetic_power(1.0, 1.0),
+                   laws.power(1.0, -1.0), laws.coulomb(2.0)),
+    # A law that is no power.
+    NPlusOneSystem(2, 3, laws.kinetic_power(0.5, 2.0), laws.kinetic_power(0.5, 2.0),
+                   laws.gaussian_well(5.0, 1.0), laws.harmonic(1.0)),
+    # V > 0 at the unit shape: a repulsive block outweighs the nucleus.
+    solver_nplus1._atom_system(1.0, 8, 1836.0),
+], ids=["two-kinetic-exponents", "two-potential-exponents", "alpha+beta=0",
+        "gaussian", "repulsive"])
+def test_only_homogeneous_laws_with_a_scale_minimum_have_a_virial_start(system):
+    assert solver_nplus1._virial_start(system, 1.5, 1.5) is None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(alpha=st.floats(1.0, 2.0), beta=st.floats(-0.9, 2.0).filter(lambda b: abs(b) >= 0.05),
+       N_a=st.integers(2, 6), q_a=st.floats(0.5, 10.0), q_b=st.floats(0.5, 5.0),
+       strengths=st.tuples(*[st.floats(0.2, 5.0)] * 4))
+def test_the_virial_start_is_the_minimum_along_the_scale(alpha, beta, N_a, q_a, q_b,
+                                                         strengths):
+    # E(lam, lam) = lam^-alpha K + lam^beta V has its one minimum there: the
+    # log slope of E along the scale vanishes and E lies below its
+    # neighbours on either side.
+    F_a, F_b, g_aa, g_ab = strengths
+    system = NPlusOneSystem(N_a, 3, laws.kinetic_power(F_a, alpha),
+                            laws.kinetic_power(F_b, alpha),
+                            laws.power(math.copysign(g_aa, beta), beta),
+                            laws.power(math.copysign(g_ab, beta), beta))
+    lam, lam_R = solver_nplus1._virial_start(system, q_a, q_b)
+    assert lam == lam_R
+    energy, kinetic, potential, _, _ = solver_nplus1._surface(system, q_a, q_b, lam, lam)
+    slope = sum(kinetic) + sum(potential)
+    assert abs(slope) <= 1e-12 * (abs(sum(kinetic)) + abs(sum(potential)))
+    for factor in (0.99, 1.01):
+        assert solver_nplus1._surface(system, q_a, q_b, lam * factor,
+                                      lam * factor)[0] > energy
 
 
 def _scanned_start(system, q_a, q_b):
