@@ -176,6 +176,10 @@ def bgs(N: int, D: int, phi: float = 2.0) -> GroundStateResult:
                              q_phi=phi * nu + lam)
 
 
+# The most levels fgs_fill lists, which bounds its time and memory at any N and phi.
+MAX_FILL_LEVELS = 100_000
+
+
 def fgs_fill(N: int, D: int, d: int, phi: float = 2.0) -> GroundStateResult:
     """Fermionic ground state by filling levels in key order.
 
@@ -187,6 +191,9 @@ def fgs_fill(N: int, D: int, d: int, phi: float = 2.0) -> GroundStateResult:
     (n, l+1), plus (n+1, 0) when l = 0.  Every level sorts after the one
     that pushes it, so levels pop in fill order.  The walk stops at the level
     that takes the last particle, so it pops at most N levels at any phi.
+    A filling that would list more than MAX_FILL_LEVELS levels (only
+    possible for N above that number; at small phi each level holds few
+    particles) raises InputError: its time and memory grow with the levels.
     This is the defining routine for non-integer phi; at phi = 2 and phi = 1
     it must agree with the closed forms of fgs_closed.
     """
@@ -204,7 +211,9 @@ def fgs_fill(N: int, D: int, d: int, phi: float = 2.0) -> GroundStateResult:
     left = N
     n_sum = 0
     l_sum = 0
-    while left:
+    # Each level holds at least one particle, so the count needs no check
+    # unless N exceeds the bound.
+    for _ in range(min(N, MAX_FILL_LEVELS)):
         _, n, l = heapq.heappop(heap)
         push(n, l + 1)
         if l == 0:
@@ -214,6 +223,11 @@ def fgs_fill(N: int, D: int, d: int, phi: float = 2.0) -> GroundStateResult:
         n_sum += occ * n
         l_sum += occ * l
         left -= occ
+        if not left:
+            break
+    else:
+        raise InputError(f"the filling of N = {N} at phi = {phi:g} lists more than "
+                         f"{MAX_FILL_LEVELS} levels; fgs_approx estimates its Q")
     nu = n_sum + 0.5 * (N - 1)
     lam = l_sum + 0.5 * (D - 2) * (N - 1)
     return GroundStateResult(N=N, D=D, phi=phi, statistics="fermion", d=d,

@@ -18,6 +18,16 @@ An exactly-zero sample is a root only when both of its neighbours are
 nonzero: next to another zero, the residual vanishes on the whole bracket
 or both of its terms have underflowed, and neither is a root.
 
+The grids depend on the range alone: each of a range's three grids (the
+range and its two widenings) is built once and serves every later scan of
+that range.  A caller that knows the residual's signs more cheaply than by
+sampling it hands them to find_roots as grid values (the identical solver
+reads them off a level, K(Q) against one sample of g(rho)).  The scan reads
+only their signs, zeros and holes: it compares signs rather than testing
+a product, which two tiny samples could underflow to zero, and evaluates fn
+itself at the two ends of each bracket before the polish, so the roots are
+those that sampling fn finds, bit for bit.
+
 An equation known to change sign exactly once needs no grid: walk_root
 steps from a start by factors of 4 until the sign changes, over the range
 the scan would end on, and polishes that one bracket the same way.
@@ -26,6 +36,7 @@ the scan would end on, and polishes that one bracket the same way.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable
 
 from .errors import NoRootError
@@ -85,40 +96,58 @@ def _polish(fn: Callable[[float], float], a: float, fa: float,
             b, fb, wb, moved = m, fm, 1.0, 1
 
 
-def find_roots(fn: Callable[[float], float], lo: float, hi: float) -> list[float]:
+@lru_cache(maxsize=8)
+def _grid(lo: float, hi: float, attempt: int) -> tuple[float, ...]:
+    """The grid find_roots(fn, lo, hi) samples on its given attempt (0, 1, 2)."""
+    for _ in range(attempt):
+        lo /= _EXPAND_FACTOR
+        hi *= _EXPAND_FACTOR
+    n = _PANELS * (attempt + 1)
+    step = math.log(hi / lo) / n
+    return tuple([lo] + [lo * math.exp(step * i) for i in range(1, n)] + [hi])
+
+
+def find_roots(fn: Callable[[float], float], lo: float, hi: float,
+               values: Callable[[tuple[float, ...]], list[float]] | None = None
+               ) -> list[float]:
     """All roots of ``fn`` found by sign-change bracketing on [lo, hi] (0 < lo < hi).
 
     On failure the range is widened by a factor 1e4 on both ends, up to two
     times (with the panel count scaled to keep the grid density), before a
     NoRootError with a sampled trace is raised.  An exactly-zero sample next
     to another one is not a root.
+
+    ``values``, where given, returns for a grid the values the scan reads in
+    place of fn's samples: they must have fn's signs, zeros and holes (NaN),
+    and nothing else of them is read.  fn is then evaluated at the two ends
+    of each bracket, so the polish starts from fn's own values, and at the
+    points of the failure trace.
     """
-    trace: list[tuple[float, float]] = []
     for attempt in range(_EXPANSIONS + 1):
-        if attempt:
-            lo /= _EXPAND_FACTOR
-            hi *= _EXPAND_FACTOR
-        n = _PANELS * (attempt + 1)
-        step = math.log(hi / lo) / n
-        grid = [lo] + [lo * math.exp(step * i) for i in range(1, n)] + [hi]
-        vals = [_sample(fn, x) for x in grid]
+        grid = _grid(lo, hi, attempt)
+        vals = [_sample(fn, x) for x in grid] if values is None else values(grid)
         roots: list[float] = []
-        for i in range(n):
+        for i in range(len(grid) - 1):
             fa, fb = vals[i], vals[i + 1]
-            if math.isnan(fa) or math.isnan(fb):
-                continue
+            if fa * fb > 0.0 or math.isnan(fa) or math.isnan(fb):
+                continue  # one sign on both ends, or a hole
             if fa == 0.0:
                 if fb != 0.0 and (i == 0 or vals[i - 1] != 0.0):
                     roots.append(grid[i])
-            elif fa * fb < 0.0:
-                roots.append(_polish(fn, grid[i], fa, grid[i + 1], fb))
+            elif fb != 0.0 and (fa < 0.0) != (fb < 0.0):
+                a, b = grid[i], grid[i + 1]
+                if values is not None:
+                    fa, fb = fn(a), fn(b)
+                roots.append(_polish(fn, a, fa, b, fb))
         if vals[-1] == 0.0 and vals[-2] != 0.0:
             roots.append(grid[-1])
         if roots:
             return roots
-        trace = [(grid[i], vals[i]) for i in range(0, n + 1, max(1, n // 16))]
+    n = len(grid) - 1
+    trace = [(grid[i], vals[i] if values is None else _sample(fn, grid[i]))
+             for i in range(0, n + 1, max(1, n // 16))]
     raise NoRootError(
-        f"no sign change on the scanned range up to [{lo:.3g}, {hi:.3g}]",
+        f"no sign change on the scanned range up to [{grid[0]:.3g}, {grid[-1]:.3g}]",
         trace=trace)
 
 

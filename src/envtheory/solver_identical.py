@@ -11,10 +11,13 @@ rho0, with C2 = N(N-1)/2 interacting pairs:
 The quantization condition eliminates p0, leaving one equation in rho0.  For
 two power laws T = c p^a and V = c' r^b it is a power balance, decided in
 closed form: its one root, or NoRootError where it has none.  Every other
-pair of laws is solved by the root scan.  The improved variant deforms the
-global quantum number to Q_phi = phi*nu + lam, with phi extracted by
-quantizing small radial oscillations around the purely orbital solution (Q
-replaced by lam alone).
+pair of laws is solved by the root scan; where T is a power c p^a, the
+scan reads the residual's signs off a level, K(Q) against one sample of
+g(rho) = C2 V'(rho) rho^(1+a), which the two solves of the improved variant
+share; each root is a crossing of g with the level K(Q).  The
+improved variant deforms the global quantum number to Q_phi = phi*nu + lam,
+with phi extracted by quantizing small radial oscillations around the
+purely orbital solution (Q replaced by lam alone).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from . import laws
 from .errors import (DegenerateOrbitalError, InputError, NoRootError,
                      UnstableOrbitalError, UnsupportedRegimeError)
 from .qnum import QuantumSpec
-from .rootscan import find_roots
+from .rootscan import _sample, find_roots
 
 __all__ = [
     "IdenticalSystem",
@@ -183,6 +186,114 @@ def _power_root(system: IdenticalSystem, Q: float,
     return rho0
 
 
+# Unit roundoff of a double.
+_U = 2.0 ** -53
+# Where the level reading applies, every intermediate of the motion residual
+# is a normal float: c a, N c a and p0 lie within 2^+-100, N T'(p0) p0
+# within 2^+-800, and (Q/sqrt(C2))^a, K, rho^a and |C2 V'(rho) rho| within
+# 2^+-1000.
+_WIDE = 2.0 ** 100
+_LHS = 2.0 ** 800
+_HUGE = 2.0 ** 1000
+_TINY = 2.0 ** -1000
+# Largest kinetic exponent read as a level, so that its error terms stay
+# first order.
+_MAX_A = 2.0 ** 20
+
+
+class _Levels:
+    """g(rho) = C2 V'(rho) rho^(1+a) on the scan's grids, for T = c p^a.
+
+    The motion residual is N T'(p0) p0 - C2 V'(rho) rho = rho^-a (K - g(rho))
+    with K(Q) = N c a (Q/sqrt(C2))^a, so its sign at a grid point is the sign
+    of K - g there, and g, sampled once per grid, serves every Q.
+
+    Rounding (u = 2^-53): the residual's first term is K rho^-a to within
+    (2a + 6) u relative: p0 carries two roundings, raised to the power a;
+    c a, p0^(a-1) (one ulp) and three products add one each; where a < 0.5,
+    a - 1 rounds too, which costs |a - 1| u |ln p0| < 70 u.  The computed K is
+    exact to within (a + 5) u and rho^a to within 2 u, so the first term
+    times rho^a is K (1 + eta) with |eta| <= (3a + 13 [+ 70]) u; the second
+    term times rho^a is g to within u |g|.  The residual has the sign of
+    their difference, so it has the sign of K - g, and is too large for the
+    four-epsilon zero rule (8 u of the first term), wherever
+    |K - g| > (eta + 10 u) K + 2 u |g|.  With eps = (3a + 23 [+ 70]) u the
+    reading takes the sign where g < K (1 - 2 eps) or g > K (1 + 2 eps):
+    twice that bound, which also covers second-order terms and the rounding
+    of both thresholds.  Everywhere else (a level too close to call, g not
+    finite, a term outside the normal range) the residual itself is
+    evaluated, so the scan reads exactly the signs, zeros and holes that
+    sampling the residual would give.
+    """
+
+    def __init__(self, system: IdenticalSystem, c: float, a: float) -> None:
+        self.c2 = pair_count(system.N)
+        self.sq = math.sqrt(self.c2)
+        self.d1 = system.potential.d1
+        self.a = a
+        self.nca = system.N * c * a
+        self.eps = (3.0 * a + 23.0 + (70.0 if a < 0.5 else 0.0)) * _U
+        self.grids: dict[tuple[float, int], tuple[list[float], list[float]]] = {}
+
+    def _sampled(self, grid: tuple[float, ...]) -> tuple[list[float], list[float]]:
+        """g and rho^a on the grid; g is NaN where it cannot stand in for the residual."""
+        key = (grid[0], len(grid))
+        if key not in self.grids:
+            c2, d1, a = self.c2, self.d1, self.a
+            gs, ras = [], []
+            for rho in grid:
+                try:
+                    rhs = c2 * d1(rho) * rho  # the residual's second term, as motion has it
+                    ra = rho ** a
+                except (OverflowError, ValueError, ZeroDivisionError):
+                    rhs = ra = math.nan
+                g = rhs * ra
+                if not (abs(rhs) <= _HUGE and _TINY <= ra <= _HUGE and abs(g) < math.inf):
+                    g = math.nan
+                gs.append(g)
+                ras.append(ra)
+            self.grids[key] = gs, ras
+        return self.grids[key]
+
+    def reader(self, Q: float, motion: Callable[[float], float]
+               ) -> Callable[[tuple[float, ...]], list[float]] | None:
+        """find_roots' grid values at Q: K - g where its sign is certain, else motion.
+
+        None where K itself leaves the normal range: then every grid point
+        is sampled.
+        """
+        qs = Q / self.sq
+        try:
+            qa = qs ** self.a
+        except OverflowError:
+            return None
+        K = self.nca * qa
+        if not (_TINY <= qa <= _HUGE and _TINY <= K <= _HUGE):
+            return None
+        below, above = K * (1.0 - 2.0 * self.eps), K * (1.0 + 2.0 * self.eps)
+        ra_lo, ra_hi = K / _LHS, K * _LHS
+
+        def values(grid: tuple[float, ...]) -> list[float]:
+            if not (qs / grid[-1] >= 1.0 / _WIDE and qs / grid[0] <= _WIDE):
+                return [_sample(motion, x) for x in grid]
+            gs, ras = self._sampled(grid)
+            return [K - g if (g < below or g > above) and ra_lo <= ra <= ra_hi
+                    else _sample(motion, x) for x, g, ra in zip(grid, gs, ras)]
+
+        return values
+
+
+def _levels(system: IdenticalSystem) -> _Levels | None:
+    """The level reading of a system whose kinetic law is a power, else None."""
+    kin = laws.power_parameters(system.kinetic)
+    if kin is None:
+        return None
+    c, a = kin
+    if not (0.0 < a <= _MAX_A and c * a >= 1.0 / _WIDE and system.N * c * a <= _WIDE):
+        return None
+    return _Levels(system, c, a)
+
+
 def solve_et(system: IdenticalSystem, Q: float) -> EtSolution:
     """Solve the compact set at global quantum number Q.
 
@@ -193,7 +304,23 @@ def solve_et(system: IdenticalSystem, Q: float) -> EtSolution:
     residual within four machine epsilons (4 * 2^-52) of its terms counts as
     zero (so a balance that vanishes identically raises NoRootError).  If several roots exist,
     all are kept in ascending energy and the lowest-energy one is returned.
+
+    For a power kinetic law T = c p^a the residual is rho^-a (K(Q) - g(rho)),
+    and the scan reads its sign at each grid point off K - g, with g sampled
+    once per grid (_Levels).  The residual itself is evaluated at each
+    bracket's ends, for the polish, and wherever K - g lies within a margin
+    of twice the rounding both sides can carry: that margin holds every
+    point where the rounding could flip the sign or the four-epsilon rule
+    could set the residual to zero, so the scan reads the signs, zeros and
+    holes that sampling the residual gives, and finds the same roots bit
+    for bit.  It is evaluated too where g is not finite or a term of the
+    residual leaves the normal float range.
     """
+    return _solve_et(system, Q, _levels(system))
+
+
+def _solve_et(system: IdenticalSystem, Q: float, levels: _Levels | None) -> EtSolution:
+    """solve_et, reading scan brackets off ``levels`` where it is given."""
     if not 0.0 < Q < math.inf:
         raise InputError("Q must be positive and finite")
     N, T, V = system.N, system.kinetic, system.potential
@@ -210,7 +337,11 @@ def solve_et(system: IdenticalSystem, Q: float) -> EtSolution:
         return 0.0 if abs(diff) <= 4.0 * 2.0 ** -52 * abs(lhs) < math.inf else diff
 
     root = _power_root(system, Q, motion)
-    roots = [root] if root is not None else find_roots(motion, SCAN_LO, SCAN_HI)
+    if root is not None:
+        roots = [root]
+    else:
+        values = levels.reader(Q, motion) if levels is not None else None
+        roots = find_roots(motion, SCAN_LO, SCAN_HI, values)
     found = []
     for rho in roots:
         p0 = Q / (sq * rho)
@@ -262,11 +393,17 @@ def dosm_identical(system: IdenticalSystem, lam: float) -> DosmIdenticalReport:
     and matching its spectrum against the first-order response of the energy
     to a quantum-number increase yields the deformation parameter phi.
     """
+    return _dosm_identical(system, lam, _levels(system))
+
+
+def _dosm_identical(system: IdenticalSystem, lam: float,
+                    levels: _Levels | None) -> DosmIdenticalReport:
+    """dosm_identical, its orbital solve reading scan brackets off ``levels``."""
     if not 0.0 < lam < math.inf:
         raise InputError("lam must be positive and finite")
     N, T, V = system.N, system.kinetic, system.potential
     c2 = pair_count(N)
-    orbital = solve_et(system, lam)
+    orbital = _solve_et(system, lam, levels)
     rho0, p0 = orbital.rho0, orbital.p0
     t1 = T.d1(p0)
     mu = p0 / (N * t1)
@@ -292,7 +429,8 @@ def solve_iet(system: IdenticalSystem, spec: QuantumSpec) -> EtSolution:
     """Improved solve: deform the global quantum number and re-solve.
 
     The state's own aggregates (nu, lam) fix phi; the compact set is then
-    solved at Q_phi = phi*nu + lam.  The variational character is only
+    solved at Q_phi = phi*nu + lam.  Both solves read their scan brackets
+    off one sample of the potential.  The variational character is only
     preserved when phi happens to equal 2.
     """
     if len(spec.internal_modes) != system.N - 1:
@@ -302,8 +440,9 @@ def solve_iet(system: IdenticalSystem, spec: QuantumSpec) -> EtSolution:
     if lam == 0.0:
         raise DegenerateOrbitalError(
             "lam = 0: the orbital-only set degenerates (D = 2 with all l = 0)")
-    phi = phi_identical(system, lam)
-    solution = solve_et(system, phi * nu + lam)
+    levels = _levels(system)
+    phi = _dosm_identical(system, lam, levels).phi
+    solution = _solve_et(system, phi * nu + lam, levels)
     if abs(phi - 2.0) > 1e-12:
         solution = replace(solution, variational="unknown")
     return replace(solution, phi=phi)

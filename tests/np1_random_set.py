@@ -6,11 +6,14 @@ Run it as a script; pytest does not collect it:
     PYTHONPATH=src python tests/np1_random_set.py --diff before.txt after.txt
 
 The first form prints one line per system, "set/index outcome", where the
-outcome is "min E r_aa R0 iterations" for a returned point where the
-Hessian of E is positive definite, "saddle E r_aa R0 iterations" for any
-other returned point, or the error class and message.  The second compares
-two such listings: minima gained and lost, failure classes moved, and
-minima whose energy moved beyond 1e-8 relative, each by set/index.
+outcome is "min E r_aa R0 iterations orbital" for a returned point where
+the Hessian of E is positive definite, "saddle E r_aa R0 iterations
+orbital" for any other returned point, or the error class and message;
+iterations are the deformed descent's, orbital those of the orbital solve
+it starts from.  The second compares two such listings: minima gained and
+lost, failure classes moved, and minima whose energy moved beyond 1e-8
+relative, each by set/index, and the iterations of both descents summed
+over the returned solves.
 
 Sets 1 and 2 are drawn from random.Random(1) and random.Random(2); every
 draw, strengths included, comes from that generator, so a listing depends
@@ -38,7 +41,8 @@ import sys
 from envtheory import laws
 from envtheory.errors import EnvTheoryError
 from envtheory.qnum import QuantumSpec
-from envtheory.solver_nplus1 import NPlusOneSystem, _hessian, _surface, solve_iet_np1
+from envtheory.solver_nplus1 import (NPlusOneSystem, _hessian, _surface, dosm_np1,
+                                     solve_iet_np1)
 
 SIZE = 600
 KINDS = ("power", "coulomb", "gaussian", "exponential", "yukawa", "harmonic",
@@ -132,11 +136,13 @@ def outcome(system: NPlusOneSystem, spec: QuantumSpec) -> str:
         solution = solve_iet_np1(system, spec)
     except EnvTheoryError as exc:
         return f"{type(exc).__name__} {exc}"
+    # The orbital solve solve_iet_np1 made, run again: the same descent.
+    orbital = dosm_np1(system, spec.lam, spec.lam_b).orbital
     h11, h12, h22 = _hessian(_surface(system, solution.q_a, solution.q_b,
                                       solution.r_aa, solution.R0))
     minimum = h11 > 0.0 and h11 * h22 - h12 * h12 > 0.0
     return (f"{'min' if minimum else 'saddle'} {solution.energy!r} {solution.r_aa!r} "
-            f"{solution.R0!r} {solution.iterations}")
+            f"{solution.R0!r} {solution.iterations} {orbital.iterations}")
 
 
 def _read(path: str) -> dict[str, list[str]]:
@@ -149,12 +155,13 @@ def diff(before_path: str, after_path: str) -> None:
     before, after = _read(before_path), _read(after_path)
     moved = {"minimum gained": [], "minimum lost": [], "failure class moved": [],
              "energy moved": []}
-    iterations = [0, 0]
+    iterations = [[0, 0], [0, 0]]  # [deformed, orbital] before and after
     for key, old in before.items():
         new = after[key]
         for i, fields in enumerate((old, new)):
             if fields[0] in ("min", "saddle"):
-                iterations[i] += int(fields[4])
+                iterations[i][0] += int(fields[4])
+                iterations[i][1] += int(fields[5])
         if (old[0] == "min") != (new[0] == "min"):
             moved["minimum gained" if new[0] == "min" else "minimum lost"].append(
                 f"{key} ({old[0]} -> {new[0]})")
@@ -168,7 +175,9 @@ def diff(before_path: str, after_path: str) -> None:
         print(f"{what}: {len(keys)}" + (": " + ", ".join(keys) if keys else ""))
     minima = [sum(f[0] == "min" for f in side.values()) for side in (before, after)]
     print(f"minima: {minima[0]} -> {minima[1]}")
-    print(f"iterations of returned solves: {iterations[0]} -> {iterations[1]}")
+    (deformed, orbital), (deformed_after, orbital_after) = iterations
+    print(f"iterations of returned solves: deformed {deformed} -> {deformed_after}, "
+          f"orbital {orbital} -> {orbital_after}")
 
 
 def main() -> None:

@@ -464,6 +464,15 @@ def test_usage_errors_exit_two(capsys):
     assert rc == 2
 
 
+def test_a_filling_with_too_many_levels_exits_two(capsys):
+    # A billion fermions at phi = 1e-9 would list about a billion levels.
+    rc, out, err = _run(capsys, "fgs", "--n", "1000000000", "--phi", "1e-9")
+    assert rc == 2 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "InputError"
+    assert "levels" in record["message"]
+
+
 @pytest.mark.parametrize("command, text", [
     ("solve-identical", LINEAR_IDENTICAL.replace("coefficient = 1\n", "coefficient = nan\n")),
     ("solve-identical", HO_IDENTICAL.replace("strength = 0.5", "strength = inf")),

@@ -1,0 +1,172 @@
+"""The level reading of the identical solver's scan, against plain sampling.
+
+For a power kinetic law T = c p^a the motion residual is
+rho^-a (K(Q) - g(rho)) with K(Q) = N c a (Q/sqrt(C2))^a and
+g(rho) = C2 V'(rho) rho^(1+a).  solve_et and solve_iet sample g once per
+grid and read each scan's signs off K - g, evaluating the residual only at
+bracket ends and where the sign is not certain.  With the reading switched
+off every grid point samples the residual, as the scan did before; both
+must give the same solution bit for bit, or the same error.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from envtheory import laws, rootscan, solver_identical
+from envtheory.errors import EnvTheoryError
+from envtheory.qnum import ground_spec
+from envtheory.solver_identical import IdenticalSystem, solve_et, solve_iet
+
+
+def _yukawa(g, a):
+    """-g exp(-r/a)/r."""
+    return laws.custom(lambda r: -g * math.exp(-r / a) / r,
+                       lambda r: g * math.exp(-r / a) * (1.0 + r / a) / r ** 2,
+                       lambda r: -g * math.exp(-r / a) * (2.0 + 2.0 * r / a
+                                                          + r * r / (a * a)) / r ** 3,
+                       kind="yukawa")
+
+
+def _outcome(solve, *args):
+    """repr of the solution, or the error's class, message and trace."""
+    try:
+        return repr(solve(*args))
+    except EnvTheoryError as exc:
+        return f"{type(exc).__name__}: {exc} {getattr(exc, 'trace', None)!r}"
+
+
+def _sampled_outcome(solve, *args):
+    """The outcome with the level reading off: every grid point is sampled."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver_identical, "_levels", lambda system: None)
+        return _outcome(solve, *args)
+
+
+@st.composite
+def _well(draw):
+    """Gaussian, exponential and Yukawa wells, and a gaussian plus a power tail.
+
+    Every V' underflows somewhere on the widened scan range, a gaussian of
+    width 0.01 already near rho = 0.3.
+    """
+    kind = draw(st.sampled_from(["gaussian", "exponential", "yukawa", "sum"]))
+    depth = 10.0 ** draw(st.floats(-1.0, 2.0))
+    width = 10.0 ** draw(st.floats(-2.0, 1.5))
+    if kind == "gaussian":
+        return laws.gaussian_well(depth, width)
+    if kind == "exponential":
+        return laws.exponential_well(depth, width)
+    if kind == "yukawa":
+        return _yukawa(depth, width)
+    beta = draw(st.one_of(st.floats(-1.5, -0.1), st.floats(0.1, 3.0)))
+    tail = laws.potential_power(10.0 ** draw(st.floats(-3.0, 0.0)), beta)
+    return laws.make_weighted_sum([(1.0, laws.gaussian_well(depth, width)), (1.0, tail)])
+
+
+# Kinetic exponents in [0.5, 3], a few below 0.5 (where a - 1 rounds) and a
+# few stiff ones, whose terms leave the normal range on part of the grid.
+_EXPONENTS = st.one_of(st.floats(0.5, 3.0), st.sampled_from([0.25, 0.4, 10.0, 20.0, 50.0]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(well=_well(), c=st.floats(0.05, 20.0), a=_EXPONENTS, N=st.integers(2, 50),
+       log_q=st.floats(-1.0, 3.0))
+def test_solve_et_reads_the_roots_that_sampling_finds(well, c, a, N, log_q):
+    system = IdenticalSystem(N, 3, laws.kinetic_power(c, a), well)
+    Q = 10.0 ** log_q
+    assert _outcome(solve_et, system, Q) == _sampled_outcome(solve_et, system, Q)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(well=_well(), c=st.floats(0.05, 20.0), a=_EXPONENTS, N=st.integers(2, 50))
+def test_solve_iet_reads_the_roots_that_sampling_finds(well, c, a, N):
+    system = IdenticalSystem(N, 3, laws.kinetic_power(c, a), well)
+    spec = ground_spec(N, 3)
+    assert _outcome(solve_iet, system, spec) == _sampled_outcome(solve_iet, system, spec)
+
+
+@pytest.mark.parametrize("potential", [
+    laws.make_weighted_sum([(1.0, laws.coulomb(2.0))]),
+    laws.make_weighted_sum([(1.0, laws.coulomb(1.0)), (1.0, laws.coulomb(1.0))]),
+], ids=["one-term", "two-terms"])
+def test_a_vanishing_balance_is_sampled_where_the_level_cannot_tell(potential):
+    # T = |p| against -2/r at N = 2, Q = 1: K = g at every rho, so no sign
+    # is read off the level and the four-epsilon rule decides, as it does
+    # when sampling.
+    system = IdenticalSystem(2, 2, laws.kinetic_power(1.0, 1.0), potential)
+    outcome = _outcome(solve_et, system, 1.0)
+    assert outcome.startswith("NoRootError")
+    assert outcome == _sampled_outcome(solve_et, system, 1.0)
+
+
+def test_a_stiff_law_is_sampled_where_its_terms_leave_the_normal_range():
+    # T = 0.05 p^50 in an exponential well of range 20, N = 30, Q = 0.1: near
+    # rho = 1.6e4 both terms of the residual underflow, and a level read
+    # there would list a root that sampling does not find.
+    system = IdenticalSystem(30, 3, laws.kinetic_power(0.05, 50.0),
+                             laws.exponential_well(1.0, 20.0))
+    outcome = _outcome(solve_et, system, 0.1)
+    assert "n_roots=1," in outcome
+    assert outcome == _sampled_outcome(solve_et, system, 0.1)
+
+
+def _counted_d1(law):
+    calls = []
+
+    def d1(x):
+        calls.append(x)
+        return law.d1(x)
+
+    return laws.custom(law.value, d1, law.d2), calls
+
+
+def test_an_improved_solve_samples_the_potential_once():
+    # N = 10 in a gaussian well: the orbital and the deformed solve share one
+    # sample of V' on the 401-point grid; each adds its bracket ends and
+    # polish.  Sampling both scans took 830 evaluations.
+    well, calls = _counted_d1(laws.gaussian_well(3.0, 1.0))
+    system = IdenticalSystem(10, 3, laws.kinetic_power(0.5, 2.0), well)
+    spec = ground_spec(10, 3)
+    sampled = _sampled_outcome(solve_iet, system, spec)
+    assert len(calls) >= 800
+    calls.clear()
+    assert _outcome(solve_iet, system, spec) == sampled
+    assert len(calls) <= 440
+
+
+def test_the_scan_reads_only_signs_zeros_and_holes():
+    # Values of the right sign, zero and NaN in place of fn's samples find
+    # the same roots, polished from fn's own values at the bracket ends.
+    def fn(x):
+        if x > 5e3:
+            raise OverflowError("synthetic blow-up")
+        return 0.0 if 40.0 <= x <= 60.0 else (x - 3.0) * (x - 300.0)
+
+    def signs(grid):
+        out = []
+        for x in grid:
+            v = rootscan._sample(fn, x)
+            out.append(v if v == 0.0 or math.isnan(v) else math.copysign(1.0, v))
+        return out
+
+    roots = rootscan.find_roots(fn, 0.1, 1e4)
+    assert rootscan.find_roots(fn, 0.1, 1e4, signs) == roots
+    assert roots == [pytest.approx(3.0, rel=1e-14), pytest.approx(300.0, rel=1e-14)]
+
+
+def test_a_sign_change_between_tiny_samples_is_a_root():
+    # Adjacent samples near 1e-182 of opposite signs: their product
+    # underflows to -0.0, which once hid the sign change.
+    assert rootscan.find_roots(lambda x: 1e-180 * (x - 3.0), 0.1, 100.0) == [
+        pytest.approx(3.0, rel=1e-14)]
+
+
+def test_the_grids_are_built_once():
+    # The same geometric grid, point for point, on every scan of a range.
+    grid = rootscan._grid(1e-8, 1e8, 1)
+    assert rootscan._grid(1e-8, 1e8, 1) is grid
+    lo, hi = 1e-8 / 1e4, 1e8 * 1e4
+    step = math.log(hi / lo) / 800
+    assert grid == tuple([lo] + [lo * math.exp(step * i) for i in range(1, 800)] + [hi])

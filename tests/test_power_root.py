@@ -25,9 +25,9 @@ def _counted_scans():
     """Patch solver_identical's find_roots to count its calls."""
     calls = []
 
-    def counted(fn, lo, hi):
+    def counted(fn, lo, hi, values=None):
         calls.append((lo, hi))
-        return rootscan.find_roots(fn, lo, hi)
+        return rootscan.find_roots(fn, lo, hi, values)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver_identical, "find_roots", counted)

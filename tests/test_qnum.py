@@ -186,6 +186,19 @@ def test_non_finite_phi_is_rejected(phi):
         qnum.fgs_approx(8, 3, 1, phi)
 
 
+def test_a_filling_with_too_many_levels_is_refused():
+    # At phi = 1e-9 almost every level holds one particle, so N = bound + 1
+    # would list more levels than the bound allows.
+    bound = qnum.MAX_FILL_LEVELS
+    with pytest.raises(InputError, match=f"more than {bound} levels"):
+        qnum.fgs_fill(bound + 1, 3, 1, 1e-9)
+    # Above the bound, a filling of few levels is still listed.
+    N = 2 * bound
+    filled = qnum.fgs_fill(N, 3, 1, 2.0)
+    assert len(filled.levels) < bound
+    assert filled.q_phi == qnum.fgs_closed(N, 3, 1, variant=2)
+
+
 def test_fgs_closed_variant_validation():
     with pytest.raises(InputError):
         qnum.fgs_closed(4, 3, 1, variant=3)

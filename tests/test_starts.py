@@ -40,9 +40,9 @@ def _count_scans(monkeypatch, module=solver_identical):
     """Count the root scans ``module`` makes: the identical solver's by default."""
     calls = []
 
-    def counted(fn, lo, hi):
+    def counted(fn, lo, hi, values=None):
         calls.append((lo, hi))
-        return rootscan.find_roots(fn, lo, hi)
+        return rootscan.find_roots(fn, lo, hi, values)
 
     monkeypatch.setattr(module, "find_roots", counted)
     return calls
