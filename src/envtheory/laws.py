@@ -8,13 +8,21 @@ test suite as an independent cross-check.  Numerical differentiation inside
 the solvers would pollute the extraction of the deformation parameters, which
 depends on second derivatives.
 
+Each of value, d1 and d2 is one closure over constants folded when the law
+is built (c*e for a power's d1, g/s for an exponential's, the members'
+callables for a weighted sum), so an evaluation recomputes no constant and
+calls nothing but exp, pow or a member.  Every folded expression rounds
+exactly as its unfolded form: the values are bit-identical to it.
 Law objects are immutable after construction and safe for concurrent reads.
+``Law`` stays a dataclass: the benchmark's tracer rebuilds every law with
+``dataclasses.replace`` to count its evaluations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import exp
 from typing import Callable, Sequence
 
 from .errors import InputError
@@ -65,11 +73,13 @@ def power(coefficient: float, exponent: float) -> Law:
     if coefficient == 0.0:
         raise InputError("power law needs a nonzero coefficient")
     c, e = float(coefficient), float(exponent)
+    c1, e1 = c * e, e - 1.0
+    c2, e2 = c * e * (e - 1.0), e - 2.0
     return Law(
         kind="power",
         value=lambda x: c * x ** e,
-        d1=lambda x: c * e * x ** (e - 1.0),
-        d2=lambda x: c * e * (e - 1.0) * x ** (e - 2.0),
+        d1=lambda x: c1 * x ** e1,
+        d2=lambda x: c2 * x ** e2,
         params=(c, e),
     )
 
@@ -106,11 +116,12 @@ def coulomb(strength: float) -> Law:
     if strength <= 0.0:
         raise InputError("coulomb strength must be positive")
     g = float(strength)
+    c0, c2 = -g, -2.0 * g
     return Law(
         kind="coulomb",
-        value=lambda x: -g / x,
+        value=lambda x: c0 / x,
         d1=lambda x: g / (x * x),
-        d2=lambda x: -2.0 * g / (x * x * x),
+        d2=lambda x: c2 / (x * x * x),
         params=(g,),
     )
 
@@ -121,11 +132,12 @@ def harmonic(strength: float) -> Law:
     if strength <= 0.0:
         raise InputError("harmonic strength must be positive")
     k = float(strength)
+    k2 = 2.0 * k
     return Law(
         kind="harmonic",
         value=lambda x: k * x * x,
-        d1=lambda x: 2.0 * k * x,
-        d2=lambda x: 2.0 * k,
+        d1=lambda x: k2 * x,
+        d2=lambda x: k2,
         params=(k,),
     )
 
@@ -136,15 +148,13 @@ def gaussian_well(depth: float, width: float = 1.0) -> Law:
     if depth <= 0.0 or width <= 0.0:
         raise InputError("gaussian well requires depth > 0 and width > 0")
     g, w2 = float(depth), float(width) ** 2
-
-    def _val(x: float) -> float:
-        return -g * math.exp(-x * x / w2)
-
+    c0, two_w2, w4 = -g, 2.0 / w2, w2 * w2
+    # d1 and d2 start from g*E, which is exactly -value(x) = -(-g*E).
     return Law(
         kind="gaussian-well",
-        value=_val,
-        d1=lambda x: -_val(x) * 2.0 * x / w2,
-        d2=lambda x: -_val(x) * (2.0 / w2 - 4.0 * x * x / (w2 * w2)),
+        value=lambda x: c0 * exp(-x * x / w2),
+        d1=lambda x: g * exp(-x * x / w2) * 2.0 * x / w2,
+        d2=lambda x: g * exp(-x * x / w2) * (two_w2 - 4.0 * x * x / w4),
         params=(g, math.sqrt(w2)),
     )
 
@@ -155,11 +165,12 @@ def exponential_well(depth: float, scale: float = 1.0) -> Law:
     if depth <= 0.0 or scale <= 0.0:
         raise InputError("exponential well requires depth > 0 and scale > 0")
     g, s = float(depth), float(scale)
+    c0, c1, c2 = -g, g / s, -(g / (s * s))
     return Law(
         kind="exponential-well",
-        value=lambda x: -g * math.exp(-x / s),
-        d1=lambda x: (g / s) * math.exp(-x / s),
-        d2=lambda x: -(g / (s * s)) * math.exp(-x / s),
+        value=lambda x: c0 * exp(-x / s),
+        d1=lambda x: c1 * exp(-x / s),
+        d2=lambda x: c2 * exp(-x / s),
         params=(g, s),
     )
 
@@ -168,6 +179,8 @@ def make_weighted_sum(terms: Sequence[tuple[float, Law]]) -> Law:
     """Coefficient-weighted sum of laws.
 
     Derivatives are the weighted sums of the members', exact to round-off.
+    Each sum adds its terms left to right from the int 0, as ``sum()`` does
+    up to Python 3.11 (3.12 compensates), so a sum of -0.0 terms reads 0.0.
     """
     if not terms:
         raise InputError("weighted sum needs at least one term")
@@ -175,10 +188,20 @@ def make_weighted_sum(terms: Sequence[tuple[float, Law]]) -> Law:
     _check_finite("weighted sum", *(c for c, _ in frozen))
     return Law(
         kind="weighted-sum",
-        value=lambda x: sum(c * law.value(x) for c, law in frozen),
-        d1=lambda x: sum(c * law.d1(x) for c, law in frozen),
-        d2=lambda x: sum(c * law.d2(x) for c, law in frozen),
+        value=_summed(tuple((c, law.value) for c, law in frozen)),
+        d1=_summed(tuple((c, law.d1) for c, law in frozen)),
+        d2=_summed(tuple((c, law.d2) for c, law in frozen)),
     )
+
+
+def _summed(pairs: tuple[tuple[float, Callable[[float], float]], ...]
+            ) -> Callable[[float], float]:
+    def f(x: float) -> float:
+        total = 0
+        for c, member in pairs:
+            total += c * member(x)
+        return total
+    return f
 
 
 def custom(value: Callable[[float], float], d1: Callable[[float], float],

@@ -13,9 +13,9 @@ to the plain Q = sum(2 n_i + l_i + D/2) at phi = 2.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
+from heapq import heappush, heapreplace
 
 from .errors import InputError
 
@@ -187,26 +187,26 @@ def fgs_fill(N: int, D: int, d: int, phi: float = 2.0) -> GroundStateResult:
     level_degeneracy(l, D, d), in ascending order of the level key phi*n + l,
     ties lower-n first; Q_phi is tie-invariant, the order only makes the
     reported filling deterministic.  A heap walks the levels in that order
-    without a key bound: it starts at (0, 0), and popping (n, l) pushes
-    (n, l+1), plus (n+1, 0) when l = 0.  Every level sorts after the one
-    that pushes it, so levels pop in fill order.  The walk stops at the level
-    that takes the last particle, so it pops at most N levels at any phi.
+    without a key bound: it starts at (0, 0); the least level (n, l) is
+    replaced by (n, l+1) in one heapreplace, and (n+1, 0) is pushed too when
+    l = 0.  Every level sorts after the one that adds it, so levels leave in
+    fill order; the entries are distinct, so that order does not depend on
+    the heap's layout.  (n, l) comes only after (n, l-1), so each degeneracy
+    is computed once per l, when l first comes.  The walk stops at the level
+    that takes the last particle, so it takes at most N levels at any phi.
     A filling that would list more than MAX_FILL_LEVELS levels (only
     possible for N above that number; at small phi each level holds few
     particles) raises InputError: its time and memory grow with the levels.
     This is the defining routine for non-integer phi; at phi = 2 and phi = 1
     it must agree with the closed forms of fgs_closed.
     """
-    if N < 2 or d < 1 or phi <= 0.0:
-        raise InputError("need N >= 2, d >= 1, phi > 0")
+    if N < 2 or D < 2 or d < 1 or phi <= 0.0:
+        raise InputError("need N >= 2, D >= 2, d >= 1, phi > 0")
     if not math.isfinite(phi):
         raise InputError(f"phi must be finite, got {phi}")
-    heap: list[tuple[float, int, int]] = []
-
-    def push(n: int, l: int) -> None:
-        heapq.heappush(heap, (phi * n + l, n, l))
-
-    push(0, 0)
+    # Keys are phi*n + l, never the previous key + 1, which may round differently.
+    heap = [(0.0, 0, 0)]
+    degeneracy: list[int] = []
     filled = []
     left = N
     n_sum = 0
@@ -214,11 +214,13 @@ def fgs_fill(N: int, D: int, d: int, phi: float = 2.0) -> GroundStateResult:
     # Each level holds at least one particle, so the count needs no check
     # unless N exceeds the bound.
     for _ in range(min(N, MAX_FILL_LEVELS)):
-        _, n, l = heapq.heappop(heap)
-        push(n, l + 1)
+        _, n, l = heap[0]
+        heapreplace(heap, (phi * n + (l + 1), n, l + 1))
         if l == 0:
-            push(n + 1, 0)
-        occ = min(level_degeneracy(l, D, d), left)
+            heappush(heap, (phi * (n + 1), n + 1, 0))
+        if l == len(degeneracy):
+            degeneracy.append(level_degeneracy(l, D, d))
+        occ = min(degeneracy[l], left)
         filled.append((n, l, occ))
         n_sum += occ * n
         l_sum += occ * l

@@ -443,6 +443,5 @@ def solve_iet(system: IdenticalSystem, spec: QuantumSpec) -> EtSolution:
     levels = _levels(system)
     phi = _dosm_identical(system, lam, levels).phi
     solution = _solve_et(system, phi * nu + lam, levels)
-    if abs(phi - 2.0) > 1e-12:
-        solution = replace(solution, variational="unknown")
-    return replace(solution, phi=phi)
+    variational = "unknown" if abs(phi - 2.0) > 1e-12 else solution.variational
+    return replace(solution, variational=variational, phi=phi)

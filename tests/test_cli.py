@@ -473,6 +473,13 @@ def test_a_filling_with_too_many_levels_exits_two(capsys):
     assert "levels" in record["message"]
 
 
+def test_fgs_rejects_dimension_below_two(capsys):
+    rc, out, err = _run(capsys, "fgs", "--n", "8", "--dim", "1")
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {"error": "InputError",
+                               "message": "need N >= 2, D >= 2, d >= 1, phi > 0", "exit": 2}
+
+
 @pytest.mark.parametrize("command, text", [
     ("solve-identical", LINEAR_IDENTICAL.replace("coefficient = 1\n", "coefficient = nan\n")),
     ("solve-identical", HO_IDENTICAL.replace("strength = 0.5", "strength = inf")),

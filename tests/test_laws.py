@@ -115,3 +115,111 @@ def test_well_validation():
 def test_non_finite_constants_are_rejected(build):
     with pytest.raises(InputError):
         build()
+
+
+# ---------------------------------------------------------------------------
+# Bit-for-bit pin: every built-in law evaluates exactly as the expressions it
+# was first written with, which are kept here as (value, d1, d2) triples.
+
+def _old_power(c, e):
+    return (lambda x: c * x ** e,
+            lambda x: c * e * x ** (e - 1.0),
+            lambda x: c * e * (e - 1.0) * x ** (e - 2.0))
+
+
+def _old_coulomb(g):
+    return (lambda x: -g / x,
+            lambda x: g / (x * x),
+            lambda x: -2.0 * g / (x * x * x))
+
+
+def _old_harmonic(k):
+    return (lambda x: k * x * x,
+            lambda x: 2.0 * k * x,
+            lambda x: 2.0 * k)
+
+
+def _old_gaussian(g, width):
+    w2 = width ** 2
+
+    def val(x):
+        return -g * math.exp(-x * x / w2)
+
+    return (val,
+            lambda x: -val(x) * 2.0 * x / w2,
+            lambda x: -val(x) * (2.0 / w2 - 4.0 * x * x / (w2 * w2)))
+
+
+def _old_exponential(g, s):
+    return (lambda x: -g * math.exp(-x / s),
+            lambda x: (g / s) * math.exp(-x / s),
+            lambda x: -(g / (s * s)) * math.exp(-x / s))
+
+
+def _left_to_right(terms):
+    """sum() up to Python 3.11, which made the goldens: left to right from int 0."""
+    total = 0
+    for term in terms:
+        total = total + term
+    return total
+
+
+def _old_sum(terms):
+    return tuple((lambda x, i=i: _left_to_right(c * old[i](x) for c, old in terms))
+                 for i in range(3))
+
+
+_GAUSS = (laws.gaussian_well(2.0), _old_gaussian(2.0, 1.0))
+_EXPO = (laws.exponential_well(1.2, 0.7), _old_exponential(1.2, 0.7))
+_HARM = (laws.harmonic(0.8), _old_harmonic(0.8))
+_COUL = (laws.coulomb(2.0), _old_coulomb(2.0))
+
+PINNED = [(f"power({c}, {e})", laws.power(c, e), _old_power(c, e))
+          for c in (0.5, -0.3, 1.7) for e in (2.0, 1.0, 0.5, -1.0, -2.0, 300.0, 1.3)] + [
+    ("coulomb", *_COUL),
+    ("harmonic", *_HARM),
+    ("gaussian", *_GAUSS),
+    ("gaussian-narrow", laws.gaussian_well(3.0, 1e-3), _old_gaussian(3.0, 1e-3)),
+    ("exponential", *_EXPO),
+    ("exponential-wide", laws.exponential_well(0.4, 1e6), _old_exponential(0.4, 1e6)),
+] + [
+    (name, laws.make_weighted_sum([(c, law) for c, (law, _) in terms]),
+     _old_sum([(c, old) for c, (_, old) in terms]))
+    for name, terms in [
+        ("sum-1", [(2.0, _GAUSS)]),
+        ("sum-2", [(1.0, (laws.power(1.0, 1.0), _old_power(1.0, 1.0))), (0.5, _GAUSS)]),
+        ("sum-3", [(-1.5, _EXPO), (0.25, _HARM), (1.0, _COUL)]),
+    ]
+]
+
+# A geometric grid over [1e-12, 1e12], plus 0 where 0.0 ** -1 and -g / 0.0 raise.
+GRID = [0.0] + [float(x) for x in np.geomspace(1e-12, 1e12, 721)] + [1.0, 2.0, 3.5]
+
+
+def _outcome(fn, x):
+    """The bits of fn(x), or the class of the error it raises."""
+    try:
+        y = fn(x)
+    except (ZeroDivisionError, OverflowError) as exc:
+        return type(exc)
+    return type(y), float(y).hex()
+
+
+@pytest.mark.parametrize("name, law, old", PINNED, ids=[p[0] for p in PINNED])
+def test_law_values_are_pinned_bit_for_bit(name, law, old):
+    new = (law.value, law.d1, law.d2)
+    for x in GRID:
+        for part in range(3):
+            assert _outcome(new[part], x) == _outcome(old[part], x), (name, part, x)
+
+
+def test_pinned_grid_reaches_errors_and_signed_zeros():
+    # The pin above is only as strong as the cases it meets.
+    outcomes = {_outcome(fn, x) for _, law, _ in PINNED
+                for fn in (law.value, law.d1, law.d2) for x in GRID}
+    assert ZeroDivisionError in outcomes and OverflowError in outcomes
+    assert (float, "-0x0.0p+0") in outcomes
+    # Gaussian terms of -0.0 sum to +0.0 from the int 0, as sum() did.
+    single = laws.make_weighted_sum([(2.0, laws.gaussian_well(2.0))])
+    assert laws.gaussian_well(2.0).value(1e3).hex() == "-0x0.0p+0"
+    assert single.value(1e3).hex() == "0x0.0p+0"

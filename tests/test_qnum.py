@@ -1,6 +1,9 @@
 """Quantum-number bookkeeping: aggregates, degeneracies, ground states."""
 
+import heapq
 import math
+import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,6 +175,71 @@ def test_fgs_closed_forms_reject_dimension_below_two(D):
     for variant in (2, 1):
         with pytest.raises(InputError):
             qnum.fgs_closed(8, D, 1, variant)
+
+
+@pytest.mark.parametrize("D", [1, 0, -1])
+def test_fgs_fill_rejects_dimension_below_two_itself(D):
+    # The guard names D; level_degeneracy's message speaks of an l never passed.
+    with pytest.raises(InputError) as raised:
+        qnum.fgs_fill(8, D, 2)
+    assert str(raised.value) == "need N >= 2, D >= 2, d >= 1, phi > 0"
+
+
+def _fill_by_popping(N, D, d, phi):
+    """The walk fgs_fill made before heapreplace: pop a level, push its successors."""
+    heap = []
+
+    def push(n, l):
+        heapq.heappush(heap, (phi * n + l, n, l))
+
+    push(0, 0)
+    filled, left, n_sum, l_sum = [], N, 0, 0
+    while left:
+        _, n, l = heapq.heappop(heap)
+        push(n, l + 1)
+        if l == 0:
+            push(n + 1, 0)
+        occ = min(qnum.level_degeneracy(l, D, d), left)
+        filled.append((n, l, occ))
+        n_sum += occ * n
+        l_sum += occ * l
+        left -= occ
+    nu = n_sum + 0.5 * (N - 1)
+    lam = l_sum + 0.5 * (D - 2) * (N - 1)
+    return tuple(filled), nu, lam, phi * nu + lam
+
+
+def _same_as_popping(N, D, d, phi):
+    res = qnum.fgs_fill(N, D, d, phi)
+    levels, nu, lam, q_phi = _fill_by_popping(N, D, d, phi)
+    assert res.levels == levels, (N, D, d, phi)
+    assert (res.nu.hex(), res.lam.hex(), res.q_phi.hex()) == \
+        (nu.hex(), lam.hex(), q_phi.hex()), (N, D, d, phi)
+
+
+_RANDOM_PHI = [random.Random(22).uniform(0.05, 5.0) for _ in range(3)]
+
+
+@pytest.mark.parametrize("phi", [1 / 3, 0.5, 1.0, 2.0, 3.0] + _RANDOM_PHI)
+def test_fgs_fill_walks_levels_as_popping_did(phi):
+    # Tie-heavy phi make many equal keys, whose order the tuples settle.
+    for D in (2, 3, 4):
+        for d in (1, 2):
+            for N in (2, 3, 8, 57, 1000):
+                _same_as_popping(N, D, d, phi)
+
+
+@pytest.mark.parametrize("D, d, phi", [(2, 1, 1 / 3), (3, 2, 2.0), (4, 1, 1.0),
+                                       (3, 1, _RANDOM_PHI[0])])
+def test_fgs_fill_walks_large_fillings_as_popping_did(D, d, phi):
+    _same_as_popping(100_000, D, d, phi)
+
+
+def test_a_billion_fermions_at_tiny_phi_are_refused_quickly():
+    start = time.perf_counter()
+    with pytest.raises(InputError):
+        qnum.fgs_fill(10**9, 3, 1, 1e-9)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("phi", [math.nan, math.inf])
