@@ -27,10 +27,6 @@ only their signs, zeros and holes: it compares signs rather than testing
 a product, which two tiny samples could underflow to zero, and evaluates fn
 itself at the two ends of each bracket before the polish, so the roots are
 those that sampling fn finds, bit for bit.
-
-An equation known to change sign exactly once needs no grid: walk_root
-steps from a start by factors of 4 until the sign changes, over the range
-the scan would end on, and polishes that one bracket the same way.
 """
 
 from __future__ import annotations
@@ -41,12 +37,11 @@ from typing import Callable
 
 from .errors import NoRootError
 
-__all__ = ["find_roots", "walk_root"]
+__all__ = ["find_roots"]
 
 _PANELS = 400
 _EXPANSIONS = 2
 _EXPAND_FACTOR = 1e4
-_WALK_FACTOR = 4.0
 _POLISH_SLACK = 2.0 ** 12
 
 
@@ -150,35 +145,3 @@ def find_roots(fn: Callable[[float], float], lo: float, hi: float,
         f"no sign change on the scanned range up to [{grid[0]:.3g}, {grid[-1]:.3g}]",
         trace=trace)
 
-
-def walk_root(fn: Callable[[float], float], x: float, lo: float,
-              hi: float) -> float | None:
-    """The one root of ``fn``, which is positive below it and negative above it.
-
-    The walk starts at x, moved into the range that find_roots(fn, lo, hi)
-    ends on after its widenings, and steps by factors of 4 toward the root
-    until the sign changes; that bracket is polished as find_roots does.
-    NoRootError is raised where the walk reaches the end of that range
-    without a sign change, as the scan would.  A sample that is not finite,
-    or is exactly zero (a root hit exactly, or terms that underflowed), is a
-    case the scan decides: None is returned.
-    """
-    for _ in range(_EXPANSIONS):
-        lo /= _EXPAND_FACTOR
-        hi *= _EXPAND_FACTOR
-    x = min(max(x, lo), hi)
-    fx = _sample(fn, x)
-    if math.isnan(fx) or fx == 0.0:
-        return None
-    up = fx > 0.0
-    while True:
-        y = min(x * _WALK_FACTOR, hi) if up else max(x / _WALK_FACTOR, lo)
-        if y == x:
-            raise NoRootError(f"no sign change on the walked range [{lo:.3g}, {hi:.3g}]",
-                              trace=[(x, fx)])
-        fy = _sample(fn, y)
-        if math.isnan(fy) or fy == 0.0:
-            return None
-        if (fy > 0.0) != up:
-            return _polish(fn, x, fx, y, fy) if up else _polish(fn, y, fy, x, fx)
-        x, fx = y, fy

@@ -24,9 +24,10 @@ V_aa and V_ab an exponent beta, alpha + beta > 0), E(lam r_aa, lam R0) =
 lam^-alpha K + lam^beta V, and the descent starts at the minimum of E along
 the scale through the unit shape, which one evaluation of the surface
 gives: the virial start.  Every N_a+1 system of the paper's tables is of
-this kind.  Other laws, and a virial descent that fails, start from
-structure, built from the block and the relative motion taken alone.
-Where E is convex each step is a plain Newton step on its Hessian H.
+this kind.  Other laws, and a virial descent that fails, start at the lowest
+local minimum of E sampled along a few rays R0 = s r_aa: the grid start,
+of which the virial start is one ray's minimum in closed form.  Where E is
+convex each step is a plain Newton step on its Hessian H.
 
 The improved variant quantizes the two coupled radial modes around the
 purely orbital solution and deforms both quantum numbers; the mode
@@ -49,11 +50,13 @@ from typing import Callable
 
 from . import laws
 from .coupled_osc import OscPair, normal_modes
-from .errors import (DegenerateOrbitalError, EnvTheoryError, InputError,
-                     NoBindingError, NonConvergenceError, UnstableOrbitalError)
+from .errors import (DegenerateOrbitalError, InputError, NoBindingError,
+                     NonConvergenceError, UnstableOrbitalError)
 from .qnum import QuantumSpec, fgs_fill, spec_from_filling
-from .rootscan import find_roots, walk_root
-from .solver_identical import SCAN_HI, SCAN_LO, IdenticalSystem, pair_count, solve_et
+from .solver_identical import SCAN_HI, SCAN_LO, pair_count
+# Unused here: bench/tracer.py patches both names in this module, and its tests check that.
+from .rootscan import find_roots  # noqa: F401
+from .solver_identical import solve_et  # noqa: F401
 
 __all__ = [
     "NPlusOneSystem",
@@ -74,6 +77,10 @@ NEWTON_MAX_STEPS = 200
 NEWTON_MAX_HALVINGS = 30
 # Largest move of log r_aa or log R0 a tangent-predicted start makes.
 PREDICTOR_MAX_STEP = 2.0
+# Shapes R0/r_aa of the rays _grid_start samples E along, and the factor
+# between its samples of r_aa on each ray.
+_GRID_SHAPES = (1.0 / 16.0, 0.25, 1.0, 4.0)
+_GRID_FACTOR = 2.0
 
 # Energy unit of the atomic Hamiltonian expressed in eV (twice the Rydberg).
 ATOMIC_UNIT_EV = 27.21
@@ -327,94 +334,6 @@ def _newton(system: NPlusOneSystem, q_a: float, q_b: float, r_aa: float,
                               (r_aa, R0), f)
 
 
-def _block_orbit(system: NPlusOneSystem, potential: laws.Law, q_a: float) -> float | None:
-    """rho0 of the identical block alone under ``potential``, if it is a minimum.
-
-    The block's ET root is kept only where its radial stiffness
-    k = 2N p0 T'(p0)/rho0^2 + N p0^2 T''(p0)/rho0^2 + C2 V''(rho0), the
-    dosm_identical expression, is positive; a collapsing block's root is the
-    top of a barrier, and a start there would sit on a maximum of E.
-    """
-    N, T = system.N_a, system.kinetic_a
-    try:
-        orbit = solve_et(IdenticalSystem(N, system.D, T, potential), q_a)
-        rho0, p0 = orbit.rho0, orbit.p0
-        k = ((2.0 * N * p0 * T.d1(p0) + N * p0 ** 2 * T.d2(p0)) / rho0 ** 2
-             + pair_count(N) * potential.d2(rho0))
-    except (EnvTheoryError, ArithmeticError):
-        return None
-    return rho0 if k > 0.0 else None
-
-
-def _initial_guess(system: NPlusOneSystem, q_a: float, q_b: float) -> tuple[float, float]:
-    """Structural starting point from two decoupled sub-problems.
-
-    r_aa comes from the identical block alone, where that block has a stable
-    orbit.  A decreasing power-law V_aa has none, and solve_et says so
-    without a scan; a block orbit on a maximum (a collapsing block) is
-    rejected.  Then the cross potential is substituted, and failing that a
-    unit length is used.  R0 comes from a two-body reduction of the relative
-    motion against N_a copies of the cross potential; the block-recoil
-    kinetic term is kept because it dominates when the distinct particle is
-    much heavier than the block.  Its lowest root is R0.  Where the residual
-    provably changes sign once (_one_sign_change: power laws T_b and V_ab,
-    as in every table), that root is walked to from r_aa, with no scan;
-    otherwise, and where the walk meets a sample it cannot evaluate, the
-    root scan finds it.  Without a root R0 = r_aa.  A cold solve needs this
-    start only where its laws have no virial start, or where the descent
-    from the virial start fails; the improved solve needs it at most for
-    its orbital solve, since the deformed solve starts from the orbital
-    minimum.
-    """
-    N_a = system.N_a
-    r_aa0 = 1.0
-    for potential in (system.potential_aa, system.potential_ab):
-        rho0 = _block_orbit(system, potential, q_a)
-        if rho0 is not None:
-            r_aa0 = rho0
-            break
-    p_a0 = q_a / (math.sqrt(pair_count(N_a)) * r_aa0)
-
-    def two_body(R0: float) -> float:
-        P0 = q_b / R0
-        return (system.kinetic_a.d1(p_a0) * P0 ** 2 / (N_a * p_a0)
-                + system.kinetic_b.d1(P0) * P0
-                - N_a * system.potential_ab.d1(R0) * R0)
-
-    try:
-        R00 = None
-        if _one_sign_change(system, p_a0):
-            R00 = walk_root(two_body, r_aa0, SCAN_LO, SCAN_HI)
-        if R00 is None:
-            R00 = min(find_roots(two_body, SCAN_LO, SCAN_HI))
-    except EnvTheoryError:
-        R00 = r_aa0
-    return r_aa0, R00
-
-
-def _one_sign_change(system: NPlusOneSystem, p_a0: float) -> bool:
-    """Whether the two-body residual of _initial_guess changes sign exactly once.
-
-    With T_b = c_b p^a_b and V_ab = c' r^b the residual is
-    k1 R^-2 + k2 R^-a_b - k3 R^b, with k1 = T_a'(p_a0) q_b^2/(N_a p_a0),
-    k2 = c_b a_b q_b^a_b and k3 = N_a c' b.  Where c_b, a_b, c' b > 0,
-    a_b + b > 0, 2 + b > 0 and T_a'(p_a0) >= 0, residual/(k3 R^b) + 1 falls
-    strictly from infinity to 0, so the residual is positive below its one
-    root and negative above it.
-    """
-    kin = laws.power_parameters(system.kinetic_b)
-    pot = laws.power_parameters(system.potential_ab)
-    if kin is None or pot is None:
-        return False
-    (c_b, a_b), (cv, b) = kin, pot
-    try:
-        recoil = system.kinetic_a.d1(p_a0)
-    except (OverflowError, ValueError, ZeroDivisionError):
-        return False
-    return (c_b > 0.0 and a_b > 0.0 and cv * b > 0.0 and a_b + b > 0.0 and 2.0 + b > 0.0
-            and recoil >= 0.0)
-
-
 def _virial_start(system: NPlusOneSystem, q_a: float,
                   q_b: float) -> tuple[float, float] | None:
     """(lam, lam), the minimum of E along the scale through (r_aa, R0) = (1, 1).
@@ -447,6 +366,33 @@ def _virial_start(system: NPlusOneSystem, q_a: float,
     return scale, scale
 
 
+def _grid_start(system: NPlusOneSystem, q_a: float, q_b: float) -> tuple[float, float]:
+    """The lowest interior local minimum of E sampled along rays R0 = s r_aa.
+
+    Each shape s of _GRID_SHAPES is a ray, sampled at r_aa = SCAN_LO
+    _GRID_FACTOR^k up to SCAN_HI; a sample whose two neighbours on its ray
+    both lie higher is a local minimum, and the lowest of them over all
+    rays is the start.  A sample where E cannot be evaluated, or is NaN,
+    counts as +inf.  Without any local minimum the start is (1, 1).  The
+    virial start is the minimum of such a ray in closed form.
+    """
+    steps = int(math.log(SCAN_HI / SCAN_LO) / math.log(_GRID_FACTOR))
+    lams = [SCAN_LO * _GRID_FACTOR ** k for k in range(steps + 1)]
+    best, start = math.inf, (1.0, 1.0)
+    for shape in _GRID_SHAPES:
+        energies = []
+        for lam in lams:
+            try:
+                energy = _surface(system, q_a, q_b, lam, shape * lam)[0]
+            except (OverflowError, ValueError, ZeroDivisionError):
+                energy = math.inf
+            energies.append(math.inf if math.isnan(energy) else energy)
+        for k in range(1, steps):
+            if energies[k - 1] > energies[k] < energies[k + 1] and energies[k] < best:
+                best, start = energies[k], (lams[k], shape * lams[k])
+    return start
+
+
 def _solve(system: NPlusOneSystem, q_a: float, q_b: float,
            start: tuple[float, float] | None = None,
            fallback: Callable[[], tuple[float, float]] | None = None,
@@ -456,16 +402,16 @@ def _solve(system: NPlusOneSystem, q_a: float, q_b: float,
     Where that descent fails (NonConvergenceError or NoBindingError) and a
     ``fallback`` is given, one more descent begins at fallback(), and its
     error is the one raised.  Without a start the descent begins at the
-    virial start of homogeneous power laws, with the structural start of
-    _initial_guess as its fallback, or at the structural start itself where
-    the laws have no virial start.  Returns the solution and the _surface
-    result at it.
+    virial start of homogeneous power laws, with the grid start of
+    _grid_start as its fallback, or at the grid start itself where the laws
+    have no virial start.  Returns the solution and the _surface result at
+    it.
     """
     if not (0.0 < q_a < math.inf and 0.0 < q_b < math.inf):
         raise InputError("q_a and q_b must be positive and finite")
     if start is None:
         start = _virial_start(system, q_a, q_b)
-        fallback = partial(_initial_guess, system, q_a, q_b)
+        fallback = partial(_grid_start, system, q_a, q_b)
     try:
         r_aa, R0, surface, iters, res = _newton(system, q_a, q_b, *(start or fallback()))
     except (NonConvergenceError, NoBindingError):
@@ -485,9 +431,9 @@ def solve_et_np1(system: NPlusOneSystem, q_a: float, q_b: float) -> Np1Solution:
     The solution is the minimum of E(r_aa, R0) that one damped Newton
     descent reaches, so it is always a point the improved method can
     quantize; n_roots is 1.  The descent starts at the virial start of
-    homogeneous power laws, and from the structural start of _initial_guess
-    for other laws or where the first descent fails (NonConvergenceError
-    or NoBindingError); the error of that second descent is the one raised.
+    homogeneous power laws, and from the grid start of _grid_start for
+    other laws or where the first descent fails (NonConvergenceError or
+    NoBindingError); the error of that second descent is the one raised.
     """
     return _solve(system, q_a, q_b)[0]
 

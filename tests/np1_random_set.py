@@ -13,7 +13,7 @@ iterations are the deformed descent's, orbital those of the orbital solve
 it starts from.  The second compares two such listings: minima gained and
 lost, failure classes moved, and minima whose energy moved beyond 1e-8
 relative, each by set/index, and the iterations of both descents summed
-over the returned solves.
+over the returned solves; it exits with status 1 where a minimum is lost.
 
 Sets 1 and 2 are drawn from random.Random(1) and random.Random(2); every
 draw, strengths included, comes from that generator, so a listing depends
@@ -151,7 +151,8 @@ def _read(path: str) -> dict[str, list[str]]:
                 (line.rstrip("\n").split(" ", 1) for line in handle)}
 
 
-def diff(before_path: str, after_path: str) -> None:
+def diff(before_path: str, after_path: str) -> int:
+    """Print the comparison of two listings; return the number of minima lost."""
     before, after = _read(before_path), _read(after_path)
     moved = {"minimum gained": [], "minimum lost": [], "failure class moved": [],
              "energy moved": []}
@@ -178,12 +179,12 @@ def diff(before_path: str, after_path: str) -> None:
     (deformed, orbital), (deformed_after, orbital_after) = iterations
     print(f"iterations of returned solves: deformed {deformed} -> {deformed_after}, "
           f"orbital {orbital} -> {orbital_after}")
+    return len(moved["minimum lost"])
 
 
 def main() -> None:
     if sys.argv[1:2] == ["--diff"]:
-        diff(*sys.argv[2:4])
-        return
+        sys.exit(1 if diff(*sys.argv[2:4]) else 0)
     for seed, draw in SETS.items():
         for index, (system, spec) in enumerate(draw(seed), start=1):
             print(f"{seed}/{index} {outcome(system, spec)}", flush=True)

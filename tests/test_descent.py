@@ -1,6 +1,6 @@
 """The N_a+1 solve as one damped Newton descent on the energy surface.
 
-solve_et_np1 runs a single descent on E(r_aa, R0) from its structural start,
+solve_et_np1 runs a single descent on E(r_aa, R0) from its virial or grid start,
 stepping along -|H|^-1 g, so every point it returns is a local minimum of E,
 the kind of point the improved method can quantize; a surface that falls
 toward infinite separation has nothing to bind and says so.
@@ -16,7 +16,7 @@ from envtheory import laws, solver_nplus1
 from envtheory.errors import EnvTheoryError, NoBindingError, NonConvergenceError
 from envtheory.qnum import QuantumSpec
 from envtheory.solver_nplus1 import (NEWTON_TOL, NPlusOneSystem, _abs_hessian,
-                                     _surface, solve_et_np1, solve_iet_np1)
+                                     _surface, solve_et_np1)
 
 
 def _eigh_abs(h11, h12, h22):
@@ -88,9 +88,9 @@ def test_returns_the_bound_minimum_not_a_saddle():
 def test_a_start_on_a_maximum_is_not_returned():
     # The block alone collapses (T ~ p^1.375 against -r^-1.5): its only ET
     # root is the top of a barrier, with radial stiffness -7.9e22, and a
-    # stationary-point search returned it with E = 5.5e8.  The start rejects
-    # that root and takes r_aa from the harmonic cross potential, whose
-    # block orbit lies in the basin of the bound minimum.
+    # stationary-point search returned it with E = 5.5e8.  The grid start
+    # is a local minimum of E along a ray, never a maximum, and lies in the
+    # basin of the bound minimum.
     system = NPlusOneSystem(2, 3, laws.kinetic_power(1.0, 1.375),
                             laws.kinetic_power(1.0, 1.0), laws.power(-0.25, -1.5),
                             laws.harmonic(1.0))
@@ -134,16 +134,30 @@ def test_screened_system_without_a_minimum_does_not_bind():
 
 
 def test_a_start_where_e_cannot_be_evaluated_is_a_solver_error():
-    # T_a = 2.80 p^1.014 against V_aa = -0.197/r: the block alone orbits at
-    # r_aa = 3.9e41 (a + b = 0.014), and E overflows at that start.
+    # T_a = 2.80 p^1.014 against V_aa = -0.197/r: E overflows at
+    # r_aa = 1e300.
     system = NPlusOneSystem(4, 3, laws.kinetic_power(2.8016273660031485, 1.0141293070974613),
                             laws.kinetic_power(3.1307950223563457, 1.5891570855144925),
                             laws.coulomb(0.19729224144349278),
                             laws.exponential_well(0.7638465908505869, 2.5540209586575613))
     spec = QuantumSpec(3, ((1, 2), (1, 2), (1, 2)), (2, 2))
-    assert solver_nplus1._block_orbit(system, system.potential_aa, spec.lam) > 1e40
+    with pytest.raises(OverflowError):
+        _surface(system, spec.lam, spec.lam_b, 1e300, 1.0)
     with pytest.raises(NonConvergenceError, match="cannot be evaluated at the start"):
-        solve_iet_np1(system, spec)
+        solver_nplus1._newton(system, spec.lam, spec.lam_b, 1e300, 1.0)
+
+
+def test_a_decrease_hidden_in_rounding_is_reached_from_the_grid_start():
+    # T_a = 0.5 p^300 makes E's block term swing across many decades, where
+    # a descent whose trials must lower E bit for bit can stall for its 200
+    # steps.  The grid start lies in the minimum's basin.
+    system = NPlusOneSystem(3, 3, laws.kinetic_power(0.5, 300.0),
+                            laws.kinetic_power(0.5, 1.0), laws.power(-1.0, -1.0),
+                            laws.power(-1.0, -1.0))
+    solution = solve_et_np1(system, 2.0, 1.5)
+    assert solution.energy == pytest.approx(-3.8138747663896, rel=1e-12)
+    assert solution.iterations <= 20
+    assert _positive_definite_at(system, 2.0, 1.5, solution)
 
 
 def test_one_solve_is_one_descent(monkeypatch):

@@ -1,7 +1,6 @@
 """Root scanning: bracketing, expansion, hole tolerance, failure traces.
 
-Also the walk to the one root of a residual that changes sign once, and the
-regula falsi polish both of them end with.
+Also the regula falsi polish the scan ends with.
 """
 
 import math
@@ -12,7 +11,7 @@ from scipy.optimize import brentq
 
 from envtheory import rootscan
 from envtheory.errors import NoRootError
-from envtheory.rootscan import find_roots, walk_root
+from envtheory.rootscan import find_roots
 
 
 def test_single_root():
@@ -121,41 +120,6 @@ def test_agrees_with_brentq_to_full_precision(shape, log_root, below, above):
     assert roots[0] == pytest.approx(expect, rel=1e-13, abs=0.0)
 
 
-def _falling(root):
-    """Positive below root, negative above it."""
-    return lambda x: math.log(root / x)
-
-
-@pytest.mark.parametrize("start", [1e-30, 1e-3, 1.0, 7e4, 1e30])
-@pytest.mark.parametrize("root", [3e-16, 2e-7, 1.3, 5e5, 9e15])
-def test_the_walk_reaches_the_scans_root_from_any_start(start, root):
-    # Anywhere in the range the widened scan of [1e-8, 1e8] ends on, from
-    # starts inside, beside and beyond it.
-    fn = _falling(root)
-    expect = min(find_roots(fn, 1e-8, 1e8))
-    assert walk_root(fn, start, 1e-8, 1e8) == pytest.approx(expect, rel=1e-15, abs=0.0)
-
-
-@pytest.mark.parametrize("root", [5e-17, 2e16])
-def test_the_walk_stops_where_the_widened_scan_stops(root):
-    fn = _falling(root)
-    with pytest.raises(NoRootError):
-        find_roots(fn, 1e-8, 1e8)
-    with pytest.raises(NoRootError):
-        walk_root(fn, 1.0, 1e-8, 1e8)
-
-
-def test_the_walk_leaves_non_finite_and_zero_samples_to_the_scan():
-    def overflowing(x):
-        if x > 100.0:
-            raise OverflowError("synthetic blow-up")
-        return 1e3 - x
-
-    assert walk_root(overflowing, 1.0, 1e-8, 1e8) is None
-    assert walk_root(_falling(1.0), 1.0, 1e-8, 1e8) is None
-    assert walk_root(lambda x: math.inf, 1.0, 1e-8, 1e8) is None
-
-
 def _bisected(fn, a, fa, b, fb):
     """Bisection in log x down to adjacent floats: the polish's reference."""
     while True:
@@ -187,7 +151,7 @@ _RESIDUALS = {
 @given(shape=st.sampled_from(sorted(_RESIDUALS)), log_root=st.floats(-12.0, 12.0),
        p=st.floats(1.0, 3.0), log_c=st.floats(-3.0, 8.0), position=st.floats(0.001, 0.999))
 def test_the_polish_lands_on_the_bisected_root(shape, log_root, p, log_c, position):
-    # On a factor-4 bracket, as the walk makes: the root bisection reaches,
+    # On a factor-4 bracket: the root bisection reaches,
     # or the float next to it where |f| is no larger, in at most 20
     # evaluations where bisection takes about 53.
     r = 10.0 ** log_root

@@ -3,14 +3,12 @@
 A plain solve of homogeneous power laws (T_a and T_b of one exponent, V_aa
 and V_ab of another) starts at the virial start: the minimum of E along the
 scale through the unit shape, read off one surface evaluation.  Other laws,
-and a virial descent that fails, start from structure: the identical block
-alone gives r_aa, unless the block cannot bind; for a decreasing power-law
-block the identical solver says so without a scan.  The improved solve
+and a virial descent that fails, start at the grid start: the lowest local
+minimum of E sampled along a few rays R0 = s r_aa.  The improved solve
 starts its deformed descent from the tangent prediction of the minimum,
 taken at the orbital minimum it has just found, so it pays for at most one
-structural start, and falls back on the orbital minimum itself where that
-descent fails.  The two-body R0 of the structural start is walked to where
-its residual provably changes sign once, and scanned for otherwise.
+grid start, and falls back on the orbital minimum itself where that descent
+fails.  No N_a+1 start scans for a root or solves an identical block.
 """
 
 import math
@@ -22,10 +20,10 @@ from hypothesis import given, settings, strategies as st
 from envtheory import laws, repro, rootscan, solver_identical, solver_nplus1
 from envtheory.errors import NoBindingError, NoRootError
 from envtheory.qnum import QuantumSpec, fgs_fill, spec_from_filling
-from envtheory.solver_identical import (SCAN_HI, SCAN_LO, IdenticalSystem, pair_count,
-                                        solve_et)
-from envtheory.solver_nplus1 import (NPlusOneSystem, atom_report, solve_et_np1,
-                                     solve_iet_np1)
+from envtheory.solver_identical import SCAN_HI, SCAN_LO, IdenticalSystem, solve_et
+from envtheory.solver_nplus1 import (NEWTON_TOL, NPlusOneSystem, atom_report,
+                                     solve_et_np1, solve_iet_np1)
+from np1_random_set import _yukawa
 
 ATOMS = [(label, float(rec["Z"]), int(rec["electrons"]), repro.nucleus_mass(rec["nucleus"]))
          for label, rec in repro.table_fixtures(4)]
@@ -48,30 +46,6 @@ def _count_scans(monkeypatch, module=solver_identical):
     return calls
 
 
-def test_a_repulsive_block_is_not_scanned(monkeypatch):
-    system = _helium()
-    scans = _count_scans(monkeypatch)
-    blocks = []
-
-    def recorded(block, q):
-        try:
-            solution = solve_et(block, q)
-        except NoRootError:
-            blocks.append((block.potential, "no root"))
-            raise
-        blocks.append((block.potential, solution.rho0))
-        return solution
-
-    monkeypatch.setattr(solver_nplus1, "solve_et", recorded)
-    start = solver_nplus1._initial_guess(system, 1.5, 1.5)
-    # The repulsive 1/r block is refused without a scan sample, and the
-    # Coulomb block then sets r_aa in closed form.
-    assert blocks == [(system.potential_aa, "no root"), (system.potential_ab, 2.25)]
-    assert scans == []
-    # The start the scan of the repulsive block used to fall back to.
-    assert start == (2.25, 0.28132711500760865)
-
-
 @pytest.mark.parametrize("kinetic, potential", [
     (laws.kinetic_power(0.5, 2.0), laws.power(1.0, -1.0)),
     (laws.kinetic_power(1.0, 1.0), laws.power(3.0, -0.2)),
@@ -79,42 +53,25 @@ def test_a_repulsive_block_is_not_scanned(monkeypatch):
 ])
 def test_a_decreasing_block_potential_has_no_root_to_find(monkeypatch, kinetic,
                                                           potential):
+    # The identical solver refuses such a block without a scan sample.
     scans = _count_scans(monkeypatch)
-    system = NPlusOneSystem(3, 3, kinetic, kinetic, potential, laws.coulomb(1.0))
-    assert solver_nplus1._block_orbit(system, potential, 2.0) is None
     with pytest.raises(NoRootError):
         solve_et(IdenticalSystem(3, 3, kinetic, potential), 2.0)
     assert scans == []
 
 
-@pytest.mark.parametrize("potential", [
-    laws.coulomb(1.0), laws.power(-1.0, -0.5), laws.harmonic(1.0),
-    laws.gaussian_well(5.0, 1.0),
-])
-def test_a_block_that_may_bind_is_scanned(monkeypatch, potential):
-    # The block's root is sought and kept: in closed form for a power law,
-    # by the scan for the Gaussian well.
-    scans = _count_scans(monkeypatch)
-    system = NPlusOneSystem(3, 3, laws.kinetic_power(0.5, 2.0),
-                            laws.kinetic_power(0.5, 2.0), potential, laws.coulomb(1.0))
-    rho0 = solver_nplus1._block_orbit(system, potential, 2.0)
-    assert len(scans) == (laws.power_parameters(potential) is None)
-    assert rho0 == solve_et(IdenticalSystem(3, 3, system.kinetic_a, potential), 2.0).rho0
-    assert rho0 > 0.0
-
-
-def test_an_improved_solve_makes_one_structural_start(monkeypatch):
+def test_an_improved_solve_makes_one_grid_start(monkeypatch):
     # Helium's laws are homogeneous, so its orbital solve starts at the
     # virial start; with a relativistic nucleus they are not, and the
-    # orbital solve pays for the one structural start.
+    # orbital solve pays for the one grid start.
     calls = []
-    original = solver_nplus1._initial_guess
+    original = solver_nplus1._grid_start
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(solver_nplus1, "_initial_guess", counted)
+    monkeypatch.setattr(solver_nplus1, "_grid_start", counted)
     spec = spec_from_filling(fgs_fill(2, 3, 2, 2.0))
     helium = _helium()
     solve_iet_np1(helium, spec)
@@ -153,19 +110,15 @@ def test_reproducing_the_tables_stays_within_its_scan_budget(monkeypatch):
     # orbital minimum as the deformed solve's start and no scan of a block
     # that cannot bind, 20,658 with the power-law compact set solved in
     # closed form, and none once the two-body R0 of every table's power
-    # laws is walked to.  The walk took 2,522 evaluations while it bisected
-    # its bracket, and 575 with the regula falsi polish.  Every N_a+1 system
-    # of the tables is homogeneous, so each cold descent now starts at the
-    # virial start: no structural start, and with it no walk.
+    # laws needed no scan.  Every N_a+1 system of the tables is homogeneous,
+    # so each cold descent starts at the virial start: no grid start.
     scans = [_count_scans(monkeypatch, module) for module in (solver_identical, solver_nplus1)]
-    walks, guesses = [], []
-    monkeypatch.setattr(solver_nplus1, "walk_root",
-                        lambda *args: walks.append(args) or rootscan.walk_root(*args))
-    original = solver_nplus1._initial_guess
-    monkeypatch.setattr(solver_nplus1, "_initial_guess",
-                        lambda *args: guesses.append(args) or original(*args))
+    grids = []
+    original = solver_nplus1._grid_start
+    monkeypatch.setattr(solver_nplus1, "_grid_start",
+                        lambda *args: grids.append(args) or original(*args))
     repro.run_all()
-    assert scans == [[], []] and walks == [] and guesses == []
+    assert scans == [[], []] and grids == []
 
 
 def _count_iterations(monkeypatch):
@@ -251,11 +204,11 @@ def test_a_failed_predicted_descent_falls_back_on_the_orbital_minimum():
     assert (solution.r_aa, solution.R0) == (orbital_start.r_aa, orbital_start.R0)
 
 
-def test_a_failed_virial_descent_falls_back_on_the_structural_start():
+def test_a_failed_virial_descent_falls_back_on_the_grid_start():
     # The orbital solve of system 3/569 of tests/np1_random_set.py, a
     # weakly bound ion: from the virial start E falls toward infinite
-    # separation, while the descent from the structural start reaches the
-    # minimum it reached before the virial start.
+    # separation, while the descent from the grid start reaches the bound
+    # minimum.
     system = NPlusOneSystem(6, 3, laws.kinetic_power(1.9101998564329037, 1.056169838887955),
                             laws.kinetic_power(3.0676861424939337, 1.056169838887955),
                             laws.power(1.0684598966248575, -1.0),
@@ -266,7 +219,7 @@ def test_a_failed_virial_descent_falls_back_on_the_structural_start():
     with pytest.raises(NoBindingError):
         solver_nplus1._newton(system, q_a, q_b, *start)
     r_aa, R0, surface, _, _ = solver_nplus1._newton(
-        system, q_a, q_b, *solver_nplus1._initial_guess(system, q_a, q_b))
+        system, q_a, q_b, *solver_nplus1._grid_start(system, q_a, q_b))
     solution = solve_et_np1(system, q_a, q_b)
     assert (solution.energy, solution.r_aa, solution.R0) == (surface[0], r_aa, R0)
     assert solution.energy == pytest.approx(-0.004288316907305717, rel=1e-12)
@@ -317,92 +270,86 @@ def test_the_virial_start_is_the_minimum_along_the_scale(alpha, beta, N_a, q_a, 
                                       lam * factor)[0] > energy
 
 
-def _scanned_start(system, q_a, q_b):
-    """_initial_guess with the walk left out, so R0 comes from the scan."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver_nplus1, "walk_root", lambda fn, x, lo, hi: None)
-        return solver_nplus1._initial_guess(system, q_a, q_b)
+def _screened():
+    """A census system: a repulsive 1/r block of 8 and a Yukawa cross potential.
 
-
-@st.composite
-def _one_sign_change_system(draw, a_b=None):
-    """A random split system whose T_b and V_ab meet _one_sign_change.
-
-    T_b = c_b p^a_b, V_ab = c' r^b with c' b > 0, a_b + b > 0 and
-    2 + b > 0; T_a is a kinetic power or a sum of two; V_aa is any power
-    law, so that r_aa, and with it p_a0, comes from the block, from V_ab, or
-    is 1.
+    Its minimum at q = (10.5, 1.5) lies at R0/r_aa = 0.32, in the narrow
+    basin that a grid of rays misses unless one ray runs close to it.
     """
-    def log_uniform(lo, hi):
-        return 10.0 ** draw(st.floats(lo, hi))
-
-    if a_b is None:
-        a_b = draw(st.floats(0.5, 3.0))
-    b = draw(st.floats(max(-a_b, -2.0) + 0.05, 3.0).filter(lambda b: abs(b) >= 0.05))
-    kinetic_a = laws.kinetic_power(log_uniform(-2, 2), draw(st.floats(0.5, 3.0)))
-    if draw(st.booleans()):
-        kinetic_a = laws.make_weighted_sum(
-            [(1.0, kinetic_a), (1.0, laws.kinetic_power(log_uniform(-2, 2), 1.0))])
-    potential_aa = laws.power(draw(st.sampled_from([-1.0, 1.0])) * log_uniform(-2, 2),
-                              draw(st.floats(-1.5, 2.0).filter(lambda e: abs(e) >= 0.1)))
-    return NPlusOneSystem(
-        N_a=draw(st.integers(2, 8)), D=3, kinetic_a=kinetic_a,
-        kinetic_b=laws.kinetic_power(log_uniform(-3, 3), a_b),
-        potential_aa=potential_aa,
-        potential_ab=laws.power(math.copysign(log_uniform(-3, 3), b), b))
+    return NPlusOneSystem(8, 3, laws.kinetic_power(0.5, 2.0),
+                          laws.kinetic_power(0.5 / 4.277319767138844, 2.0),
+                          laws.power(0.3554067691390346, -1.0),
+                          _yukawa(12.45641780310827, 0.9701841987583806))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(system=_one_sign_change_system(), q_a=st.floats(0.5, 20.0),
-       q_b=st.floats(0.5, 20.0))
-def test_the_walked_r0_is_the_scanned_r0(system, q_a, q_b):
-    # The scan's lowest root, or r_aa where the scan finds none, without a
-    # scan; every draw meets the condition.
-    with pytest.MonkeyPatch.context() as patch:
-        scans = _count_scans(patch, solver_nplus1)
-        r_aa, R0 = solver_nplus1._initial_guess(system, q_a, q_b)
-    assert scans == []
-    expect_r_aa, expect_R0 = _scanned_start(system, q_a, q_b)
-    assert r_aa == expect_r_aa
-    assert R0 == pytest.approx(expect_R0, rel=1e-14, abs=0.0)
+def _rule_start(system, q_a, q_b):
+    """The grid start's rule evaluated by brute force over every ray sample."""
+    def energy(r_aa, R0):
+        try:
+            value = solver_nplus1._surface(system, q_a, q_b, r_aa, R0)[0]
+        except (ArithmeticError, ValueError):
+            return math.inf
+        return math.inf if math.isnan(value) else value
+
+    lams = [SCAN_LO]
+    while 2.0 * lams[-1] <= SCAN_HI:
+        lams.append(2.0 * lams[-1])
+    candidates = []
+    for shape in (1 / 16, 1 / 4, 1, 4):
+        ray = [energy(lam, shape * lam) for lam in lams]
+        candidates += [(ray[k], lams[k], shape * lams[k]) for k in range(1, len(ray) - 1)
+                       if ray[k] < ray[k - 1] and ray[k] < ray[k + 1]]
+    if not candidates:
+        return 1.0, 1.0
+    return min(candidates, key=lambda c: c[0])[1:]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(system=_one_sign_change_system(a_b=2.0), q_a=st.floats(0.5, 20.0),
-       q_b=st.floats(0.5, 20.0))
-def test_the_walked_r0_has_its_closed_form_for_quadratic_t_b(system, q_a, q_b):
-    # With a_b = 2 both kinetic terms go as R^-2: R0^(2+b) = (k1 + k2)/k3,
-    # where it lies in the range the widened scan ends on; else R0 = r_aa.
-    # A rounding of the residual's terms moves either root by its relative
-    # size over 2 + b, the log slope of residual/(k3 R^b) at the root.
-    r_aa, R0 = solver_nplus1._initial_guess(system, q_a, q_b)
-    N_a = system.N_a
-    p_a0 = q_a / (math.sqrt(pair_count(N_a)) * r_aa)
-    c_b = laws.power_parameters(system.kinetic_b)[0]
-    cv, b = laws.power_parameters(system.potential_ab)
-    k1 = system.kinetic_a.d1(p_a0) * q_b ** 2 / (N_a * p_a0)
-    k2 = 2.0 * c_b * q_b ** 2
-    k3 = N_a * cv * b
-    root = ((k1 + k2) / k3) ** (1.0 / (2.0 + b))
-    if SCAN_LO * 1e-8 <= root <= SCAN_HI * 1e8:
-        assert R0 == pytest.approx(root, rel=1e-14 / (2.0 + b), abs=0.0)
-    else:
-        assert R0 == r_aa
+def test_the_grid_start_is_the_lowest_local_minimum_along_its_rays(monkeypatch):
+    system = _screened()
+    calls, surface = [], solver_nplus1._surface
+    monkeypatch.setattr(solver_nplus1, "_surface",
+                        lambda *args: calls.append(args) or surface(*args))
+    start = solver_nplus1._grid_start(system, 10.5, 1.5)
+    # Four rays of 54 samples, a factor 2 apart over [SCAN_LO, SCAN_HI].
+    assert len(calls) == 4 * 54
+    assert start == _rule_start(system, 10.5, 1.5)
+    # The ray R0 = r_aa/4 runs through the basin, and the descent from it
+    # reaches the bound minimum there.
+    assert start[1] / start[0] == 0.25
+    solution = solve_et_np1(system, 10.5, 1.5)
+    assert 0.1 < solution.R0 / solution.r_aa < 0.6
+    assert solution.energy == pytest.approx(-109.21530311289823, rel=1e-10)
 
 
-@pytest.mark.parametrize("kinetic_b, potential_ab", [
-    (laws.kinetic_power(0.5, 2.0), laws.gaussian_well(5.0, 1.0)),
-    (laws.kinetic_power(1.0, 1.0), laws.power(-1.0, -1.5)),  # a_b + b < 0
-    (laws.kinetic_power(1.0, 1.0), laws.power(-1.0, -1.0)),  # a_b + b = 0
-    (laws.kinetic_power(0.5, 3.0), laws.power(-1.0, -2.5)),  # 2 + b < 0
-    (laws.kinetic_power(0.5, 2.0), laws.power(1.0, -1.0)),   # c' b < 0
-    (laws.kinetic_power(0.5, 2.0), laws.power(-1.0, 1.0)),   # c' b < 0
-], ids=["gaussian", "a_b+b<0", "a_b+b=0", "2+b<0", "repulsive", "falling"])
-def test_other_two_body_laws_are_scanned(monkeypatch, kinetic_b, potential_ab):
-    scans, walks = _count_scans(monkeypatch, solver_nplus1), []
-    monkeypatch.setattr(solver_nplus1, "walk_root",
-                        lambda fn, x, lo, hi: walks.append(x) or rootscan.walk_root(fn, x, lo, hi))
-    system = NPlusOneSystem(3, 3, laws.kinetic_power(0.5, 2.0), kinetic_b,
-                            laws.harmonic(1.0), potential_ab)
-    solver_nplus1._initial_guess(system, 2.0, 1.5)
-    assert len(scans) == 1 and walks == []
+def test_a_surface_without_a_local_minimum_on_any_ray_starts_at_the_unit_shape():
+    # The system of test_a_start_where_e_cannot_be_evaluated_is_a_solver_error
+    # in tests/test_descent.py: E falls along every ray, or cannot be
+    # evaluated there.
+    system = NPlusOneSystem(4, 3, laws.kinetic_power(2.8016273660031485, 1.0141293070974613),
+                            laws.kinetic_power(3.1307950223563457, 1.5891570855144925),
+                            laws.coulomb(0.19729224144349278),
+                            laws.exponential_well(0.7638465908505869, 2.5540209586575613))
+    spec = QuantumSpec(3, ((1, 2), (1, 2), (1, 2)), (2, 2))
+    assert _rule_start(system, spec.lam, spec.lam_b) == (1.0, 1.0)
+    assert solver_nplus1._grid_start(system, spec.lam, spec.lam_b) == (1.0, 1.0)
+
+
+def _refuse(*args, **kwargs):
+    pytest.fail("an N_a+1 solve called the root scan or the identical solver")
+
+
+@pytest.mark.parametrize("system, q_a, q_b", [
+    (_screened(), 10.5, 1.5),
+    (NPlusOneSystem(3, 3, laws.kinetic_power(0.5, 2.0), laws.kinetic_power(0.5, 2.0),
+                    laws.make_weighted_sum([(1.0, laws.gaussian_well(5.0, 1.0)),
+                                            (1.0, laws.harmonic(1.0))]),
+                    laws.coulomb(2.0)), 2.0, 1.5),
+    # A decrease hidden in rounding: see tests/test_descent.py.
+    (NPlusOneSystem(3, 3, laws.kinetic_power(0.5, 300.0), laws.kinetic_power(0.5, 1.0),
+                    laws.power(-1.0, -1.0), laws.power(-1.0, -1.0)), 2.0, 1.5),
+], ids=["screened", "gaussian+harmonic", "hidden-decrease"])
+def test_no_n_a_plus_1_solve_scans(monkeypatch, system, q_a, q_b):
+    monkeypatch.setattr(solver_nplus1, "find_roots", _refuse)
+    monkeypatch.setattr(solver_nplus1, "solve_et", _refuse)
+    solution = solve_et_np1(system, q_a, q_b)
+    assert max(solution.residual_a, solution.residual_b) < NEWTON_TOL
