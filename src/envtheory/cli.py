@@ -50,11 +50,10 @@ a dotted subsection:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import laws, repro
 from .errors import EnvTheoryError, InputError, NonConvergenceError
@@ -65,6 +64,7 @@ from .solver_identical import IdenticalSystem, dosm_identical, solve_et, solve_i
 from .solver_nplus1 import (NPlusOneSystem, atom_report, dosm_np1,
                             solve_et_np1, solve_iet_np1)
 from .critical import critical_g, u_star
+from .records import Record
 
 __all__ = ["main"]
 
@@ -104,6 +104,8 @@ def _emit_rows(rows: list[dict], args) -> None:
         payload = rows[0] if len(rows) == 1 else rows
         print(json.dumps(payload))
     elif args.output == "csv":
+        import csv
+
         writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         for row in rows:
@@ -234,14 +236,10 @@ _SYSTEM_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class _Definition:
-    kind: str
-    system: object
-    spec: QuantumSpec
-    method: str
-    unit: float | None
-    echo: dict
+class _Definition(Record, namedtuple("_Definition", "kind system spec method unit echo")):
+    """A loaded definition file: the system, its state, and the inputs to echo."""
+
+    __slots__ = ()
 
 
 def _load_definition(path: str) -> _Definition:

@@ -16,26 +16,24 @@ a - k_c/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InputError, UnstableModeError
+from .records import Record
 
 __all__ = ["OscPair", "normal_modes", "level"]
 
 
-@dataclass(frozen=True)
-class OscPair:
+class OscPair(Record, namedtuple("OscPair", "mu_a mu_b k_a k_b k_c")):
     """Masses and stiffnesses of the coupled pair; k_c may have any sign."""
 
-    mu_a: float
-    mu_b: float
-    k_a: float
-    k_b: float
-    k_c: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.mu_a <= 0.0 or self.mu_b <= 0.0:
+    def __new__(cls, mu_a: float, mu_b: float, k_a: float, k_b: float,
+                k_c: float = 0.0) -> OscPair:
+        if mu_a <= 0.0 or mu_b <= 0.0:
             raise InputError("effective masses must be positive")
+        return tuple.__new__(cls, (mu_a, mu_b, k_a, k_b, k_c))
 
 
 def normal_modes(pair: OscPair) -> tuple[float, float, float]:

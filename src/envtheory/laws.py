@@ -14,8 +14,10 @@ callables for a weighted sum), so an evaluation recomputes no constant and
 calls nothing but exp, pow or a member.  Every folded expression rounds
 exactly as its unfolded form: the values are bit-identical to it.
 Law objects are immutable after construction and safe for concurrent reads.
-``Law`` stays a dataclass: the benchmark's tracer rebuilds every law with
-``dataclasses.replace`` to count its evaluations.
+``Law`` is the package's last dataclass; every other record is a named
+tuple (see ``records``).  It stays one because the benchmark's tracer
+rebuilds every law with ``dataclasses.replace`` to count its evaluations,
+so ``dataclasses`` is still imported with the package.
 """
 
 from __future__ import annotations

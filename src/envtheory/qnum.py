@@ -14,10 +14,11 @@ to the plain Q = sum(2 n_i + l_i + D/2) at phi = 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from heapq import heappush, heapreplace
 
 from .errors import InputError
+from .records import Record
 
 __all__ = [
     "QuantumSpec",
@@ -34,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuantumSpec:
+class QuantumSpec(Record, namedtuple("QuantumSpec", "D internal_modes relative_mode")):
     """Quantum numbers of one state.
 
     ``internal_modes`` holds the (n_i, l_i) pairs of the internal motion: N-1
@@ -45,21 +45,21 @@ class QuantumSpec:
     for all-identical systems.
     """
 
-    D: int
-    internal_modes: tuple[tuple[int, int], ...]
-    relative_mode: tuple[int, int] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.D < 2:
+    def __new__(cls, D: int, internal_modes: tuple[tuple[int, int], ...],
+                relative_mode: tuple[int, int] | None = None) -> QuantumSpec:
+        if D < 2:
             raise InputError("dimension must be >= 2")
-        if not self.internal_modes:
+        if not internal_modes:
             raise InputError("at least one internal mode is required")
-        modes = list(self.internal_modes)
-        if self.relative_mode is not None:
-            modes.append(self.relative_mode)
+        modes = list(internal_modes)
+        if relative_mode is not None:
+            modes.append(relative_mode)
         for n, l in modes:
             if n < 0 or l < 0 or n != int(n) or l != int(l):
                 raise InputError(f"quantum numbers must be non-negative integers, got ({n}, {l})")
+        return tuple.__new__(cls, (D, internal_modes, relative_mode))
 
     @property
     def nu(self) -> float:
@@ -83,24 +83,17 @@ class QuantumSpec:
         return self.relative_mode[1] + 0.5 * (self.D - 2)
 
 
-@dataclass(frozen=True)
-class GroundStateResult:
+class GroundStateResult(Record, namedtuple(
+        "GroundStateResult", "N D phi statistics d levels nu lam q_phi")):
     """Outcome of a ground-state enumeration.
 
     ``levels`` lists the filled single-particle levels as (n, l, occupancy)
     triples; occupancies sum to N.  The aggregates include the centre-of-mass
     removal tails (N-1)/2 and (N-1)(D-2)/2, so Q_phi = phi*nu + lam directly.
+    ``statistics`` is "boson" or "fermion"; ``d`` is None for bosons.
     """
 
-    N: int
-    D: int
-    phi: float
-    statistics: str
-    d: int | None
-    levels: tuple[tuple[int, int, int], ...]
-    nu: float
-    lam: float
-    q_phi: float
+    __slots__ = ()
 
 
 def ground_spec(N: int, D: int) -> QuantumSpec:
@@ -167,6 +160,8 @@ def bgs(N: int, D: int, phi: float = 2.0) -> GroundStateResult:
         raise InputError("need N >= 2")
     if D < 2:
         raise InputError("need D >= 2")
+    if phi <= 0.0:
+        raise InputError("phi must be positive")
     if not math.isfinite(phi):
         raise InputError(f"phi must be finite, got {phi}")
     nu = 0.5 * (N - 1)

@@ -10,7 +10,7 @@ each table carries its own tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import partial
 from importlib import resources
 
@@ -18,6 +18,7 @@ from . import laws
 from .errors import EnvTheoryError, InputError
 from .kvfile import parse_sections
 from .qnum import QuantumSpec, ground_spec
+from .records import Record
 from .solver_identical import IdenticalSystem, solve_et, solve_iet
 from .solver_nplus1 import (NPlusOneSystem, atom_report, solve_et_np1,
                             solve_iet_np1)
@@ -126,17 +127,10 @@ def split_spec(D: int, N_a: int, nu_a: float, lam_a: float,
                        relative_mode=(round(n_b), round(l_b)))
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record, namedtuple("Check", "quantity computed reference error tol mode passed")):
     """One compared quantity; ``mode`` says whether ``error`` is relative or absolute."""
 
-    quantity: str
-    computed: float
-    reference: float
-    error: float
-    tol: float
-    mode: str
-    passed: bool
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"quantity": self.quantity, "computed": self.computed,
@@ -144,12 +138,17 @@ class Check:
                 "tol": self.tol, "mode": self.mode, "passed": self.passed}
 
 
-@dataclass(frozen=True)
-class RowReport:
-    label: str
-    checks: tuple[Check, ...] = ()
-    extras: dict = field(default_factory=dict)
-    error: str | None = None
+class RowReport(Record, namedtuple("RowReport", "label checks extras error")):
+    """One recomputed row: its checks, its extras, or the error that stopped it.
+
+    Each report gets its own ``extras`` dict when none is given.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, label: str, checks: tuple[Check, ...] = (), extras: dict | None = None,
+                error: str | None = None) -> RowReport:
+        return tuple.__new__(cls, (label, checks, {} if extras is None else extras, error))
 
     @property
     def passed(self) -> bool:
@@ -160,10 +159,10 @@ class RowReport:
                 "checks": [c.to_dict() for c in self.checks], "extras": self.extras}
 
 
-@dataclass(frozen=True)
-class TableReport:
-    table: int
-    rows: tuple[RowReport, ...]
+class TableReport(Record, namedtuple("TableReport", "table rows")):
+    """The row reports of one recomputed table."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -23,13 +23,14 @@ purely orbital solution (Q replaced by lam alone).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from typing import Callable
 
 from . import laws
 from .errors import (DegenerateOrbitalError, InputError, NoRootError,
                      UnstableOrbitalError, UnsupportedRegimeError)
 from .qnum import QuantumSpec
+from .records import Record
 from .rootscan import _sample, find_roots
 
 __all__ = [
@@ -53,46 +54,37 @@ def pair_count(N: int) -> float:
     return 0.5 * N * (N - 1)
 
 
-@dataclass(frozen=True)
-class IdenticalSystem:
+class IdenticalSystem(Record, namedtuple("IdenticalSystem", "N D kinetic potential")):
     """N identical particles in D dimensions with kinetic law T and pair potential V."""
 
-    N: int
-    D: int
-    kinetic: laws.Law
-    potential: laws.Law
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.N < 2:
+    def __new__(cls, N: int, D: int, kinetic: laws.Law,
+                potential: laws.Law) -> IdenticalSystem:
+        if N < 2:
             raise InputError("need N >= 2")
-        if self.D < 2:
+        if D < 2:
             raise InputError("need D >= 2")
+        return tuple.__new__(cls, (N, D, kinetic, potential))
 
 
-@dataclass(frozen=True)
-class EtSolution:
+class EtSolution(Record, namedtuple(
+        "EtSolution", "energy rho0 p0 q residual_motion residual_quantization n_roots "
+        "all_roots variational phi", defaults=("unknown", None))):
     """Converged solution of the compact set.
 
     ``all_roots`` lists every (energy, rho0) pair found on the scan range,
     sorted by energy; the reported solution is the requested one among them.
     ``variational`` records the bound character when it is known from the
     structure of the laws ("upper", "lower", "exact"), otherwise "unknown".
+    ``phi`` is the deformation of an improved solve, None for a plain one.
     """
 
-    energy: float
-    rho0: float
-    p0: float
-    q: float
-    residual_motion: float
-    residual_quantization: float
-    n_roots: int
-    all_roots: tuple[tuple[float, float], ...]
-    variational: str = "unknown"
-    phi: float | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DosmIdenticalReport:
+class DosmIdenticalReport(Record, namedtuple("DosmIdenticalReport",
+                                             "orbital mu k phi n_pairs")):
     """Radial-oscillation analysis around the purely orbital solution.
 
     ``orbital`` is the compact set solved at the orbital aggregate
@@ -101,11 +93,7 @@ class DosmIdenticalReport:
     they imply.
     """
 
-    orbital: EtSolution
-    mu: float
-    k: float
-    phi: float
-    n_pairs: float
+    __slots__ = ()
 
     def level(self, nu: float) -> float:
         """Energy with radial aggregate nu on top of the orbital motion."""
@@ -444,4 +432,4 @@ def solve_iet(system: IdenticalSystem, spec: QuantumSpec) -> EtSolution:
     phi = _dosm_identical(system, lam, levels).phi
     solution = _solve_et(system, phi * nu + lam, levels)
     variational = "unknown" if abs(phi - 2.0) > 1e-12 else solution.variational
-    return replace(solution, variational=variational, phi=phi)
+    return solution._replace(variational=variational, phi=phi)

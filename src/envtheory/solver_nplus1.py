@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import partial
 from typing import Callable
 
@@ -53,6 +53,7 @@ from .coupled_osc import OscPair, normal_modes
 from .errors import (DegenerateOrbitalError, InputError, NoBindingError,
                      NonConvergenceError, UnstableOrbitalError)
 from .qnum import QuantumSpec, fgs_fill, spec_from_filling
+from .records import Record
 from .solver_identical import SCAN_HI, SCAN_LO, pair_count
 # Unused here: bench/tracer.py patches both names in this module, and its tests check that.
 from .rootscan import find_roots  # noqa: F401
@@ -77,6 +78,9 @@ NEWTON_MAX_STEPS = 200
 NEWTON_MAX_HALVINGS = 30
 # Largest move of log r_aa or log R0 a tangent-predicted start makes.
 PREDICTOR_MAX_STEP = 2.0
+# A descent escapes (E has no minimum) once a radius passes both SCAN_HI and
+# this multiple of the start's larger radius.
+ESCAPE_FACTOR = 16.0
 # Shapes R0/r_aa of the rays _grid_start samples E along, and the factor
 # between its samples of r_aa on each ray.
 _GRID_SHAPES = (1.0 / 16.0, 0.25, 1.0, 4.0)
@@ -86,8 +90,8 @@ _GRID_FACTOR = 2.0
 ATOMIC_UNIT_EV = 27.21
 
 
-@dataclass(frozen=True)
-class NPlusOneSystem:
+class NPlusOneSystem(Record, namedtuple(
+        "NPlusOneSystem", "N_a D kinetic_a kinetic_b potential_aa potential_ab")):
     """N_a identical particles (laws T_a, V_aa) plus one distinct particle.
 
     T_b is the distinct particle's kinetic law and V_ab its interaction with
@@ -95,46 +99,32 @@ class NPlusOneSystem:
     this solver's scope.
     """
 
-    N_a: int
-    D: int
-    kinetic_a: laws.Law
-    kinetic_b: laws.Law
-    potential_aa: laws.Law
-    potential_ab: laws.Law
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.N_a < 2:
+    def __new__(cls, N_a: int, D: int, kinetic_a: laws.Law, kinetic_b: laws.Law,
+                potential_aa: laws.Law, potential_ab: laws.Law) -> NPlusOneSystem:
+        if N_a < 2:
             raise InputError("need N_a >= 2")
-        if self.D < 2:
+        if D < 2:
             raise InputError("need D >= 2")
+        return tuple.__new__(cls, (N_a, D, kinetic_a, kinetic_b, potential_aa, potential_ab))
 
 
-@dataclass(frozen=True)
-class Np1Solution:
+class Np1Solution(Record, namedtuple(
+        "Np1Solution", "energy p_a r_aa P0 R0 p_a_prime r_0_prime q_a q_b residual_a "
+        "residual_b iterations n_roots phi_a phi_b", defaults=(None, None))):
     """Converged solution of the five-equation set: a minimum of E(r_aa, R0).
 
-    ``n_roots`` is 1, the one minimum the descent reached.
+    ``n_roots`` is 1, the one minimum the descent reached.  (phi_a, phi_b)
+    are the deformations of an improved solve, None for a plain one.
     """
 
-    energy: float
-    p_a: float
-    r_aa: float
-    P0: float
-    R0: float
-    p_a_prime: float
-    r_0_prime: float
-    q_a: float
-    q_b: float
-    residual_a: float
-    residual_b: float
-    iterations: int
-    n_roots: int
-    phi_a: float | None = None
-    phi_b: float | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DosmNp1Report:
+class DosmNp1Report(Record, namedtuple(
+        "DosmNp1Report", "orbital mu_a mu_b k_a k_b k_c A B mu D_a D_b phi_a phi_b "
+        "n_pairs radius_response")):
     """Coupled radial-oscillation analysis around the orbital solution.
 
     ``orbital`` is the five-equation set solved at the orbital aggregates
@@ -149,21 +139,7 @@ class DosmNp1Report:
     d log r_aa/d log q_b, d log R0/d log q_a, d log R0/d log q_b).
     """
 
-    orbital: Np1Solution
-    mu_a: float
-    mu_b: float
-    k_a: float
-    k_b: float
-    k_c: float
-    A: float
-    B: float
-    mu: float
-    D_a: float
-    D_b: float
-    phi_a: float
-    phi_b: float
-    n_pairs: float
-    radius_response: tuple[float, float, float, float]
+    __slots__ = ()
 
     def level(self, nu_a: float, nu_b: float) -> float:
         """Energy with radial aggregates (nu_a, nu_b) on top of the orbital motion."""
@@ -196,6 +172,20 @@ def _geometry(system: NPlusOneSystem, q_a: float, q_b: float,
     p_a_prime = math.sqrt(p_a ** 2 + P0 ** 2 / N_a ** 2)
     r_0_prime = math.sqrt(R0 ** 2 + 0.5 * (N_a - 1) / N_a * r_aa ** 2)
     return p_a, P0, p_a_prime, r_0_prime
+
+
+def _energy(system: NPlusOneSystem, q_a: float, q_b: float, r_aa: float, R0: float) -> float:
+    """E(r_aa, R0; q_a, q_b) alone, from the laws' values.
+
+    Its terms are those of _surface, added in the same order, and _geometry
+    forms p_a' and r_0' as _surface does, so wherever _surface can be
+    evaluated the two energies are equal to the last bit.
+    """
+    N_a = system.N_a
+    _, P0, pap, r0p = _geometry(system, q_a, q_b, r_aa, R0)
+    return (N_a * system.kinetic_a.value(pap) + system.kinetic_b.value(P0)
+            + pair_count(N_a) * system.potential_aa.value(r_aa)
+            + N_a * system.potential_ab.value(r0p))
 
 
 def _root_sum(t1: float, t2: float, sign: float):
@@ -286,11 +276,14 @@ def _newton(system: NPlusOneSystem, q_a: float, q_b: float, r_aa: float,
     evaluated, t is halved.  A start where E cannot be evaluated, and a
     stationary point that is not a minimum (a start on a saddle or a
     maximum), raise NonConvergenceError.  A step that carries a radius
-    beyond both SCAN_HI and the start's radii means E falls toward infinite
-    separation and has no minimum: NoBindingError.  Returns (r_aa, R0, the
-    _surface result there, iterations, scaled residuals).
+    beyond both SCAN_HI and ESCAPE_FACTOR times the start's larger radius
+    means E falls toward infinite separation and has no minimum:
+    NoBindingError.  The margin lets a start beyond SCAN_HI (a virial start
+    of a weakly bound system) take the outward steps to its minimum.
+    Returns (r_aa, R0, the _surface result there, iterations, scaled
+    residuals).
     """
-    far = max(SCAN_HI, r_aa, R0)
+    far = max(SCAN_HI, ESCAPE_FACTOR * max(r_aa, R0))
     try:
         surface = _surface(system, q_a, q_b, r_aa, R0)
     except (OverflowError, ValueError, ZeroDivisionError):
@@ -372,8 +365,9 @@ def _grid_start(system: NPlusOneSystem, q_a: float, q_b: float) -> tuple[float, 
     Each shape s of _GRID_SHAPES is a ray, sampled at r_aa = SCAN_LO
     _GRID_FACTOR^k up to SCAN_HI; a sample whose two neighbours on its ray
     both lie higher is a local minimum, and the lowest of them over all
-    rays is the start.  A sample where E cannot be evaluated, or is NaN,
-    counts as +inf.  Without any local minimum the start is (1, 1).  The
+    rays is the start.  Each sample is E alone (_energy), no derivative.  A
+    sample where E cannot be evaluated, or is NaN, counts as +inf.  Without
+    any local minimum the start is (1, 1).  The
     virial start is the minimum of such a ray in closed form.
     """
     steps = int(math.log(SCAN_HI / SCAN_LO) / math.log(_GRID_FACTOR))
@@ -383,7 +377,7 @@ def _grid_start(system: NPlusOneSystem, q_a: float, q_b: float) -> tuple[float, 
         energies = []
         for lam in lams:
             try:
-                energy = _surface(system, q_a, q_b, lam, shape * lam)[0]
+                energy = _energy(system, q_a, q_b, lam, shape * lam)
             except (OverflowError, ValueError, ZeroDivisionError):
                 energy = math.inf
             energies.append(math.inf if math.isnan(energy) else energy)
@@ -516,25 +510,15 @@ def solve_iet_np1(system: NPlusOneSystem, spec: QuantumSpec) -> Np1Solution:
     orbital = report.orbital
     solution, _ = _solve(system, q_a, q_b, report.radii(q_a, q_b),
                          lambda: (orbital.r_aa, orbital.R0))
-    return replace(solution, phi_a=phi_a, phi_b=phi_b)
+    return solution._replace(phi_a=phi_a, phi_b=phi_b)
 
 
-@dataclass(frozen=True)
-class AtomResult:
+class AtomResult(Record, namedtuple(
+        "AtomResult", "binding_ev energy method Z n_electrons nucleus_mass filling_levels "
+        "nu_a lam_a phi_a phi_b solution")):
     """Atom pipeline outcome: binding energy plus the quantities behind it."""
 
-    binding_ev: float
-    energy: float
-    method: str
-    Z: float
-    n_electrons: int
-    nucleus_mass: float
-    filling_levels: tuple[tuple[int, int, int], ...]
-    nu_a: float
-    lam_a: float
-    phi_a: float | None
-    phi_b: float | None
-    solution: Np1Solution
+    __slots__ = ()
 
 
 def _atom_system(Z: float, n_electrons: int, nucleus_mass: float) -> NPlusOneSystem:

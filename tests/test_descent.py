@@ -160,6 +160,31 @@ def test_a_decrease_hidden_in_rounding_is_reached_from_the_grid_start():
     assert _positive_definite_at(system, 2.0, 1.5, solution)
 
 
+def test_a_virial_start_beyond_scan_hi_descends_to_its_minimum(monkeypatch):
+    # T = p^1.21875 with V_aa = 1/r and V_ab = -1/r binds weakly: at q = (10, 10)
+    # the virial start (6.31e8, 6.31e8) and the minimum both lie beyond
+    # SCAN_HI, so the first outward step is no escape.  The minimum is that at
+    # q = (2, 2) scaled by s = 5: radii by s^(alpha/(alpha+beta)), E by
+    # s^(alpha beta/(alpha+beta)), with alpha = 1.21875 and beta = -1.
+    kinetic = laws.kinetic_power(1.0, 1.21875)
+    system = NPlusOneSystem(2, 3, kinetic, kinetic, laws.power(1.0, -1.0),
+                            laws.power(-1.0, -1.0))
+    base = solve_et_np1(system, 2.0, 2.0)
+
+    def no_grid(*args):
+        raise AssertionError("the virial descent must not fall back")
+
+    monkeypatch.setattr(solver_nplus1, "_grid_start", no_grid)
+    solution = solve_et_np1(system, 10.0, 10.0)
+    assert solution.r_aa == pytest.approx(1.3107e8, rel=1e-4)
+    assert solution.energy == pytest.approx(-2.5867239164775254e-09, rel=1e-12)
+    assert solution.iterations == 7
+    length = 5.0 ** (1.21875 / 0.21875)
+    assert solution.r_aa == pytest.approx(length * base.r_aa, rel=10 * NEWTON_TOL)
+    assert solution.R0 == pytest.approx(length * base.R0, rel=10 * NEWTON_TOL)
+    assert solution.energy == pytest.approx(base.energy / length, rel=1e-12)
+
+
 def test_one_solve_is_one_descent(monkeypatch):
     calls = []
     original = solver_nplus1._newton

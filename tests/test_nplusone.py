@@ -25,9 +25,9 @@ from envtheory.errors import (DegenerateOrbitalError, InputError, NoBindingError
                               EnvTheoryError)
 from envtheory.qnum import QuantumSpec, split_ground_spec
 from envtheory.solver_identical import SCAN_HI, IdenticalSystem, dosm_identical, solve_et
-from envtheory.solver_nplus1 import (NEWTON_TOL, NPlusOneSystem, atom_report,
-                                     dosm_np1, phi_pair, solve_atom, solve_et_np1,
-                                     solve_iet_np1)
+from envtheory.solver_nplus1 import (ESCAPE_FACTOR, NEWTON_TOL, NPlusOneSystem,
+                                     atom_report, dosm_np1, phi_pair, solve_atom,
+                                     solve_et_np1, solve_iet_np1)
 
 
 def _ho_split(N_a, m_a, m_b, k_aa, k_ab, D=3):
@@ -321,9 +321,13 @@ def test_homogeneous_minima_scale_with_the_quantum_numbers(case, q_a, q_b, s):
     except EnvTheoryError:
         assume(False)
     length = s ** (alpha / (alpha + beta))
-    # A descent that carries a radius beyond SCAN_HI reports no binding, so
-    # the scaled minimum must lie inside that range.
-    assume(length * max(base.r_aa, base.R0) < SCAN_HI)
+    # A descent calls E unbound once a radius passes both SCAN_HI and
+    # ESCAPE_FACTOR times the start's, so the scaled minimum must lie inside
+    # that radius around the virial start; without one, the grid start lies
+    # below SCAN_HI.
+    start = solver_nplus1._virial_start(system, s * q_a, s * q_b)
+    assume(length * max(base.r_aa, base.R0)
+           < max(SCAN_HI, ESCAPE_FACTOR * max(start or (0.0,))))
     scaled = solve_et_np1(system, s * q_a, s * q_b)
     assert scaled.energy == pytest.approx(s ** (alpha * beta / (alpha + beta)) * base.energy,
                                           rel=1e-12)

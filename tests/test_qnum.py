@@ -167,6 +167,16 @@ def test_bgs_rejects_dimension_below_two():
         qnum.bgs(3, 1)
 
 
+@pytest.mark.parametrize("phi", [0.0, -0.0, -1.0, -math.inf])
+def test_non_positive_phi_is_rejected(phi):
+    # bgs used to return q_phi = 0.0 for bgs(3, 3, -1.0).
+    for call in (lambda: qnum.bgs(3, 3, phi), lambda: qnum.fgs_fill(3, 3, 1, phi),
+                 lambda: qnum.fgs_approx(3, 3, 1, phi),
+                 lambda: qnum.global_q(qnum.ground_spec(3, 3), phi)):
+        with pytest.raises(InputError, match="phi"):
+            call()
+
+
 @pytest.mark.parametrize("D", [1, 0, -1])
 def test_fgs_closed_forms_reject_dimension_below_two(D):
     # Both closed forms count shells in D >= 2 dimensions, like bgs and fgs_fill.

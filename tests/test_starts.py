@@ -12,13 +12,12 @@ fails.  No N_a+1 start scans for a root or solves an identical block.
 """
 
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from envtheory import laws, repro, rootscan, solver_identical, solver_nplus1
-from envtheory.errors import NoBindingError, NoRootError
+from envtheory.errors import NoBindingError, NonConvergenceError, NoRootError
 from envtheory.qnum import QuantumSpec, fgs_fill, spec_from_filling
 from envtheory.solver_identical import SCAN_HI, SCAN_LO, IdenticalSystem, solve_et
 from envtheory.solver_nplus1 import (NEWTON_TOL, NPlusOneSystem, atom_report,
@@ -76,7 +75,7 @@ def test_an_improved_solve_makes_one_grid_start(monkeypatch):
     helium = _helium()
     solve_iet_np1(helium, spec)
     assert calls == []
-    solve_iet_np1(replace(helium, kinetic_b=laws.kinetic_power(1.0, 1.0)), spec)
+    solve_iet_np1(helium._replace(kinetic_b=laws.kinetic_power(1.0, 1.0)), spec)
     assert len(calls) == 1
 
 
@@ -204,22 +203,40 @@ def test_a_failed_predicted_descent_falls_back_on_the_orbital_minimum():
     assert (solution.r_aa, solution.R0) == (orbital_start.r_aa, orbital_start.R0)
 
 
-def test_a_failed_virial_descent_falls_back_on_the_grid_start():
-    # The orbital solve of system 3/569 of tests/np1_random_set.py, a
-    # weakly bound ion: from the virial start E falls toward infinite
-    # separation, while the descent from the grid start reaches the bound
-    # minimum.
+def _weak_ion():
+    """The orbital solve of system 3/569 of tests/np1_random_set.py, a weakly bound ion."""
     system = NPlusOneSystem(6, 3, laws.kinetic_power(1.9101998564329037, 1.056169838887955),
                             laws.kinetic_power(3.0676861424939337, 1.056169838887955),
                             laws.power(1.0684598966248575, -1.0),
                             laws.coulomb(4.489845358884624))
-    q_a, q_b = 7.5, 0.5
+    return system, 7.5, 0.5
+
+
+def test_a_far_virial_start_descends_to_the_minimum_of_the_grid_start():
+    # The scale through the unit shape has its minimum at 3.7e10, far beyond
+    # SCAN_HI, while E's minimum lies at r_aa = 282: the descent comes in
+    # from there, and no outward step on the way counts as an escape.
+    system, q_a, q_b = _weak_ion()
     start = solver_nplus1._virial_start(system, q_a, q_b)
-    assert start is not None
-    with pytest.raises(NoBindingError):
-        solver_nplus1._newton(system, q_a, q_b, *start)
+    assert start[0] > 100 * solver_nplus1.SCAN_HI
     r_aa, R0, surface, _, _ = solver_nplus1._newton(
         system, q_a, q_b, *solver_nplus1._grid_start(system, q_a, q_b))
+    solution = solve_et_np1(system, q_a, q_b)
+    assert solution.energy == pytest.approx(surface[0], rel=1e-13)
+    assert solution.r_aa == pytest.approx(r_aa, rel=1e-10)
+    assert solution.R0 == pytest.approx(R0, rel=1e-10)
+    assert solution.energy == pytest.approx(-0.004288316907305717, rel=1e-12)
+
+
+def test_a_failed_virial_descent_falls_back_on_the_grid_start(monkeypatch):
+    # A virial start where E cannot be evaluated fails its descent
+    # (NonConvergenceError); the solve then descends from the grid start.
+    system, q_a, q_b = _weak_ion()
+    r_aa, R0, surface, _, _ = solver_nplus1._newton(
+        system, q_a, q_b, *solver_nplus1._grid_start(system, q_a, q_b))
+    monkeypatch.setattr(solver_nplus1, "_virial_start", lambda *args: (1e300, 1.0))
+    with pytest.raises(NonConvergenceError, match="cannot be evaluated"):
+        solver_nplus1._newton(system, q_a, q_b, 1e300, 1.0)
     solution = solve_et_np1(system, q_a, q_b)
     assert (solution.energy, solution.r_aa, solution.R0) == (surface[0], r_aa, R0)
     assert solution.energy == pytest.approx(-0.004288316907305717, rel=1e-12)
@@ -306,12 +323,14 @@ def _rule_start(system, q_a, q_b):
 
 def test_the_grid_start_is_the_lowest_local_minimum_along_its_rays(monkeypatch):
     system = _screened()
-    calls, surface = [], solver_nplus1._surface
-    monkeypatch.setattr(solver_nplus1, "_surface",
-                        lambda *args: calls.append(args) or surface(*args))
+    calls, energy = [], solver_nplus1._energy
+    monkeypatch.setattr(solver_nplus1, "_energy",
+                        lambda *args: calls.append(args) or energy(*args))
+    monkeypatch.setattr(solver_nplus1, "_surface", _no_surface)
     start = solver_nplus1._grid_start(system, 10.5, 1.5)
-    # Four rays of 54 samples, a factor 2 apart over [SCAN_LO, SCAN_HI].
+    # Four rays of 54 samples of E alone, a factor 2 apart over [SCAN_LO, SCAN_HI].
     assert len(calls) == 4 * 54
+    monkeypatch.undo()
     assert start == _rule_start(system, 10.5, 1.5)
     # The ray R0 = r_aa/4 runs through the basin, and the descent from it
     # reaches the bound minimum there.
@@ -319,6 +338,39 @@ def test_the_grid_start_is_the_lowest_local_minimum_along_its_rays(monkeypatch):
     solution = solve_et_np1(system, 10.5, 1.5)
     assert 0.1 < solution.R0 / solution.r_aa < 0.6
     assert solution.energy == pytest.approx(-109.21530311289823, rel=1e-10)
+
+
+def _no_surface(*args):
+    pytest.fail("the grid start evaluated a derivative of E")
+
+
+@pytest.mark.parametrize("system, q_a, q_b", [
+    (_screened(), 10.5, 1.5),
+    (_weak_ion()[0], 7.5, 0.5),
+    (_helium(), 1.5, 0.5),
+    # T_a = 0.5 p^300: E and its derivatives overflow over much of the grid.
+    (NPlusOneSystem(3, 3, laws.kinetic_power(0.5, 300.0), laws.kinetic_power(0.5, 1.0),
+                    laws.power(-1.0, -1.0), laws.power(-1.0, -1.0)), 2.0, 1.5),
+    (NPlusOneSystem(3, 3, laws.kinetic_power(0.5, 2.0), laws.kinetic_power(0.5, 2.0),
+                    laws.make_weighted_sum([(1.0, laws.gaussian_well(5.0, 1.0)),
+                                            (1.0, laws.harmonic(1.0))]),
+                    laws.exponential_well(3.0, 0.5)), 3.5, 2.5),
+])
+def test_the_grid_samples_e_as_the_surface_does(system, q_a, q_b):
+    # At every grid sample where _surface can be evaluated, _energy gives its
+    # E to the last bit.
+    compared = 0
+    for shape in (1 / 16, 1 / 4, 1, 4):
+        for k in range(54):
+            r_aa = SCAN_LO * 2.0 ** k
+            try:
+                full = solver_nplus1._surface(system, q_a, q_b, r_aa, shape * r_aa)[0]
+            except (ArithmeticError, ValueError):
+                continue
+            energy = solver_nplus1._energy(system, q_a, q_b, r_aa, shape * r_aa)
+            assert energy.hex() == full.hex() or math.isnan(energy) and math.isnan(full)
+            compared += 1
+    assert compared > 100
 
 
 def test_a_surface_without_a_local_minimum_on_any_ray_starts_at_the_unit_shape():
