@@ -58,8 +58,8 @@ from collections import namedtuple
 from . import laws, repro
 from .errors import EnvTheoryError, InputError, NonConvergenceError
 from .kvfile import parse_sections
-from .qnum import (QuantumSpec, bgs, fgs_approx, fgs_closed, fgs_fill, global_q,
-                   spec_from_filling)
+from .qnum import (MAX_FILL_LEVELS, QuantumSpec, bgs, fgs_approx, fgs_closed, fgs_fill,
+                   global_q, ground_spec, spec_from_filling)
 from .solver_identical import IdenticalSystem, dosm_identical, solve_et, solve_iet
 from .solver_nplus1 import (NPlusOneSystem, atom_report, dosm_np1,
                             solve_et_np1, solve_iet_np1)
@@ -70,6 +70,9 @@ __all__ = ["main"]
 
 # Default isotopes for the Z values covered by the bundled tables.
 _NUCLEUS_BY_Z = {2: "he4", 3: "li6", 6: "c12", 8: "o16"}
+# Fields of an N_a+1 solution that every record of one prints, in this order.
+_NP1_FIELDS = ("p_a", "r_aa", "P0", "R0", "residual_a", "residual_b", "iterations",
+               "n_roots")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,10 +121,6 @@ def _emit_rows(rows: list[dict], args) -> None:
             for key, value in row.items():
                 text = f"{value:.12g}" if isinstance(value, float) else str(value)
                 print(f"{key:<{width}}  {text}")
-
-
-def _emit(record: dict, args) -> None:
-    _emit_rows([record], args)
 
 
 def _check_residuals(record: dict, tol: float) -> None:
@@ -263,6 +262,9 @@ def _load_definition(path: str) -> _Definition:
     d = _int(state, "state", "d", 1.0)
 
     N = _int(sys_sec, "system", count_key)
+    if N - 1 > MAX_FILL_LEVELS:
+        raise InputError(f"[system] {count_key} = {N} needs {N - 1} internal modes; "
+                         f"a definition may have at most {MAX_FILL_LEVELS}")
     built = [_build_law(sections, name, name.startswith("kinetic")) for name in law_sections]
     system = system_class(N, D, *built)
     echo = {"definition": path, "type": kind, "D": D, "state_mode": mode, count_key: N}
@@ -271,7 +273,7 @@ def _load_definition(path: str) -> _Definition:
     relative = None if kind == "identical" else \
         _parse_mode(state.get("relative", "0,0"), "[state] relative")
     if mode == "bgs":
-        spec = QuantumSpec(D=D, internal_modes=((0, 0),) * (N - 1), relative_mode=relative)
+        spec = ground_spec(N, D)._replace(relative_mode=relative)
     elif mode == "fgs":
         spec = spec_from_filling(fgs_fill(N, D, d, 2.0), relative_mode=relative)
         echo["d"] = d
@@ -334,11 +336,8 @@ def _run_np1(system: NPlusOneSystem, spec: QuantumSpec, method: str) -> dict:
     else:
         solution = solve_et_np1(system, global_q(spec, 2.0), 2.0 * spec.nu_b + spec.lam_b)
     record.update(q_a=solution.q_a, q_b=solution.q_b, energy=solution.energy,
-                  p_a=solution.p_a, r_aa=solution.r_aa, P0=solution.P0,
-                  R0=solution.R0, residual_a=solution.residual_a,
-                  residual_b=solution.residual_b, iterations=solution.iterations,
-                  n_roots=solution.n_roots, phi_a=solution.phi_a,
-                  phi_b=solution.phi_b)
+                  **{key: getattr(solution, key) for key in _NP1_FIELDS},
+                  phi_a=solution.phi_a, phi_b=solution.phi_b)
     return record
 
 
@@ -355,7 +354,7 @@ def _cmd_solver(args) -> int:
     if definition.unit is not None:
         record["energy_converted"] = record["energy"] * definition.unit
     _check_residuals(record, args.tol)
-    _emit(record, args)
+    _emit_rows([record], args)
     return 0
 
 
@@ -368,7 +367,6 @@ def _cmd_atom(args) -> int:
                              f"pass --nucleus-mass")
         mass = repro.nucleus_mass(key)
     result = atom_report(args.Z, args.electrons, mass, args.method)
-    solution = result.solution
     record = {
         "command": "atom", "Z": result.Z, "electrons": result.n_electrons,
         "nucleus_mass": result.nucleus_mass, "method": result.method,
@@ -376,13 +374,10 @@ def _cmd_atom(args) -> int:
         "nu_a": result.nu_a, "lam_a": result.lam_a,
         "phi_a": result.phi_a, "phi_b": result.phi_b,
         "energy": result.energy, "binding_ev": result.binding_ev,
-        "p_a": solution.p_a, "r_aa": solution.r_aa, "P0": solution.P0,
-        "R0": solution.R0, "residual_a": solution.residual_a,
-        "residual_b": solution.residual_b, "iterations": solution.iterations,
-        "n_roots": solution.n_roots,
+        **{key: getattr(result.solution, key) for key in _NP1_FIELDS},
     }
     _check_residuals(record, args.tol)
-    _emit(record, args)
+    _emit_rows([record], args)
     return 0
 
 
@@ -400,7 +395,7 @@ def _cmd_fgs(args) -> int:
         record["q_closed"] = closed
         record["closed_matches"] = math.isclose(closed, filling.q_phi,
                                                 rel_tol=0.0, abs_tol=1e-9)
-    _emit(record, args)
+    _emit_rows([record], args)
     return 0
 
 
@@ -422,7 +417,7 @@ def _cmd_critical(args) -> int:
         "d": args.d, "q": Q, "u_star": u_star(shape),
         "g": critical_g(shape, args.m, args.n, Q),
     }
-    _emit(record, args)
+    _emit_rows([record], args)
     return 0
 
 

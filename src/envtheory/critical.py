@@ -7,9 +7,11 @@ number Q:
 
     g = 1/(u^2 v(u)) * 2/(N (N-1)^2) * Q^2/m,
 
-where u solves 2 v(u) + u v'(u) = 0.  With bosonic ground-state quantum
-numbers the N-dependence obeys g(N+1)/g(N) = N/(N+1) exactly; for fermionic
-ground states at large N the ratio tends to (N/(N+1))^((D-2)/D).
+where u solves 2 v(u) + u v'(u) = 0: the least root that the root scan
+finds on the package's range [SCAN_LO, SCAN_HI] of rootscan, widened as the
+scan widens it.  With bosonic ground-state quantum numbers the
+N-dependence obeys g(N+1)/g(N) = N/(N+1) exactly; for fermionic ground
+states at large N the ratio tends to (N/(N+1))^((D-2)/D).
 """
 
 from __future__ import annotations
@@ -18,12 +20,9 @@ import math
 
 from .errors import InputError
 from .laws import Law
-from .rootscan import find_roots
+from .rootscan import SCAN_HI, SCAN_LO, find_roots
 
 __all__ = ["u_star", "critical_g"]
-
-SCAN_LO = 1e-6
-SCAN_HI = 1e6
 
 
 def u_star(shape: Law) -> float:

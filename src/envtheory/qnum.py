@@ -8,7 +8,10 @@ aggregates are
     nu  = sum(n_i + 1/2),        lam = sum(l_i + (D-2)/2),
 
 and the deformed global quantum number is Q_phi = phi*nu + lam, which reduces
-to the plain Q = sum(2 n_i + l_i + D/2) at phi = 2.
+to the plain Q = sum(2 n_i + l_i + D/2) at phi = 2.  Only the aggregates
+matter to the solvers, so one converter turns aggregates into modes, with
+the quanta on the first mode: spec_from_filling and split_spec both use it,
+the second also for the single relative mode.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
     "ground_spec",
     "split_ground_spec",
     "spec_from_filling",
+    "split_spec",
 ]
 
 
@@ -110,6 +114,17 @@ def split_ground_spec(N_a: int, D: int) -> QuantumSpec:
     return QuantumSpec(D=D, internal_modes=((0, 0),) * (N_a - 1), relative_mode=(0, 0))
 
 
+def _modes(D: int, count: int, nu: float, lam: float) -> tuple[tuple[int, int], ...]:
+    """``count`` modes with aggregates (nu, lam), the quanta all on the first."""
+    n_sum = nu - 0.5 * count
+    l_sum = lam - 0.5 * (D - 2) * count
+    n_int, l_int = round(n_sum), round(l_sum)
+    if abs(n_sum - n_int) > 1e-9 or abs(l_sum - l_int) > 1e-9 or n_int < 0 or l_int < 0:
+        raise InputError(f"aggregates (nu, lam) = ({nu:g}, {lam:g}) of {count} modes are "
+                         f"not reachable with integer quantum numbers")
+    return ((n_int, l_int),) + ((0, 0),) * (count - 1)
+
+
 def spec_from_filling(filling: GroundStateResult,
                       relative_mode: tuple[int, int] | None = (0, 0)) -> QuantumSpec:
     """Convert a filling of N identical particles into a spec.
@@ -119,13 +134,15 @@ def spec_from_filling(filling: GroundStateResult,
     a split-system spec with the filled particles as the identical block;
     pass None for an all-identical system.
     """
-    n_sum = filling.nu - 0.5 * (filling.N - 1)
-    l_sum = filling.lam - 0.5 * (filling.D - 2) * (filling.N - 1)
-    n_int, l_int = round(n_sum), round(l_sum)
-    if abs(n_sum - n_int) > 1e-9 or abs(l_sum - l_int) > 1e-9:
-        raise InputError("filling aggregates are not integer-representable")
-    modes = [(n_int, l_int)] + [(0, 0)] * (filling.N - 2)
-    return QuantumSpec(D=filling.D, internal_modes=tuple(modes), relative_mode=relative_mode)
+    return QuantumSpec(D=filling.D, internal_modes=_modes(
+        filling.D, filling.N - 1, filling.nu, filling.lam), relative_mode=relative_mode)
+
+
+def split_spec(D: int, N_a: int, nu_a: float, lam_a: float,
+               nu_b: float, lam_b: float) -> QuantumSpec:
+    """Spec of a split system with these aggregates, the quanta on the first mode of each part."""
+    return QuantumSpec(D=D, internal_modes=_modes(D, N_a - 1, nu_a, lam_a),
+                       relative_mode=_modes(D, 1, nu_b, lam_b)[0])
 
 
 def global_q(spec: QuantumSpec, phi: float) -> float:

@@ -4,20 +4,24 @@ Loads the bundled reference tables, rebuilds the four benchmark Hamiltonian
 families, recomputes every row with both the plain and the improved method,
 and reports per-row comparisons against the stored reference values.  The
 stored numbers are quoted to the precision of their source tabulation, so
-each table carries its own tolerance.
+each table carries its own tolerance.  Reports are records: a flat row of
+TableReport.flat_rows() is the table, the row label and one Check's
+_asdict(), and a row whose recomputation raised lists one failed "error"
+check.  The split-system rows take their specs from qnum.split_spec, which
+this module re-exports.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import partial
+from functools import lru_cache, partial
 from importlib import resources
 
 from . import laws
 from .errors import EnvTheoryError, InputError
 from .kvfile import parse_sections
-from .qnum import QuantumSpec, ground_spec
+from .qnum import ground_spec, split_spec
 from .records import Record
 from .solver_identical import IdenticalSystem, solve_et, solve_iet
 from .solver_nplus1 import (NPlusOneSystem, atom_report, solve_et_np1,
@@ -47,15 +51,11 @@ TOLERANCES = {
     4: {"energy_abs": 1.0, "phi_abs": 0.01},
 }
 
-_fixture_cache: dict[str, dict[str, str]] | None = None
 
-
+@lru_cache(maxsize=None)
 def _fixtures() -> dict[str, dict[str, str]]:
-    global _fixture_cache
-    if _fixture_cache is None:
-        text = resources.files("envtheory").joinpath("data/reference_tables.txt").read_text()
-        _fixture_cache = parse_sections(text)
-    return _fixture_cache
+    text = resources.files("envtheory").joinpath("data/reference_tables.txt").read_text()
+    return parse_sections(text)
 
 
 def table_fixtures(table: int) -> list[tuple[str, dict[str, str]]]:
@@ -111,31 +111,14 @@ def build_power(m: float, beta: float) -> NPlusOneSystem:
     )
 
 
-def split_spec(D: int, N_a: int, nu_a: float, lam_a: float,
-               nu_b: float, lam_b: float) -> QuantumSpec:
-    """Spec with the given aggregates, quanta concentrated on the first mode."""
-    n_sum = nu_a - 0.5 * (N_a - 1)
-    l_sum = lam_a - 0.5 * (D - 2) * (N_a - 1)
-    n_b = nu_b - 0.5
-    l_b = lam_b - 0.5 * (D - 2)
-    parts = (n_sum, l_sum, n_b, l_b)
-    if any(abs(p - round(p)) > 1e-9 or round(p) < 0 for p in parts):
-        raise InputError(f"aggregates {(nu_a, lam_a, nu_b, lam_b)} are not "
-                         f"reachable with integer quantum numbers")
-    modes = [(round(n_sum), round(l_sum))] + [(0, 0)] * (N_a - 2)
-    return QuantumSpec(D=D, internal_modes=tuple(modes),
-                       relative_mode=(round(n_b), round(l_b)))
-
-
 class Check(Record, namedtuple("Check", "quantity computed reference error tol mode passed")):
     """One compared quantity; ``mode`` says whether ``error`` is relative or absolute."""
 
     __slots__ = ()
 
-    def to_dict(self) -> dict:
-        return {"quantity": self.quantity, "computed": self.computed,
-                "reference": self.reference, "error": self.error,
-                "tol": self.tol, "mode": self.mode, "passed": self.passed}
+
+# The one check of a row whose recomputation raised, as flat_rows lists it.
+_RAISED = Check("error", math.nan, math.nan, math.nan, math.nan, "none", False)
 
 
 class RowReport(Record, namedtuple("RowReport", "label checks extras error")):
@@ -154,10 +137,6 @@ class RowReport(Record, namedtuple("RowReport", "label checks extras error")):
     def passed(self) -> bool:
         return self.error is None and all(c.passed for c in self.checks)
 
-    def to_dict(self) -> dict:
-        return {"row": self.label, "passed": self.passed, "error": self.error,
-                "checks": [c.to_dict() for c in self.checks], "extras": self.extras}
-
 
 class TableReport(Record, namedtuple("TableReport", "table rows")):
     """The row reports of one recomputed table."""
@@ -168,24 +147,11 @@ class TableReport(Record, namedtuple("TableReport", "table rows")):
     def passed(self) -> bool:
         return all(r.passed for r in self.rows)
 
-    def to_dict(self) -> dict:
-        return {"table": self.table, "passed": self.passed,
-                "rows": [r.to_dict() for r in self.rows]}
-
     def flat_rows(self) -> list[dict]:
         """One record per compared quantity, convenient for csv output."""
-        out = []
-        for row in self.rows:
-            if row.error is not None:
-                out.append({"table": self.table, "row": row.label,
-                            "quantity": "error", "computed": math.nan,
-                            "reference": math.nan, "error": math.nan,
-                            "tol": math.nan, "mode": "none", "passed": False})
-            for check in row.checks:
-                record = {"table": self.table, "row": row.label}
-                record.update(check.to_dict())
-                out.append(record)
-        return out
+        return [{"table": self.table, "row": row.label, **check._asdict()}
+                for row in self.rows
+                for check in (() if row.error is None else (_RAISED,)) + row.checks]
 
 
 def _rel(quantity: str, computed: float, reference: float, tol: float) -> Check:

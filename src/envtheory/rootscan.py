@@ -18,7 +18,10 @@ An exactly-zero sample is a root only when both of its neighbours are
 nonzero: next to another zero, the residual vanishes on the whole bracket
 or both of its terms have underflowed, and neither is a root.
 
-The grids depend on the range alone: each of a range's three grids (the
+Every scan of the package starts on [SCAN_LO, SCAN_HI] = [1e-8, 1e8]: the
+identical solver's rho0, critical's u*, and the box of the N_a+1 grid start
+(whose descents escape past SCAN_HI) all read the two names here.  The
+grids depend on the range alone: each of a range's three grids (the
 range and its two widenings) is built once and serves every later scan of
 that range.  A caller that knows the residual's signs more cheaply than by
 sampling it hands them to find_roots as grid values (the identical solver
@@ -38,6 +41,9 @@ from typing import Callable
 from .errors import NoRootError
 
 __all__ = ["find_roots"]
+
+SCAN_LO = 1e-8
+SCAN_HI = 1e8
 
 _PANELS = 400
 _EXPANSIONS = 2

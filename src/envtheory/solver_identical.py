@@ -31,7 +31,7 @@ from .errors import (DegenerateOrbitalError, InputError, NoRootError,
                      UnstableOrbitalError, UnsupportedRegimeError)
 from .qnum import QuantumSpec
 from .records import Record
-from .rootscan import _sample, find_roots
+from .rootscan import SCAN_HI, SCAN_LO, _sample, find_roots
 
 __all__ = [
     "IdenticalSystem",
@@ -44,9 +44,6 @@ __all__ = [
     "phi_identical",
     "solve_iet",
 ]
-
-SCAN_LO = 1e-8
-SCAN_HI = 1e8
 
 
 def pair_count(N: int) -> float:

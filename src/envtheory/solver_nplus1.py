@@ -54,7 +54,8 @@ from .errors import (DegenerateOrbitalError, InputError, NoBindingError,
                      NonConvergenceError, UnstableOrbitalError)
 from .qnum import QuantumSpec, fgs_fill, spec_from_filling
 from .records import Record
-from .solver_identical import SCAN_HI, SCAN_LO, pair_count
+from .rootscan import SCAN_HI, SCAN_LO
+from .solver_identical import pair_count
 # Unused here: bench/tracer.py patches both names in this module, and its tests check that.
 from .rootscan import find_roots  # noqa: F401
 from .solver_identical import solve_et  # noqa: F401

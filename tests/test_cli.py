@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from envtheory import cli, laws
+from envtheory import cli, laws, qnum
 from envtheory.cli import main
 
 HO_IDENTICAL = """
@@ -665,6 +665,48 @@ def test_explicit_modes_must_number_n_minus_one(tmp_path, capsys, command, text,
     assert "5 internal modes, expected 2" in record["message"]
 
 
+_COUNTS = pytest.mark.parametrize("command, text, key", [
+    ("solve-identical", HO_IDENTICAL, "N"),
+    ("solve-np1", HO_SPLIT, "Na"),
+], ids=["identical", "split"])
+
+
+@pytest.mark.parametrize("mode", ["bgs", "fgs"])
+@_COUNTS
+def test_a_count_beyond_the_mode_bound_exits_two(tmp_path, capsys, command, text, key, mode):
+    # 10^12 particles would need 10^12 - 1 internal modes; the definition is
+    # refused before any mode list is built.
+    text = text.replace(f"{key} = ", f"{key} = 1000000000000  # was ")
+    path = _write(tmp_path, text + f"\n[state]\nmode = {mode}\n")
+    rc, out, err = _run(capsys, command, path)
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "InputError", "exit": 2,
+        "message": f"[system] {key} = 1000000000000 needs 999999999999 internal modes; "
+                   f"a definition may have at most 100000"}
+
+
+@_COUNTS
+def test_an_fgs_state_takes_the_filling_aggregates(tmp_path, capsys, command, text, key):
+    # Four fermions of degeneracy 2: two in (0, 0), two in (0, 1).
+    text = text.replace(f"{key} = ", f"{key} = 4  # was ")
+    path = _write(tmp_path, text + "\n[state]\nmode = fgs\nd = 2\n")
+    record = _run_json(capsys, command, path, "--output", "json")
+    filling = qnum.fgs_fill(4, 3, 2, 2.0)
+    assert record["d"] == 2 and record["modes"] == "0,2 0,0 0,0"
+    block = "" if key == "N" else "_a"
+    assert (record["nu" + block], record["lam" + block]) == (filling.nu, filling.lam)
+
+
+@_COUNTS
+def test_the_largest_allowed_count_runs(tmp_path, capsys, command, text, key):
+    count = qnum.MAX_FILL_LEVELS + 1
+    path = _write(tmp_path, text.replace(f"{key} = ", f"{key} = {count}  # was "))
+    record = _run_json(capsys, command, path, "--output", "json")
+    assert record[key] == count
+    assert record["modes"] == " ".join(["0,0"] * (count - 1))
+
+
 UROH_SPLIT = """
 [system]
 type = nplusone
@@ -692,8 +734,9 @@ coefficient = 10
 exponent = 2
 """
 
-# Complete method = dosm records, key order included: the orbital fields are
-# read through the report's orbital solution, the rest off the report itself.
+# Complete records, key order included.  The dosm records read the orbital
+# fields through the report's orbital solution, the rest off the report
+# itself; the N_a+1 and atom records print one list of the solution's fields.
 DOSM_IDENTICAL_RECORD = {
     "command": "solve-identical", "type": "identical", "D": 3, "state_mode": "bgs",
     "N": 3, "kinetic": "power(0.5, 2)", "potential": "power(1, 1)",
@@ -712,19 +755,72 @@ DOSM_SPLIT_RECORD = {
     "mu_a": 0.769418385167, "mu_b": 1.15253272839, "k_a": 40.3009339966,
     "k_b": 129.61053366, "k_c": -12.8583468523, "A": 48.6028422354,
     "B": 106.621157385, "phi_a": 1.81914590711, "phi_b": 1.80619392589}
+ET_IDENTICAL_RECORD = {
+    "command": "solve-identical", "type": "identical", "D": 3, "state_mode": "bgs",
+    "N": 3, "kinetic": "power(0.5, 2)", "potential": "power(1, 1)",
+    "modes": "0,0 0,0", "method": "et", "nu": 1.0, "lam": 1.0, "q": 3.0,
+    "energy": 6.49012306638, "rho0": 1.44224957031, "p0": 1.20093695518,
+    "residual_motion": 0.0, "residual_quantization": 0.0, "n_roots": 1,
+    "variational": "upper"}
+IET_IDENTICAL_RECORD = {
+    **ET_IDENTICAL_RECORD, "method": "iet", "q": 2.73205080757,
+    "energy": 6.09767972813, "rho0": 1.35503993958, "p0": 1.16406182808,
+    "variational": "unknown", "phi": 1.73205080757}
+ET_SPLIT_RECORD = {
+    "command": "solve-np1", "type": "nplusone", "D": 3, "state_mode": "bgs",
+    "Na": 2, "kinetic_a": "power(1, 1)", "kinetic_b": "power(1, 1)",
+    "potential_aa": "power(1, 2)", "potential_ab": "power(10, 2)",
+    "relative": "0,0", "modes": "0,0", "method": "et", "nu_a": 0.5,
+    "lam_a": 0.5, "nu_b": 0.5, "lam_b": 0.5, "q_a": 1.5, "q_b": 1.5,
+    "energy": 15.3516371262, "p_a": 2.56390417788, "r_aa": 0.585045265318,
+    "P0": 3.83260580619, "R0": 0.391378627454, "residual_a": 0.0,
+    "residual_b": 0.0, "iterations": 5, "n_roots": 1}
+IET_SPLIT_RECORD = {
+    **ET_SPLIT_RECORD, "method": "iet", "q_a": 1.40957295355, "q_b": 1.40309696294,
+    "energy": 14.7012648647, "p_a": 2.45904647703, "r_aa": 0.573219321685,
+    "P0": 3.66646461885, "R0": 0.38268389547, "iterations": 2,
+    "phi_a": 1.81914590711, "phi_b": 1.80619392589}
+ET_ATOM_RECORD = {
+    "command": "atom", "Z": 2.0, "electrons": 2, "nucleus_mass": 7294.3,
+    "method": "et", "filling": "0,0:2", "nu_a": 0.5, "lam_a": 0.5,
+    "energy": -1.21660409348, "binding_ev": 33.1037973837, "p_a": 0.743007242468,
+    "r_aa": 2.0188228516, "P0": 1.63016830034, "R0": 0.920150391643,
+    "residual_a": 0.0, "residual_b": 0.0, "iterations": 6, "n_roots": 1}
+IET_ATOM_RECORD = {
+    "command": "atom", "Z": 2.0, "electrons": 2, "nucleus_mass": 7294.3,
+    "method": "iet", "filling": "0,0:2", "nu_a": 0.5, "lam_a": 0.5,
+    "phi_a": 1.09196835231, "phi_b": 1.96643111761, "energy": -1.65095528819,
+    "binding_ev": 44.9224933917, "p_a": 0.766925623838, "r_aa": 1.36386651279,
+    "P0": 2.06154219491, "R0": 0.719468930818, "residual_a": 0.0,
+    "residual_b": 0.0, "iterations": 4, "n_roots": 1}
 
 
-@pytest.mark.parametrize("text, expected", [
-    (LINEAR_IDENTICAL, DOSM_IDENTICAL_RECORD),
-    (UROH_SPLIT, DOSM_SPLIT_RECORD),
-], ids=["identical", "split"])
-def test_dosm_record_is_pinned(tmp_path, capsys, text, expected):
-    path = _write(tmp_path, text + "\n[state]\nmethod = dosm\n")
-    record = _run_json(capsys, expected["command"], path, "--output", "json")
-    assert record.pop("definition") == path
+@pytest.mark.parametrize("text, method, expected", [
+    (LINEAR_IDENTICAL, "dosm", DOSM_IDENTICAL_RECORD),
+    (UROH_SPLIT, "dosm", DOSM_SPLIT_RECORD),
+    (LINEAR_IDENTICAL, "et", ET_IDENTICAL_RECORD),
+    (LINEAR_IDENTICAL, "iet", IET_IDENTICAL_RECORD),
+    (UROH_SPLIT, "et", ET_SPLIT_RECORD),
+    (UROH_SPLIT, "iet", IET_SPLIT_RECORD),
+    (None, "et", ET_ATOM_RECORD),
+    (None, "iet", IET_ATOM_RECORD),
+], ids=["identical", "split", "identical-et", "identical-iet", "split-et", "split-iet",
+        "atom-et", "atom-iet"])
+def test_dosm_record_is_pinned(tmp_path, capsys, text, method, expected):
+    # The csv columns and the pretty lines follow the json record's key order.
+    if text is None:
+        record = _run_json(capsys, "atom", "--Z", "2", "--electrons", "2",
+                           "--method", method, "--output", "json")
+    else:
+        path = _write(tmp_path, text + f"\n[state]\nmethod = {method}\n")
+        record = _run_json(capsys, expected["command"], path, "--output", "json")
+        assert record.pop("definition") == path
     assert list(record) == list(expected)
     for key, value in expected.items():
-        if isinstance(value, float):
+        if key.startswith("residual"):
+            # Rounding, not pinned: a residual only has to stay far below --tol.
+            assert 0.0 <= record[key] < 1e-10, key
+        elif isinstance(value, float):
             assert record[key] == pytest.approx(value, rel=1e-10), key
         else:
             assert record[key] == value, key

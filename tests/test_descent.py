@@ -236,3 +236,42 @@ def test_every_solve_is_a_minimum_or_an_error(N_a, alpha_a, alpha_b, F_a, F_b,
         return
     assert max(solution.residual_a, solution.residual_b) < NEWTON_TOL
     assert _positive_definite_at(system, q_a, q_b, solution)
+
+
+_CONSTANT = laws.custom(lambda x: 1.0, lambda x: 0.0, lambda x: 0.0)
+
+
+def _only_at_one(f):
+    """f at x = 1, a ValueError everywhere else."""
+    def g(x):
+        if x != 1.0:
+            raise ValueError("outside the start")
+        return f(x)
+    return g
+
+
+@pytest.mark.parametrize("laws_, message, flat", [
+    # E is constant: the start is stationary, but H = 0 is no minimum.
+    ((_CONSTANT, _CONSTANT, _CONSTANT, _CONSTANT),
+     "stationary point is not a minimum of E", True),
+    # Only V_aa varies: E does not depend on R0 and H22 = H12 = 0.
+    ((_CONSTANT, _CONSTANT, laws.harmonic(1.0), _CONSTANT), "singular Hessian", False),
+    # V_aa = ln r: its log-Hessian r^2 V'' + r V' is exactly 0, so H = 0 and
+    # |H| is the zero matrix.
+    ((_CONSTANT, _CONSTANT, laws.custom(math.log, lambda r: 1.0 / r, lambda r: -1.0 / (r * r)),
+      _CONSTANT), "singular Hessian", False),
+    # V_aa can be evaluated only at the start: every trial step fails.
+    ((laws.kinetic_power(0.5, 2.0), laws.kinetic_power(0.5, 2.0),
+      laws.custom(_only_at_one(lambda r: r * r), _only_at_one(lambda r: 2.0 * r),
+                  _only_at_one(lambda r: 2.0)), laws.harmonic(1.0)),
+     "no descent direction", False),
+], ids=["constant", "one-law", "log", "no-trial"])
+def test_newton_exits_without_a_minimum(laws_, message, flat):
+    system = NPlusOneSystem(2, 3, *laws_)
+    with pytest.raises(NonConvergenceError) as info:
+        solver_nplus1._newton(system, 1.0, 1.0, 1.0, 1.0)
+    assert str(info.value) == message
+    assert info.value.last_point == (1.0, 1.0)
+    residuals = info.value.residuals
+    assert len(residuals) == 2
+    assert (max(map(abs, residuals)) < NEWTON_TOL) == flat

@@ -170,3 +170,41 @@ def test_the_grids_are_built_once():
     lo, hi = 1e-8 / 1e4, 1e8 * 1e4
     step = math.log(hi / lo) / 800
     assert grid == tuple([lo] + [lo * math.exp(step * i) for i in range(1, 800)] + [hi])
+
+
+def _power_sum(beta):
+    """r^beta as a one-term sum, which the closed form of two powers does not take."""
+    return laws.make_weighted_sum([(1.0, laws.potential_power(1.0, beta))])
+
+
+@pytest.mark.parametrize("a, Q, level", [
+    (200.0, 1e3, False),
+    (200.0, 1e-3, False),
+    (0.5, 1e25, True),
+    (0.5, 1e-25, True),
+], ids=["q-power-overflows", "q-power-underflows", "grid-far-below-q", "grid-far-above-q"])
+def test_a_level_out_of_range_is_sampled(a, Q, level):
+    # (Q/sqrt(C2))^a overflows or underflows: no level, every point is
+    # sampled.  Or K is normal, but every grid point lies more than 2^100
+    # away from Q/sqrt(C2), so p0 is not: each grid is sampled whole.  The
+    # root is that of the closed form for the same two powers.
+    system = IdenticalSystem(2, 3, laws.kinetic_power(0.05, a), _power_sum(2.0))
+    assert (solver_identical._levels(system).reader(Q, None) is not None) == level
+    outcome = _outcome(solve_et, system, Q)
+    assert "n_roots=1," in outcome
+    assert outcome == _sampled_outcome(solve_et, system, Q)
+    closed = solve_et(system._replace(potential=laws.potential_power(1.0, 2.0)), Q)
+    assert solve_et(system, Q).rho0 == pytest.approx(closed.rho0, rel=1e-13)
+
+
+def test_a_kinetic_law_that_is_not_a_power_is_sampled():
+    # A custom copy of p^2/2 evaluates bit for bit as kinetic_power(0.5, 2),
+    # but has no level: its scan samples every point and finds the same root.
+    copy = laws.custom(lambda p: 0.5 * p ** 2.0, lambda p: 1.0 * p ** 1.0,
+                       lambda p: 1.0 * p ** 0.0)
+    well = laws.gaussian_well(3.0, 1.0)
+    system = IdenticalSystem(10, 3, copy, well)
+    assert solver_identical._levels(system) is None
+    power = IdenticalSystem(10, 3, laws.kinetic_power(0.5, 2.0), well)
+    assert _outcome(solve_et, system, 15.0) == _sampled_outcome(solve_et, power, 15.0)
+    assert _outcome(solve_et, system, 15.0) == _outcome(solve_et, power, 15.0)

@@ -10,8 +10,8 @@ import math
 
 import pytest
 
-from envtheory import repro
-from envtheory.errors import InputError
+from envtheory import qnum, repro
+from envtheory.errors import InputError, NoBindingError
 from envtheory.solver_identical import power_law_energy
 from envtheory.solver_nplus1 import solve_et_np1
 
@@ -72,10 +72,16 @@ def test_split_spec_aggregates():
     spec = repro.split_spec(3, 2, 0.5, 1.5, 1.5, 0.5)
     assert spec.nu == 0.5 and spec.lam == 1.5
     assert spec.nu_b == 1.5 and spec.lam_b == 0.5
-    with pytest.raises(InputError):
-        repro.split_spec(3, 2, 0.7, 0.5, 0.5, 0.5)
-    with pytest.raises(InputError):
-        repro.split_spec(3, 2, 0.5, 0.25, 0.5, 0.5)
+    assert spec.relative_mode == (1, 0)
+    for aggregates in ((0.7, 0.5, 0.5, 0.5), (0.5, 0.25, 0.5, 0.5), (0.5, 0.5, -0.5, 0.5),
+                       (0.5, 0.5, 0.5, 0.25)):
+        with pytest.raises(InputError, match="not reachable with integer quantum numbers"):
+            repro.split_spec(3, 2, *aggregates)
+    # One conversion with a filling's: a split spec with a filling's
+    # aggregates and a ground relative mode is the spec of that filling.
+    filling = qnum.fgs_fill(4, 3, 2, 2.0)
+    assert qnum.split_spec(3, 4, filling.nu, filling.lam, 0.5, 0.5) == \
+        qnum.spec_from_filling(filling)
 
 
 def test_table1_reproduces_fully():
@@ -168,11 +174,38 @@ def test_flat_rows_structure():
 
 
 def test_report_serialization():
+    # A report serialises through its fields and flat_rows(): one record per
+    # check, the table and the row label followed by the check's _asdict().
     report = repro.run_table(1)
-    doc = report.to_dict()
-    assert doc["table"] == 1 and doc["passed"] is True
-    assert len(doc["rows"]) == 7
-    first = doc["rows"][0]
-    assert first["row"] == "b-1"
-    assert first["error"] is None
-    assert first["checks"][0]["quantity"] == "et"
+    assert report.table == 1 and report.passed is True
+    assert len(report.rows) == 7
+    first = report.rows[0]
+    assert first.label == "b-1" and first.error is None
+    assert first.checks[0].quantity == "et"
+    flat = report.flat_rows()
+    assert flat[0] == {"table": 1, "row": "b-1", **first.checks[0]._asdict()}
+    assert list(flat[0]) == ["table", "row", "quantity", "computed", "reference",
+                             "error", "tol", "mode", "passed"]
+
+
+def test_a_row_that_raised_is_one_failed_flat_record(monkeypatch):
+    # run_table records a row's error and goes on; flat_rows lists that row
+    # as one failed "error" record with NaN numbers.
+    first = repro.table_fixtures(1)[0][1]
+    row = repro._ROWS[1]
+
+    def first_fails(rec, tols):
+        if rec is first:
+            raise NoBindingError("no minimum")
+        return row(rec, tols)
+
+    monkeypatch.setitem(repro._ROWS, 1, first_fails)
+    report = repro.run_table(1)
+    assert report.rows[0].error == "no minimum" and not report.passed
+    failed, passed = report.flat_rows()[:2]
+    assert list(failed) == list(passed)
+    assert {k: v for k, v in failed.items() if not isinstance(v, float)} == {
+        "table": 1, "row": "b-1", "quantity": "error", "mode": "none", "passed": False}
+    assert all(math.isnan(failed[k]) for k in ("computed", "reference", "error", "tol"))
+    assert passed == {"table": 1, "row": report.rows[1].label,
+                      **report.rows[1].checks[0]._asdict()}
