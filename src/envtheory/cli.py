@@ -115,9 +115,7 @@ def _emit_rows(rows: list[dict], args) -> None:
             writer.writerow(row)
     else:
         width = max(len(k) for row in rows for k in row)
-        for i, row in enumerate(rows):
-            if i:
-                print()
+        for row in rows:
             for key, value in row.items():
                 text = f"{value:.12g}" if isinstance(value, float) else str(value)
                 print(f"{key:<{width}}  {text}")

@@ -171,18 +171,10 @@ def _power_root(system: IdenticalSystem, Q: float,
     return rho0
 
 
-# Unit roundoff of a double.
-_U = 2.0 ** -53
-# Where the level reading applies, every intermediate of the motion residual
-# is a normal float: c a, N c a and p0 lie within 2^+-100, N T'(p0) p0
-# within 2^+-800, and (Q/sqrt(C2))^a, K, rho^a and |C2 V'(rho) rho| within
-# 2^+-1000.
+# The level reading's bounds (see _Levels).
 _WIDE = 2.0 ** 100
-_LHS = 2.0 ** 800
-_HUGE = 2.0 ** 1000
-_TINY = 2.0 ** -1000
-# Largest kinetic exponent read as a level, so that its error terms stay
-# first order.
+_BAND = 2.0 ** 350
+_MARGIN = 2.0 ** -30
 _MAX_A = 2.0 ** 20
 
 
@@ -193,22 +185,31 @@ class _Levels:
     with K(Q) = N c a (Q/sqrt(C2))^a, so its sign at a grid point is the sign
     of K - g there, and g, sampled once per grid, serves every Q.
 
-    Rounding (u = 2^-53): the residual's first term is K rho^-a to within
-    (2a + 6) u relative: p0 carries two roundings, raised to the power a;
-    c a, p0^(a-1) (one ulp) and three products add one each; where a < 0.5,
-    a - 1 rounds too, which costs |a - 1| u |ln p0| < 70 u.  The computed K is
-    exact to within (a + 5) u and rho^a to within 2 u, so the first term
-    times rho^a is K (1 + eta) with |eta| <= (3a + 13 [+ 70]) u; the second
-    term times rho^a is g to within u |g|.  The residual has the sign of
-    their difference, so it has the sign of K - g, and is too large for the
-    four-epsilon zero rule (8 u of the first term), wherever
-    |K - g| > (eta + 10 u) K + 2 u |g|.  With eps = (3a + 23 [+ 70]) u the
-    reading takes the sign where g < K (1 - 2 eps) or g > K (1 + 2 eps):
-    twice that bound, which also covers second-order terms and the rounding
-    of both thresholds.  Everywhere else (a level too close to call, g not
-    finite, a term outside the normal range) the residual itself is
-    evaluated, so the scan reads exactly the signs, zeros and holes that
-    sampling the residual would give.
+    The band.  c a, N c a and p0 lie within _WIDE^+-1 = 2^+-100 (so
+    N <= 2^200).  Where K and rho^a lie within _BAND^+-1 = 2^+-350, the
+    first term N T'(p0) p0 = K rho^-a lies within 2^+-700, N T'(p0) within
+    2^+-800, T'(p0) within [2^-1000, 2^800], p0^(a-1) = K rho^-a/(N c a p0)
+    within 2^+-900 and (Q/sqrt(C2))^a = K/(N c a) within 2^+-450: all are
+    normal, so every rounding is relative.  |C2 V'(rho) rho| <= 2^350 keeps
+    |g| below 2^700; where g is below the normal range (V' underflows), so
+    is the second term times rho^a, far below K, and the residual has K's
+    sign.
+
+    The margin (u = 2^-53).  The first term carries (2a + 6) u: p0 two
+    roundings, raised to the power a; c a and three products one each;
+    p0^(a-1) one ulp (2 u); and where a < 0.5, the rounding of a - 1 costs
+    u |ln p0| < 70 u more.  K carries (a + 5) u, so the first term times
+    rho^a is K (1 + eta), |eta| <= (3a + 11 [+ 70]) u.  The second term is
+    the same float in both, and times rho^a it is g to within 3 u |g|.  So
+    the residual has the sign of K - g, and escapes the four-epsilon zero
+    rule (8 u of the first term), wherever |K - g| > (|eta| + 8 u) K +
+    3 u |g|, which holds where g lies outside K (1 +- m), m = (3a + 22
+    [+ 70]) u.  _MARGIN = 2^-30 is more than twice m for every
+    a <= _MAX_A = 2^20, which covers the second-order terms and the
+    rounding of both thresholds.  Everywhere else (g within the margin of
+    K, a term outside the band, g not evaluated) the residual itself is
+    sampled, so the scan reads the signs, zeros and holes that sampling the
+    residual would give.
     """
 
     def __init__(self, system: IdenticalSystem, c: float, a: float) -> None:
@@ -217,53 +218,45 @@ class _Levels:
         self.d1 = system.potential.d1
         self.a = a
         self.nca = system.N * c * a
-        self.eps = (3.0 * a + 23.0 + (70.0 if a < 0.5 else 0.0)) * _U
-        self.grids: dict[tuple[float, int], tuple[list[float], list[float]]] = {}
+        self.grids: dict[tuple[float, int], list[float]] = {}
 
-    def _sampled(self, grid: tuple[float, ...]) -> tuple[list[float], list[float]]:
-        """g and rho^a on the grid; g is NaN where it cannot stand in for the residual."""
+    def _sampled(self, grid: tuple[float, ...]) -> list[float]:
+        """g on the grid; NaN where rho^a or |C2 V'(rho) rho| leaves the band."""
         key = (grid[0], len(grid))
         if key not in self.grids:
             c2, d1, a = self.c2, self.d1, self.a
-            gs, ras = [], []
+            gs = []
             for rho in grid:
                 try:
                     rhs = c2 * d1(rho) * rho  # the residual's second term, as motion has it
                     ra = rho ** a
                 except (OverflowError, ValueError, ZeroDivisionError):
                     rhs = ra = math.nan
-                g = rhs * ra
-                if not (abs(rhs) <= _HUGE and _TINY <= ra <= _HUGE and abs(g) < math.inf):
-                    g = math.nan
-                gs.append(g)
-                ras.append(ra)
-            self.grids[key] = gs, ras
+                in_band = abs(rhs) <= _BAND and 1.0 / _BAND <= ra <= _BAND
+                gs.append(rhs * ra if in_band else math.nan)
+            self.grids[key] = gs
         return self.grids[key]
 
     def reader(self, Q: float, motion: Callable[[float], float]
                ) -> Callable[[tuple[float, ...]], list[float]] | None:
         """find_roots' grid values at Q: K - g where its sign is certain, else motion.
 
-        None where K itself leaves the normal range: then every grid point
-        is sampled.
+        None where K leaves the band: then every grid point is sampled.
         """
         qs = Q / self.sq
         try:
-            qa = qs ** self.a
+            K = self.nca * qs ** self.a
         except OverflowError:
             return None
-        K = self.nca * qa
-        if not (_TINY <= qa <= _HUGE and _TINY <= K <= _HUGE):
+        if not 1.0 / _BAND <= K <= _BAND:
             return None
-        below, above = K * (1.0 - 2.0 * self.eps), K * (1.0 + 2.0 * self.eps)
-        ra_lo, ra_hi = K / _LHS, K * _LHS
+        below, above = K * (1.0 - _MARGIN), K * (1.0 + _MARGIN)
 
         def values(grid: tuple[float, ...]) -> list[float]:
             if not (qs / grid[-1] >= 1.0 / _WIDE and qs / grid[0] <= _WIDE):
                 return [_sample(motion, x) for x in grid]
-            gs, ras = self._sampled(grid)
-            return [K - g if (g < below or g > above) and ra_lo <= ra <= ra_hi
-                    else _sample(motion, x) for x, g, ra in zip(grid, gs, ras)]
+            return [K - g if g < below or g > above else _sample(motion, x)
+                    for x, g in zip(grid, self._sampled(grid))]
 
         return values
 
@@ -293,13 +286,14 @@ def solve_et(system: IdenticalSystem, Q: float) -> EtSolution:
     For a power kinetic law T = c p^a the residual is rho^-a (K(Q) - g(rho)),
     and the scan reads its sign at each grid point off K - g, with g sampled
     once per grid (_Levels).  The residual itself is evaluated at each
-    bracket's ends, for the polish, and wherever K - g lies within a margin
-    of twice the rounding both sides can carry: that margin holds every
-    point where the rounding could flip the sign or the four-epsilon rule
-    could set the residual to zero, so the scan reads the signs, zeros and
-    holes that sampling the residual gives, and finds the same roots bit
-    for bit.  It is evaluated too where g is not finite or a term of the
-    residual leaves the normal float range.
+    bracket's ends, for the polish, wherever g lies within a fixed relative
+    margin (2^-30) of K, and wherever K or rho^a leaves the band 2^+-350 or
+    |C2 V'(rho) rho| exceeds 2^350, outside which a term of the residual
+    could leave the normal floats.  The margin is more than twice the
+    rounding K - g can carry, so it holds every point where the rounding
+    could flip the sign or the four-epsilon rule could set the residual to
+    zero: the scan reads the signs, zeros and holes that sampling the
+    residual gives, and finds the same roots bit for bit.
     """
     return _solve_et(system, Q, _levels(system))
 

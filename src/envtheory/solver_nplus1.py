@@ -272,11 +272,14 @@ def _newton(system: NPlusOneSystem, q_a: float, q_b: float, r_aa: float,
     Where E is convex |H| = H and this is Newton's step; elsewhere |H| keeps
     it a descent direction, so the iteration ends only at a minimum.  A
     trial is kept when E falls, when it already meets NEWTON_TOL, or when E
-    is unchanged to the last bit and the largest scaled residual shrinks (a
-    decrease below one ulp of E); otherwise, and where the surface cannot be
-    evaluated, t is halved.  A start where E cannot be evaluated, and a
-    stationary point that is not a minimum (a start on a saddle or a
-    maximum), raise NonConvergenceError.  A step that carries a radius
+    is unchanged to the last bit and either the largest scaled residual
+    shrinks (a decrease below one ulp of E) or E still falls along the step
+    at the trial, g(trial) . du < 0 (a plateau, such as a short-range law
+    that has underflowed to 0, which the descent crosses toward the escape
+    radius); otherwise, and where the surface cannot be evaluated, t is
+    halved.  A start where E cannot be evaluated, and a stationary point
+    that is not a minimum (a start on a saddle or a maximum), raise
+    NonConvergenceError.  A step that carries a radius
     beyond both SCAN_HI and ESCAPE_FACTOR times the start's larger radius
     means E falls toward infinite separation and has no minimum:
     NoBindingError.  The margin lets a start beyond SCAN_HI (a virial start
@@ -314,8 +317,10 @@ def _newton(system: NPlusOneSystem, q_a: float, q_b: float, r_aa: float,
                 continue
             f_trial = _scaled(trial)
             worst = max(abs(f_trial[0]), abs(f_trial[1]))
-            if (trial[0] < energy or worst < NEWTON_TOL
-                    or (trial[0] == energy and worst < max(abs(f[0]), abs(f[1])))):
+            (tk1, tk2), (tv1, tv2) = trial[1], trial[2]
+            if trial[0] < energy or worst < NEWTON_TOL or trial[0] == energy and (
+                    worst < max(abs(f[0]), abs(f[1]))
+                    or (tk1 + tv1) * du1 + (tk2 + tv2) * du2 < 0.0):
                 break
             step *= 0.5
         else:

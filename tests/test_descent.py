@@ -16,7 +16,7 @@ from envtheory import laws, solver_nplus1
 from envtheory.errors import EnvTheoryError, NoBindingError, NonConvergenceError
 from envtheory.qnum import QuantumSpec
 from envtheory.solver_nplus1 import (NEWTON_TOL, NPlusOneSystem, _abs_hessian,
-                                     _surface, solve_et_np1)
+                                     _surface, solve_et_np1, solve_iet_np1)
 
 
 def _eigh_abs(h11, h12, h22):
@@ -131,6 +131,22 @@ def test_screened_system_without_a_minimum_does_not_bind():
                             _yukawa(7.337248329324384, 0.9041973705362464))
     with pytest.raises(NoBindingError):
         solve_et_np1(system, 9.0, 1.5)
+
+
+def test_a_descent_onto_a_flat_plateau_walks_out_unbound():
+    # System 1/74 of tests/np1_random_set.py.  The Yukawa V_ab of range 0.38
+    # underflows to exactly 0 as R0 grows, and E is then flat to the last
+    # bit, while its kinetic part still falls along each step.  The descent
+    # keeps those trials and walks past the escape radius: no minimum, where
+    # it once stopped with "no descent direction".
+    system = NPlusOneSystem(8, 3, laws.kinetic_power(4.985032997528657, 1.065866841860275),
+                            laws.kinetic_power(3.039686093015771, 1.7908724604224848),
+                            laws.gaussian_well(23.935468857625736, 4.994031280988509),
+                            _yukawa(2.9923176686826936, 0.37729947234924366))
+    assert system.potential_ab.d1(3000.0) == 0.0
+    spec = QuantumSpec(3, ((0, 1), (1, 1), (2, 0), (2, 1), (2, 0), (1, 2), (0, 2)), (1, 1))
+    with pytest.raises(NoBindingError, match="no minimum of E"):
+        solve_iet_np1(system, spec)
 
 
 def test_a_start_where_e_cannot_be_evaluated_is_a_solver_error():

@@ -208,3 +208,45 @@ def test_a_kinetic_law_that_is_not_a_power_is_sampled():
     power = IdenticalSystem(10, 3, laws.kinetic_power(0.5, 2.0), well)
     assert _outcome(solve_et, system, 15.0) == _sampled_outcome(solve_et, power, 15.0)
     assert _outcome(solve_et, system, 15.0) == _outcome(solve_et, power, 15.0)
+
+
+_A_LOW = math.nextafter(0.5, 0.0)  # the largest exponent at which a - 1 rounds
+_EDGE = 350.0  # log2 of solver_identical._BAND
+
+
+@pytest.mark.parametrize("a", [solver_identical._MAX_A, _A_LOW], ids=["max-a", "a-below-0.5"])
+@pytest.mark.parametrize("quantity, log_value, read", [
+    ("K", _EDGE - 0.01, True), ("K", _EDGE + 0.01, False),
+    ("K", -_EDGE + 0.01, True), ("K", -_EDGE - 0.01, False),
+    ("rho^a", _EDGE - 0.01, True), ("rho^a", _EDGE + 0.01, False),
+    ("rho^a", -_EDGE + 0.01, True), ("rho^a", -_EDGE - 0.01, False),
+    ("|rhs|", _EDGE - 0.01, True), ("|rhs|", _EDGE + 0.01, False),
+    # |C2 V'(rho) rho| has no lower edge: a small g lies far below K, and is read.
+    ("|rhs|", -_EDGE + 0.01, True), ("|rhs|", -_EDGE - 0.01, True),
+])
+def test_the_band_edges_are_read_as_sampling_reads_them(monkeypatch, a, quantity,
+                                                        log_value, read):
+    # N = 2 (C2 = 1) against V = coef r^0.5, scanned on five points x 2^i,
+    # i = -2..2.  At x, log2 of p0, K, rho^a and |C2 V'(rho) rho| are P, k, r
+    # and h: one of k, r and h sits 0.01 inside or outside the band, and the
+    # others lie far inside it.  With N c a = 2, K = 2^(1 + r + a P); below
+    # a = 0.5 K and rho^a differ by 2^306 or less, so that every p0 of the
+    # grid lies within 2^+-100.
+    far = 0.0 if a == solver_identical._MAX_A else math.copysign(306.0, log_value)
+    k, r, h = {"K": (log_value, far, 0.0), "rho^a": (far, log_value, 0.0),
+               "|rhs|": (0.0, 0.0, log_value)}[quantity]
+    P = (k - r - 1.0) / a
+    assert abs(P) <= 92.0
+    x = 2.0 ** (r / a)
+    Q = x * 2.0 ** P
+    coefficient = 2.0 ** (h + 1.0 - r / (2.0 * a))
+    system = IdenticalSystem(2, 3, laws.kinetic_power(1.0 / a, a),
+                             laws.make_weighted_sum([(coefficient, laws.power(1.0, 0.5))]))
+    grid = tuple(x * 2.0 ** i for i in range(-2, 3))
+    sampled = []
+    reader = solver_identical._levels(system).reader(Q, lambda rho: sampled.append(rho) or 1.0)
+    if reader is not None:
+        reader(grid)
+    assert (reader is not None and x not in sampled) == read
+    monkeypatch.setattr(rootscan, "_grid", lambda lo, hi, attempt: grid)
+    assert _outcome(solve_et, system, Q) == _sampled_outcome(solve_et, system, Q)

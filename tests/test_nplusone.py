@@ -22,8 +22,8 @@ from scipy.optimize import minimize
 
 from envtheory import laws, repro, solver_nplus1
 from envtheory.errors import (DegenerateOrbitalError, InputError, NoBindingError,
-                              EnvTheoryError)
-from envtheory.qnum import QuantumSpec, split_ground_spec
+                              EnvTheoryError, NonConvergenceError, UnstableOrbitalError)
+from envtheory.qnum import QuantumSpec, fgs_fill, spec_from_filling, split_ground_spec
 from envtheory.solver_identical import SCAN_HI, IdenticalSystem, dosm_identical, solve_et
 from envtheory.solver_nplus1 import (ESCAPE_FACTOR, NEWTON_TOL, NPlusOneSystem,
                                      atom_report, dosm_np1, phi_pair, solve_atom,
@@ -417,6 +417,48 @@ def test_filling_two_cycle_keeps_the_lower_energy_round(monkeypatch, e_orbital, 
     assert solved == ["orbital", "radial"]
     assert solution is solutions[keep]
     assert filling.levels[-1] == {"orbital": (0, 1, 1), "radial": (1, 0, 1)}[keep]
+
+
+def test_a_filling_that_cycles_with_period_three_reaches_no_fixed_point(monkeypatch):
+    # Five electrons fill three ways, at phi = 2, 0.5 and 0.3.  A stand-in
+    # solve sends each filling to the next one's phi: the refills cycle with
+    # period three, neither a fixed point nor a two-cycle, for all 20 rounds.
+    phis = (2.0, 0.5, 0.3)
+    modes = [spec_from_filling(fgs_fill(5, 3, 2, phi)).internal_modes for phi in phis]
+    assert len(set(modes)) == 3
+    solved = []
+
+    def solve(system, spec):
+        which = modes.index(spec.internal_modes)
+        solved.append(which)
+        return SimpleNamespace(phi_a=phis[(which + 1) % 3], energy=-1.0)
+
+    monkeypatch.setattr(solver_nplus1, "solve_iet_np1", solve)
+    with pytest.raises(NonConvergenceError, match="did not reach a fixed point"):
+        solver_nplus1._iet_filling(None, 5)
+    assert solved == [0, 1, 2] * 6 + [0, 1]
+
+
+# A descent returns only points where the Hessian of E is positive definite,
+# so the next two exits are guards; a stand-in solver reaches them.
+
+def test_an_orbital_point_that_is_no_minimum_is_unstable(monkeypatch):
+    # A descent that ended at (r_aa, R0) = (1, 0.1) of helium, where the
+    # Hessian of E is indefinite: the block mode's constant A is negative.
+    def stuck(system, q_a, q_b, r_aa, R0):
+        surface = solver_nplus1._surface(system, q_a, q_b, 1.0, 0.1)
+        return 1.0, 0.1, surface, 1, solver_nplus1._scaled(surface)
+
+    monkeypatch.setattr(solver_nplus1, "_newton", stuck)
+    with pytest.raises(UnstableOrbitalError, match="A=-"):
+        dosm_np1(solver_nplus1._atom_system(2.0, 2, 7294.30), 1.0, 1.0)
+
+
+def test_an_atom_whose_energy_is_not_negative_does_not_bind(monkeypatch):
+    monkeypatch.setattr(solver_nplus1, "solve_et_np1",
+                        lambda system, q_a, q_b: SimpleNamespace(energy=0.0))
+    with pytest.raises(NoBindingError, match=r"no bound solution \(E = 0.0\)"):
+        atom_report(2.0, 2, 7294.30, "et")
 
 
 def test_atom_validation():

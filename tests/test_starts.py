@@ -263,6 +263,16 @@ def test_only_homogeneous_laws_with_a_scale_minimum_have_a_virial_start(system):
     assert solver_nplus1._virial_start(system, 1.5, 1.5) is None
 
 
+def test_a_unit_shape_where_e_overflows_has_no_virial_start():
+    # q_a = 1e200: p_a^2 overflows at (r_aa, R0) = (1, 1), so the scale
+    # cannot be read there and the grid start takes over.
+    system = NPlusOneSystem(2, 3, laws.kinetic_power(0.5, 2.0), laws.kinetic_power(0.5, 2.0),
+                            laws.harmonic(1.0), laws.harmonic(1.0))
+    with pytest.raises(OverflowError):
+        solver_nplus1._surface(system, 1e200, 1.5, 1.0, 1.0)
+    assert solver_nplus1._virial_start(system, 1e200, 1.5) is None
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(alpha=st.floats(1.0, 2.0), beta=st.floats(-0.9, 2.0).filter(lambda b: abs(b) >= 0.05),
        N_a=st.integers(2, 6), q_a=st.floats(0.5, 10.0), q_b=st.floats(0.5, 5.0),
