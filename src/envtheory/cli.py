@@ -32,7 +32,7 @@ The solver subcommands read a system definition file, line-oriented
     # modes = 1,0 0,0       # explicit: internal (n,l) pairs
     # relative = 0,0        # explicit relative (n,l), split systems only
     # method = et           # et | iet | dosm; iet-* subcommands force iet
-    # energy_unit = 27.21   # optional factor, adds an energy_converted field
+    # energy_unit = 27.21   # optional nonzero factor, adds an energy_converted field
 
 A ``sum`` potential lists its members in ``terms`` and describes each one in
 a dotted subsection:
@@ -58,8 +58,8 @@ from collections import namedtuple
 from . import laws, repro
 from .errors import EnvTheoryError, InputError, NonConvergenceError
 from .kvfile import parse_sections
-from .qnum import (MAX_FILL_LEVELS, QuantumSpec, bgs, fgs_approx, fgs_closed, fgs_fill,
-                   global_q, ground_spec, spec_from_filling)
+from .qnum import (MAX_FILL_LEVELS, QuantumSpec, _check_fit, bgs, fgs_approx, fgs_closed,
+                   fgs_fill, global_q, ground_spec, spec_from_filling)
 from .solver_identical import IdenticalSystem, dosm_identical, solve_et, solve_iet
 from .solver_nplus1 import (NPlusOneSystem, atom_report, dosm_np1,
                             solve_et_np1, solve_iet_np1)
@@ -256,7 +256,9 @@ def _load_definition(path: str) -> _Definition:
     method = state.get("method", "et")
     if method not in ("et", "iet", "dosm"):
         raise InputError(f"[state] method must be et, iet or dosm, got {method!r}")
-    unit = _num(state, "state", "energy_unit", 0.0) or None
+    unit = _num(state, "state", "energy_unit") if "energy_unit" in state else None
+    if unit == 0.0:
+        raise InputError("[state] energy_unit must be nonzero")
     d = _int(state, "state", "d", 1.0)
 
     N = _int(sys_sec, "system", count_key)
@@ -279,12 +281,10 @@ def _load_definition(path: str) -> _Definition:
         if "modes" not in state:
             raise InputError("[state] explicit mode needs 'modes'")
         modes = tuple(_parse_mode(m, "[state] modes") for m in state["modes"].split())
-        if len(modes) != N - 1:
-            raise InputError(f"[state] modes lists {len(modes)} internal modes, "
-                             f"expected {N - 1}")
         spec = QuantumSpec(D=D, internal_modes=modes, relative_mode=relative)
     else:
         raise InputError(f"[state] unknown mode {mode!r}")
+    _check_fit(spec, D, N, split=relative is not None)
     if relative is not None:
         echo["relative"] = f"{relative[0]},{relative[1]}"
     echo["modes"] = " ".join(f"{n},{l}" for n, l in spec.internal_modes)

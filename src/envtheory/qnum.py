@@ -100,18 +100,45 @@ class GroundStateResult(Record, namedtuple(
     __slots__ = ()
 
 
+# The most levels fgs_fill lists, and the most internal modes a spec built
+# here may have: both bound time and memory at any N and phi.
+MAX_FILL_LEVELS = 100_000
+
+
+def _zero_modes(count: int) -> tuple[tuple[int, int], ...]:
+    """``count`` modes (0, 0); more than MAX_FILL_LEVELS raise InputError."""
+    if count > MAX_FILL_LEVELS:
+        raise InputError(f"a spec may have at most {MAX_FILL_LEVELS} internal modes, got {count}")
+    return ((0, 0),) * count
+
+
+def _check_fit(spec: QuantumSpec, D: int, N: int, split: bool) -> None:
+    """Refuse a spec that does not fit its system.
+
+    N identical particles, or the identical block of N of a split system,
+    take N-1 internal modes in the system's dimension D; a split system also
+    takes the relative mode, an all-identical one does not.
+    """
+    if spec.D != D:
+        raise InputError(f"spec is for D = {spec.D}, the system for D = {D}")
+    if len(spec.internal_modes) != N - 1:
+        raise InputError(f"spec has {len(spec.internal_modes)} internal modes, expected {N - 1}")
+    if (spec.relative_mode is not None) != split:
+        raise InputError("split systems need a relative mode, identical ones take none")
+
+
 def ground_spec(N: int, D: int) -> QuantumSpec:
     """All-zero internal modes for N identical particles (bosonic ground state)."""
     if N < 2:
         raise InputError("need N >= 2")
-    return QuantumSpec(D=D, internal_modes=((0, 0),) * (N - 1))
+    return QuantumSpec(D=D, internal_modes=_zero_modes(N - 1))
 
 
 def split_ground_spec(N_a: int, D: int) -> QuantumSpec:
     """All-zero modes for N_a identical particles plus one distinct particle."""
     if N_a < 2:
         raise InputError("need N_a >= 2")
-    return QuantumSpec(D=D, internal_modes=((0, 0),) * (N_a - 1), relative_mode=(0, 0))
+    return QuantumSpec(D=D, internal_modes=_zero_modes(N_a - 1), relative_mode=(0, 0))
 
 
 def _modes(D: int, count: int, nu: float, lam: float) -> tuple[tuple[int, int], ...]:
@@ -122,7 +149,7 @@ def _modes(D: int, count: int, nu: float, lam: float) -> tuple[tuple[int, int], 
     if abs(n_sum - n_int) > 1e-9 or abs(l_sum - l_int) > 1e-9 or n_int < 0 or l_int < 0:
         raise InputError(f"aggregates (nu, lam) = ({nu:g}, {lam:g}) of {count} modes are "
                          f"not reachable with integer quantum numbers")
-    return ((n_int, l_int),) + ((0, 0),) * (count - 1)
+    return ((n_int, l_int),) + _zero_modes(count)[1:]
 
 
 def spec_from_filling(filling: GroundStateResult,
@@ -155,17 +182,14 @@ def global_q(spec: QuantumSpec, phi: float) -> float:
 def level_degeneracy(l: int, D: int, d: int = 1) -> int:
     """Number of states of orbital momentum l in D dimensions, times d.
 
-    D = 2 is the special case d*(2 - delta_{l0}); for D >= 3 the count is
-    d*(2l+D-2)/(D-2)*binom(l+D-3, D-3), which reduces to d*(2l+1) at D = 3.
+    The states are the harmonic polynomials of degree l in D variables: the
+    binom(l+D-1, D-1) monomials of degree l less the binom(l+D-3, D-1) of
+    degree l-2 (none for l < 2).  This is d*(2l+1) at D = 3 and
+    d*(2 - delta_{l0}) at D = 2.
     """
     if l < 0 or D < 2 or d < 1:
         raise InputError("need l >= 0, D >= 2, d >= 1")
-    if D == 2:
-        return d * (2 - (1 if l == 0 else 0))
-    num = d * (2 * l + D - 2) * math.comb(l + D - 3, D - 3)
-    if num % (D - 2):
-        raise AssertionError("level degeneracy is not an integer")
-    return num // (D - 2)
+    return d * (math.comb(l + D - 1, D - 1) - math.comb(max(l + D - 3, 0), D - 1))
 
 
 def bgs(N: int, D: int, phi: float = 2.0) -> GroundStateResult:
@@ -188,8 +212,12 @@ def bgs(N: int, D: int, phi: float = 2.0) -> GroundStateResult:
                              q_phi=phi * nu + lam)
 
 
-# The most levels fgs_fill lists, which bounds its time and memory at any N and phi.
-MAX_FILL_LEVELS = 100_000
+def _check_fermions(N: int, D: int, d: int, phi: float = 2.0) -> None:
+    """The argument check of fgs_fill, fgs_closed and fgs_approx."""
+    if N < 2 or D < 2 or d < 1 or phi <= 0.0:
+        raise InputError("need N >= 2, D >= 2, d >= 1, phi > 0")
+    if not math.isfinite(phi):
+        raise InputError(f"phi must be finite, got {phi}")
 
 
 def fgs_fill(N: int, D: int, d: int, phi: float = 2.0) -> GroundStateResult:
@@ -212,10 +240,7 @@ def fgs_fill(N: int, D: int, d: int, phi: float = 2.0) -> GroundStateResult:
     This is the defining routine for non-integer phi; at phi = 2 and phi = 1
     it must agree with the closed forms of fgs_closed.
     """
-    if N < 2 or D < 2 or d < 1 or phi <= 0.0:
-        raise InputError("need N >= 2, D >= 2, d >= 1, phi > 0")
-    if not math.isfinite(phi):
-        raise InputError(f"phi must be finite, got {phi}")
+    _check_fermions(N, D, d, phi)
     # Keys are phi*n + l, never the previous key + 1, which may round differently.
     heap = [(0.0, 0, 0)]
     degeneracy: list[int] = []
@@ -255,44 +280,33 @@ def fgs_closed(N: int, D: int, d: int, variant: int = 2) -> float:
     Both forms share the same shape: q is the greatest natural number such
     that the remainder r = N - (capacity of the shells below q) stays
     non-negative, and Q is the quanta carried by the full shells plus q*r
-    plus the centre-of-mass tail.
+    plus the centre-of-mass tail (variant + D - 2)(N - 1)/2.
     """
-    if N < 2 or D < 2 or d < 1:
-        raise InputError("need N >= 2, D >= 2, d >= 1")
+    _check_fermions(N, D, d)
     if variant == 2:
         def cumulative(q: int) -> int:
             return d * math.comb(q + D - 1, D)
 
         def full_shell_quanta(q: int) -> int:
             return d * D * math.comb(q + D - 1, D + 1)
-
-        tail = 0.5 * D * (N - 1)
     elif variant == 1:
+        # Both divisions are exact: the quotients count states and quanta.
         def cumulative(q: int) -> int:
-            num = d * (2 * q + D - 2) * math.comb(q + D - 2, D - 1)
-            assert num % D == 0
-            return num // D
+            return d * (2 * q + D - 2) * math.comb(q + D - 2, D - 1) // D
 
         def full_shell_quanta(q: int) -> int:
-            num = d * (2 * q * D - 2 * D + D * D + 1) * math.comb(q + D - 2, D)
-            assert num % (D + 1) == 0
-            return num // (D + 1)
-
-        tail = 0.5 * (D - 1) * (N - 1)
+            return d * (2 * q * D - 2 * D + D * D + 1) * math.comb(q + D - 2, D) // (D + 1)
     else:
         raise InputError("variant must be 2 or 1")
     q = 0
     while N - cumulative(q + 1) >= 0:
         q += 1
     r = N - cumulative(q)
-    return full_shell_quanta(q) + q * r + tail
+    return full_shell_quanta(q) + q * r + 0.5 * (variant + D - 2) * (N - 1)
 
 
 def fgs_approx(N: int, D: int, d: int, phi: float = 2.0) -> float:
     """Asymptotic estimate of the fermionic ground-state Q, valid for N >> 1."""
-    if N < 1 or D < 2 or d < 1 or phi <= 0.0:
-        raise InputError("need N >= 1, D >= 2, d >= 1, phi > 0")
-    if not math.isfinite(phi):
-        raise InputError(f"phi must be finite, got {phi}")
+    _check_fermions(N, D, d, phi)
     return (D / (D + 1.0)) * (phi * math.factorial(D) / (2.0 * d)) ** (1.0 / D) \
         * N ** ((D + 1.0) / D)

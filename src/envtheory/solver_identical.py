@@ -29,7 +29,7 @@ from typing import Callable
 from . import laws
 from .errors import (DegenerateOrbitalError, InputError, NoRootError,
                      UnstableOrbitalError, UnsupportedRegimeError)
-from .qnum import QuantumSpec
+from .qnum import QuantumSpec, _check_fit
 from .records import Record
 from .rootscan import SCAN_HI, SCAN_LO, _sample, find_roots
 
@@ -412,9 +412,7 @@ def solve_iet(system: IdenticalSystem, spec: QuantumSpec) -> EtSolution:
     off one sample of the potential.  The variational character is only
     preserved when phi happens to equal 2.
     """
-    if len(spec.internal_modes) != system.N - 1:
-        raise InputError(f"spec has {len(spec.internal_modes)} internal modes, "
-                         f"expected {system.N - 1}")
+    _check_fit(spec, system.D, system.N, split=False)
     nu, lam = spec.nu, spec.lam
     if lam == 0.0:
         raise DegenerateOrbitalError(

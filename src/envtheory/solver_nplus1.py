@@ -52,7 +52,7 @@ from . import laws
 from .coupled_osc import OscPair, normal_modes
 from .errors import (DegenerateOrbitalError, InputError, NoBindingError,
                      NonConvergenceError, UnstableOrbitalError)
-from .qnum import QuantumSpec, fgs_fill, spec_from_filling
+from .qnum import QuantumSpec, _check_fit, fgs_fill, spec_from_filling
 from .records import Record
 from .rootscan import SCAN_HI, SCAN_LO
 from .solver_identical import pair_count
@@ -337,11 +337,14 @@ def _virial_start(system: NPlusOneSystem, q_a: float,
                   q_b: float) -> tuple[float, float] | None:
     """(lam, lam), the minimum of E along the scale through (r_aa, R0) = (1, 1).
 
-    Where T_a and T_b are powers p^alpha of one exponent, V_aa and V_ab
-    powers r^beta of one exponent, and alpha + beta > 0, the energy is
-    homogeneous: E(lam r_aa, lam R0) = lam^-alpha K + lam^beta V.  Its log
-    gradient then sums to -alpha K over the kinetic parts and to beta V over
-    the potential ones, so the scale's minimum is at
+    Where T_a and T_b are powers c p^alpha of one exponent (c and alpha are
+    positive, as in every kinetic law) and V_aa and V_ab powers r^beta of
+    one exponent, the energy is homogeneous: E(lam r_aa, lam R0) =
+    lam^-alpha K + lam^beta V with K > 0.  Where alpha + beta <= 0, that
+    has at most a maximum in lam on each ray, so E has no minimum at all:
+    NoBindingError, decided without a descent.  Otherwise its log gradient
+    sums to -alpha K over the kinetic parts and to beta V over the
+    potential ones, so the scale's minimum is at
     lam^(alpha+beta) = -(k1 + k2)/(v1 + v2), read off one _surface call at
     (1, 1).  None for other laws, and where that ratio is not positive and
     finite (for example an atom whose repulsive block outweighs the nucleus).
@@ -351,8 +354,11 @@ def _virial_start(system: NPlusOneSystem, q_a: float,
     if None in exponents:
         return None
     (_, alpha), (_, alpha_b), (_, beta), (_, beta_ab) = exponents
-    if alpha != alpha_b or beta != beta_ab or not alpha + beta > 0.0:
+    if alpha != alpha_b or beta != beta_ab:
         return None
+    if alpha + beta <= 0.0:
+        raise NoBindingError(f"no minimum of E: its laws are homogeneous with "
+                             f"alpha + beta = {alpha + beta:.6g} <= 0")
     try:
         _, (k1, k2), (v1, v2), _, _ = _surface(system, q_a, q_b, 1.0, 1.0)
         ratio = -(k1 + k2) / (v1 + v2)
@@ -404,8 +410,9 @@ def _solve(system: NPlusOneSystem, q_a: float, q_b: float,
     error is the one raised.  Without a start the descent begins at the
     virial start of homogeneous power laws, with the grid start of
     _grid_start as its fallback, or at the grid start itself where the laws
-    have no virial start.  Returns the solution and the _surface result at
-    it.
+    have no virial start; homogeneous laws with alpha + beta <= 0 raise
+    NoBindingError before any start.  Returns the solution and the _surface
+    result at it.
     """
     if not (0.0 < q_a < math.inf and 0.0 < q_b < math.inf):
         raise InputError("q_a and q_b must be positive and finite")
@@ -434,6 +441,8 @@ def solve_et_np1(system: NPlusOneSystem, q_a: float, q_b: float) -> Np1Solution:
     homogeneous power laws, and from the grid start of _grid_start for
     other laws or where the first descent fails (NonConvergenceError or
     NoBindingError); the error of that second descent is the one raised.
+    Homogeneous laws with alpha + beta <= 0 have no minimum, and raise
+    NoBindingError without a descent.
     """
     return _solve(system, q_a, q_b)[0]
 
@@ -500,11 +509,7 @@ def solve_iet_np1(system: NPlusOneSystem, spec: QuantumSpec) -> Np1Solution:
     starts again from the orbital minimum itself, through the same fallback
     of _solve that a cold solve uses.
     """
-    if spec.relative_mode is None:
-        raise InputError("split systems need a relative mode in the spec")
-    if len(spec.internal_modes) != system.N_a - 1:
-        raise InputError(f"spec has {len(spec.internal_modes)} internal modes, "
-                         f"expected {system.N_a - 1}")
+    _check_fit(spec, system.D, system.N_a, split=True)
     nu_a, lam_a = spec.nu, spec.lam
     nu_b, lam_b = spec.nu_b, spec.lam_b
     if lam_a == 0.0 or lam_b == 0.0:

@@ -12,8 +12,9 @@ orbital" for any other returned point, or the error class and message;
 iterations are the deformed descent's, orbital those of the orbital solve
 it starts from.  The second compares two such listings: minima gained and
 lost, failure classes moved, and minima whose energy moved beyond 1e-8
-relative, each by set/index, and the iterations of both descents summed
-over the returned solves; it exits with status 1 where a minimum is lost.
+relative, each by set/index; the iterations of both descents summed over
+the returned solves; and the NonConvergenceError count of sets 1-3 and of
+sets 4-9 on both sides.  It exits with status 1 where a minimum is lost.
 
 Sets 1, 2 and 4-9 are each drawn from random.Random(n), n the set's
 number; every draw, strengths included, comes from that generator, so a
@@ -178,6 +179,10 @@ def diff(before_path: str, after_path: str) -> int:
         print(f"{what}: {len(keys)}" + (": " + ", ".join(keys) if keys else ""))
     minima = [sum(f[0] == "min" for f in side.values()) for side in (before, after)]
     print(f"minima: {minima[0]} -> {minima[1]}")
+    for label, seeds in (("1-3", range(1, 4)), ("4-9", range(4, 10))):
+        stalls = [sum(f[0] == "NonConvergenceError" for key, f in side.items()
+                      if int(key.split("/")[0]) in seeds) for side in (before, after)]
+        print(f"NonConvergenceError on sets {label}: {stalls[0]} -> {stalls[1]}")
     (deformed, orbital), (deformed_after, orbital_after) = iterations
     print(f"iterations of returned solves: deformed {deformed} -> {deformed_after}, "
           f"orbital {orbital} -> {orbital_after}")

@@ -7,8 +7,9 @@ import math
 
 import pytest
 
-from envtheory import cli, laws, qnum
+from envtheory import cli, laws, qnum, repro
 from envtheory.cli import main
+from envtheory.errors import NoBindingError
 
 HO_IDENTICAL = """
 [system]
@@ -625,7 +626,7 @@ def test_definition_laws_are_built_through_the_laws_module(tmp_path, capsys, mon
     assert calls == [("kinetic_power", (0.5, 2.0)), ("gaussian_well", (6.0, 1.2))]
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "small"])
 def test_tol_must_be_finite_and_non_negative(tmp_path, capsys, tol):
     path = _write(tmp_path, HO_IDENTICAL)
     rc, out, err = _run(capsys, "solve-identical", path, "--tol", tol)
@@ -705,6 +706,86 @@ def test_the_largest_allowed_count_runs(tmp_path, capsys, command, text, key):
     record = _run_json(capsys, command, path, "--output", "json")
     assert record[key] == count
     assert record["modes"] == " ".join(["0,0"] * (count - 1))
+
+
+def test_an_atom_beyond_the_mode_bound_exits_two_before_any_solve(capsys, monkeypatch):
+    # Ten million electrons fill about 24,000 levels, but their spec would
+    # need 9,999,999 internal modes: refused before a descent starts.
+    def no_descent(*args):
+        raise AssertionError("descended")
+
+    monkeypatch.setattr("envtheory.solver_nplus1._solve", no_descent)
+    rc, out, err = _run(capsys, "atom", "--Z", "2", "--electrons", "10000000")
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "InputError", "exit": 2,
+        "message": "a spec may have at most 100000 internal modes, got 9999999"}
+
+
+def test_a_zero_energy_unit_exits_two(tmp_path, capsys):
+    # A factor of 0 once dropped the energy_converted field and exited 0.
+    path = _write(tmp_path, HO_IDENTICAL + "\n[state]\nenergy_unit = 0\n")
+    rc, out, err = _run(capsys, "solve-identical", path)
+    assert rc == 2 and out == ""
+    assert json.loads(err)["message"] == "[state] energy_unit must be nonzero"
+
+
+def test_a_negative_energy_unit_converts(tmp_path, capsys):
+    path = _write(tmp_path, HO_IDENTICAL + "\n[state]\nenergy_unit = -2.5\n")
+    record = _run_json(capsys, "solve-identical", path, "--output", "json")
+    assert record["energy_converted"] == pytest.approx(-2.5 * record["energy"])
+
+
+_BAD_MODES = "\n[state]\nmode = explicit\nmodes = "
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("solve-identical", LINEAR_IDENTICAL.replace("coefficient = 1\n", "coefficient = one\n"),
+     "[potential] coefficient = 'one' is not a finite number"),
+    ("solve-identical", HO_IDENTICAL.split("[potential]")[0],
+     "definition is missing the [potential] section"),
+    ("solve-identical", HO_IDENTICAL.replace("kind = harmonic\n", ""),
+     "[potential] is missing 'kind'"),
+    ("solve-identical", SUM_POTENTIAL.split("[potential.quad]")[0],
+     "sum term [potential.quad] is missing"),
+    ("solve-identical", HO_IDENTICAL + _BAD_MODES + "1,0,0 0,0\n",
+     "[state] modes: expected 'n,l', got '1,0,0'"),
+    ("solve-identical", HO_IDENTICAL + _BAD_MODES + "1,a 0,0\n",
+     "[state] modes: expected integers in '1,a'"),
+    ("solve-identical", HO_IDENTICAL.replace("[system]\n", "[sistem]\n"),
+     "definition is missing the [system] section"),
+    ("solve-identical", HO_IDENTICAL.replace("type = identical", "type = pair"),
+     "[system] type must be 'identical' or 'nplusone', got 'pair'"),
+    ("solve-identical", HO_IDENTICAL + "\n[state]\nmethod = exact\n",
+     "[state] method must be et, iet or dosm, got 'exact'"),
+    ("solve-identical", HO_IDENTICAL + "\n[state]\nmode = explicit\n",
+     "[state] explicit mode needs 'modes'"),
+    ("solve-np1", HO_SPLIT + "\n[state]\nmode = excited\n",
+     "[state] unknown mode 'excited'"),
+], ids=["unparsed-number", "missing-law", "missing-kind", "missing-sum-term",
+        "three-numbers-in-a-mode", "letter-in-a-mode", "missing-system", "bad-type",
+        "bad-method", "explicit-without-modes", "unknown-mode"])
+def test_a_malformed_definition_names_its_fault(tmp_path, capsys, command, text, message):
+    rc, out, err = _run(capsys, command, _write(tmp_path, text))
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {"error": "InputError", "message": message, "exit": 2}
+
+
+def test_a_pretty_reproduce_row_that_raised_is_one_fail_line(capsys, monkeypatch):
+    # The row's error takes the place of its checks, and the exit is 1.
+    first, row = repro.table_fixtures(1)[0][1], repro._ROWS[1]
+
+    def first_fails(rec, tols):
+        if rec is first:
+            raise NoBindingError("no minimum")
+        return row(rec, tols)
+
+    monkeypatch.setitem(repro._ROWS, 1, first_fails)
+    rc, out, _ = _run(capsys, "reproduce", "--table", "1")
+    assert rc == 1
+    lines = out.splitlines()
+    assert lines[1] == "  b-1        FAIL  no minimum"
+    assert not any(line.startswith("  b-1 ") and "computed" in line for line in lines)
 
 
 UROH_SPLIT = """

@@ -15,7 +15,7 @@ import pytest
 from envtheory import laws
 from envtheory.errors import (DegenerateOrbitalError, InputError,
                               UnstableOrbitalError, UnsupportedRegimeError)
-from envtheory.qnum import QuantumSpec, ground_spec, global_q
+from envtheory.qnum import QuantumSpec, global_q, ground_spec, split_ground_spec
 from envtheory.solver_identical import (IdenticalSystem, dosm_identical,
                                         pair_count, phi_identical,
                                         power_law_energy, solve_et, solve_iet)
@@ -261,6 +261,17 @@ def test_solve_iet_degenerate_orbital():
 def test_solve_iet_mode_count_mismatch():
     with pytest.raises(InputError):
         solve_iet(_ho_system(4), ground_spec(3, 3))
+
+
+def test_solve_iet_refuses_a_spec_that_does_not_fit_its_system():
+    # A D = 5 spec once gave the D = 3 oscillator trio 8.660254, the D = 5
+    # level, where its ground state is 3 sqrt(3) = 5.196152.
+    system = _ho_system(3, k=0.5)
+    assert solve_iet(system, ground_spec(3, 3)).energy == pytest.approx(3 * math.sqrt(3))
+    with pytest.raises(InputError, match="spec is for D = 5, the system for D = 3"):
+        solve_iet(system, ground_spec(3, 5))
+    with pytest.raises(InputError, match="identical ones take none"):
+        solve_iet(system, split_ground_spec(3, 3))
 
 
 def test_solve_et_input_validation():

@@ -90,6 +90,14 @@ def test_custom_wraps_callables():
     assert (law.value(2.0), law.d1(2.0), law.d2(2.0)) == (8.0, 12.0, 12.0)
 
 
+@pytest.mark.parametrize("strength", [0.0, -1.0])
+def test_coulomb_and_harmonic_strengths_must_be_positive(strength):
+    with pytest.raises(InputError, match="coulomb strength must be positive"):
+        laws.coulomb(strength)
+    with pytest.raises(InputError, match="harmonic strength must be positive"):
+        laws.harmonic(strength)
+
+
 def test_well_validation():
     for bad in ((0.0, 1.0), (1.0, -2.0)):
         with pytest.raises(InputError):

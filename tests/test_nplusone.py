@@ -519,6 +519,13 @@ def test_iet_spec_validation():
         solve_iet_np1(system_2d, flat)
 
 
+def test_solve_iet_np1_refuses_a_spec_of_another_dimension():
+    # A D = 6 spec once gave this D = 3 system the D = 6 level, 10.392305.
+    system = _ho_split(2, 1.0, 1.0, 1.0, 1.0)
+    with pytest.raises(InputError, match="spec is for D = 6, the system for D = 3"):
+        solve_iet_np1(system, split_ground_spec(2, 6))
+
+
 def test_solution_is_deterministic():
     system = _ho_split(3, 0.5, 1.0, 2.0, 1.3)
     first = solve_et_np1(system, 2.5, 1.5)

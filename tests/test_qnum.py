@@ -48,15 +48,22 @@ def test_global_q_requires_positive_phi():
         qnum.global_q(spec, 0.0)
 
 
+def _degeneracy_by_cases(l, D, d):
+    """d (2 - delta_l0) at D = 2, d (2l+D-2)/(D-2) binom(l+D-3, D-3) above."""
+    if D == 2:
+        return d * (2 - (1 if l == 0 else 0))
+    num = d * (2 * l + D - 2) * math.comb(l + D - 3, D - 3)
+    assert num % (D - 2) == 0
+    return num // (D - 2)
+
+
 def test_level_degeneracy_closed_form():
-    # For D >= 3 the count per d equals the difference of two simplex
-    # binomials, C(l+D-1, D-1) - C(l+D-3, D-1); checking against that
-    # independent form exercises the implemented expression.
-    for D in (3, 4, 5, 7):
-        for l in range(0, 9):
-            expect = math.comb(l + D - 1, D - 1) - math.comb(l + D - 3, D - 1)
-            assert qnum.level_degeneracy(l, D) == expect
-            assert qnum.level_degeneracy(l, D, d=3) == 3 * expect
+    # The one binomial difference agrees with the count by cases, an
+    # independent form, in every dimension.
+    for D in range(2, 12):
+        for l in range(60):
+            for d in (1, 2, 3):
+                assert qnum.level_degeneracy(l, D, d) == _degeneracy_by_cases(l, D, d)
     # D = 2 keeps only the two planar senses of rotation.
     assert qnum.level_degeneracy(0, 2) == 1
     assert qnum.level_degeneracy(5, 2) == 2
@@ -165,6 +172,8 @@ def test_fgs_fill_matches_a_sorted_enumeration(N, D, d, phi):
 def test_bgs_rejects_dimension_below_two():
     with pytest.raises(InputError):
         qnum.bgs(3, 1)
+    with pytest.raises(InputError, match="need N >= 2"):
+        qnum.bgs(1, 3)
 
 
 @pytest.mark.parametrize("phi", [0.0, -0.0, -1.0, -math.inf])
@@ -282,6 +291,9 @@ def test_fgs_closed_variant_validation():
         qnum.fgs_closed(4, 3, 1, variant=3)
     with pytest.raises(InputError):
         qnum.fgs_fill(1, 3, 1)
+    # fgs_approx takes the arguments of the other two fermion functions.
+    with pytest.raises(InputError, match="need N >= 2, D >= 2, d >= 1, phi > 0"):
+        qnum.fgs_approx(1, 3, 1)
     with pytest.raises(InputError):
         qnum.fgs_fill(4, 3, 1, phi=-2.0)
 
@@ -302,12 +314,33 @@ def test_ground_spec_matches_bgs():
         qnum.ground_spec(1, 3)
 
 
+def test_every_spec_builder_bounds_its_modes():
+    # Each builder refuses more than MAX_FILL_LEVELS internal modes before
+    # listing them, and lists exactly that many.
+    bound = qnum.MAX_FILL_LEVELS
+    filling = qnum.fgs_fill(bound + 2, 3, 1, 2.0)
+    too_many = (lambda: qnum.ground_spec(bound + 2, 3),
+                lambda: qnum.split_ground_spec(bound + 2, 3),
+                lambda: qnum.spec_from_filling(filling),
+                lambda: qnum.split_spec(3, bound + 2, 0.5 * (bound + 1),
+                                        0.5 * (bound + 1), 0.5, 0.5))
+    for build in too_many:
+        with pytest.raises(InputError, match=f"at most {bound} internal modes, "
+                                             f"got {bound + 1}"):
+            build()
+    assert len(qnum.ground_spec(bound + 1, 3).internal_modes) == bound
+    assert len(qnum.split_spec(3, bound + 1, 0.5 * bound + 1, 0.5 * bound, 0.5, 0.5)
+               .internal_modes) == bound
+
+
 def test_split_ground_spec():
     spec = qnum.split_ground_spec(3, 3)
     assert len(spec.internal_modes) == 2
     assert spec.relative_mode == (0, 0)
     assert spec.nu == 1.0 and spec.lam == 1.0
     assert spec.nu_b == 0.5 and spec.lam_b == 0.5
+    with pytest.raises(InputError, match="need N_a >= 2"):
+        qnum.split_ground_spec(1, 3)
 
 
 def test_spec_from_filling_roundtrip():

@@ -50,6 +50,8 @@ def test_exact_grid_hit_is_reported():
     # sign change around it.
     roots = find_roots(lambda x: 0.0 if x == 1e-2 else 1.0, 1e-2, 1.0)
     assert roots[0] == 1e-2
+    # So does the last sample, which has no right-hand neighbour.
+    assert find_roots(lambda x: x - 1e8, 1e-8, 1e8) == [1e8]
 
 
 def test_zeros_next_to_zeros_are_not_roots():

@@ -249,18 +249,45 @@ def test_a_failed_virial_descent_falls_back_on_the_grid_start(monkeypatch):
     # Two potential exponents.
     NPlusOneSystem(2, 3, laws.kinetic_power(0.5, 2.0), laws.kinetic_power(0.5, 2.0),
                    laws.harmonic(1.0), laws.coulomb(2.0)),
-    # alpha + beta = 0: E does not scale toward a minimum.
-    NPlusOneSystem(2, 3, laws.kinetic_power(1.0, 1.0), laws.kinetic_power(1.0, 1.0),
-                   laws.power(1.0, -1.0), laws.coulomb(2.0)),
     # A law that is no power.
     NPlusOneSystem(2, 3, laws.kinetic_power(0.5, 2.0), laws.kinetic_power(0.5, 2.0),
                    laws.gaussian_well(5.0, 1.0), laws.harmonic(1.0)),
     # V > 0 at the unit shape: a repulsive block outweighs the nucleus.
     solver_nplus1._atom_system(1.0, 8, 1836.0),
-], ids=["two-kinetic-exponents", "two-potential-exponents", "alpha+beta=0",
-        "gaussian", "repulsive"])
+], ids=["two-kinetic-exponents", "two-potential-exponents", "gaussian", "repulsive"])
 def test_only_homogeneous_laws_with_a_scale_minimum_have_a_virial_start(system):
     assert solver_nplus1._virial_start(system, 1.5, 1.5) is None
+
+
+@pytest.mark.parametrize("system, spec, alpha_plus_beta", [
+    # E(lam r_aa, lam R0) = (K + V)/lam: no minimum in lam on any ray.
+    (NPlusOneSystem(2, 3, laws.kinetic_power(1.0, 1.0), laws.kinetic_power(1.0, 1.0),
+                    laws.power(1.0, -1.0), laws.coulomb(2.0)),
+     QuantumSpec(3, ((0, 0),), (0, 0)), "0"),
+    # System 3/494 of tests/np1_random_set.py: E falls toward r -> 0, where
+    # its descent once ran out of steps (NonConvergenceError).
+    (NPlusOneSystem(3, 3, laws.kinetic_power(1.8255753244942434, 1.1236287952640878),
+                    laws.kinetic_power(0.8015341060889687, 1.1236287952640878),
+                    laws.power(-2.6766317084514357, -1.358106540321423),
+                    laws.power(-4.6648077223812, -1.358106540321423)),
+     QuantumSpec(3, ((0, 0), (0, 0)), (0, 2)), "-0.234478"),
+], ids=["alpha+beta=0", "set3-494"])
+def test_homogeneous_collapse_is_unbound_without_a_descent(monkeypatch, system, spec,
+                                                           alpha_plus_beta):
+    # Where alpha + beta <= 0, lam^-alpha K + lam^beta V has at most a
+    # maximum in lam, so E has no minimum: decided in closed form.
+    def no_descent(*args):
+        raise AssertionError("started a descent")
+
+    monkeypatch.setattr(solver_nplus1, "_newton", no_descent)
+    monkeypatch.setattr(solver_nplus1, "_grid_start", no_descent)
+    message = f"homogeneous with alpha \\+ beta = {alpha_plus_beta} <= 0"
+    with pytest.raises(NoBindingError, match=message):
+        solver_nplus1._virial_start(system, 1.5, 1.5)
+    with pytest.raises(NoBindingError, match=message):
+        solve_et_np1(system, 2.0 * spec.nu + spec.lam, 2.0 * spec.nu_b + spec.lam_b)
+    with pytest.raises(NoBindingError, match=message):
+        solve_iet_np1(system, spec)
 
 
 def test_a_unit_shape_where_e_overflows_has_no_virial_start():
