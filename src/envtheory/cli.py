@@ -92,7 +92,7 @@ def _clean(record: dict) -> dict:
     for key, value in record.items():
         if value is None:
             continue
-        if isinstance(value, bool) or not isinstance(value, float):
+        if not isinstance(value, float):
             out[key] = value
         else:
             out[key] = _sig12(value)
@@ -121,9 +121,17 @@ def _emit_rows(rows: list[dict], args) -> None:
                 print(f"{key:<{width}}  {text}")
 
 
+def _emit_record(record: dict, args) -> int:
+    """Print the one record of a command; a number in it that is not finite is refused."""
+    for key, value in record.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InputError(f"{key} = {value} is not finite: the inputs leave the floating range")
+    _emit_rows([record], args)
+    return 0
+
+
 def _check_residuals(record: dict, tol: float) -> None:
-    residuals = [v for k, v in record.items()
-                 if k.startswith("residual") and isinstance(v, float)]
+    residuals = [v for k, v in record.items() if k.startswith("residual")]
     worst = max(residuals, default=0.0)
     if not worst <= tol:
         raise NonConvergenceError(
@@ -352,8 +360,7 @@ def _cmd_solver(args) -> int:
     if definition.unit is not None:
         record["energy_converted"] = record["energy"] * definition.unit
     _check_residuals(record, args.tol)
-    _emit_rows([record], args)
-    return 0
+    return _emit_record(record, args)
 
 
 def _cmd_atom(args) -> int:
@@ -375,8 +382,7 @@ def _cmd_atom(args) -> int:
         **{key: getattr(result.solution, key) for key in _NP1_FIELDS},
     }
     _check_residuals(record, args.tol)
-    _emit_rows([record], args)
-    return 0
+    return _emit_record(record, args)
 
 
 def _cmd_fgs(args) -> int:
@@ -393,8 +399,7 @@ def _cmd_fgs(args) -> int:
         record["q_closed"] = closed
         record["closed_matches"] = math.isclose(closed, filling.q_phi,
                                                 rel_tol=0.0, abs_tol=1e-9)
-    _emit_rows([record], args)
-    return 0
+    return _emit_record(record, args)
 
 
 def _cmd_critical(args) -> int:
@@ -415,8 +420,7 @@ def _cmd_critical(args) -> int:
         "d": args.d, "q": Q, "u_star": u_star(shape),
         "g": critical_g(shape, args.m, args.n, Q),
     }
-    _emit_rows([record], args)
-    return 0
+    return _emit_record(record, args)
 
 
 def _cmd_reproduce(args) -> int:

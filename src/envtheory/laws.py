@@ -49,6 +49,12 @@ def _check_finite(what: str, *constants: float) -> None:
         raise InputError(f"{what} needs finite constants, got {constants}")
 
 
+def _check_folded(what: str, name: str, value: float, divisor: bool = False) -> None:
+    """Refuse a folded constant that is not finite, or that is zero where it divides."""
+    if not math.isfinite(value) or divisor and value == 0.0:
+        raise InputError(f"{what} leaves the floating range: {name} = {value:g}")
+
+
 @dataclass(frozen=True)
 class Law:
     """A scalar law f of one positive real.
@@ -77,6 +83,7 @@ def power(coefficient: float, exponent: float) -> Law:
     c, e = float(coefficient), float(exponent)
     c1, e1 = c * e, e - 1.0
     c2, e2 = c * e * (e - 1.0), e - 2.0
+    _check_folded("power law", "c e (e - 1)", c2)
     return Law(
         kind="power",
         value=lambda x: c * x ** e,
@@ -119,6 +126,7 @@ def coulomb(strength: float) -> Law:
         raise InputError("coulomb strength must be positive")
     g = float(strength)
     c0, c2 = -g, -2.0 * g
+    _check_folded("coulomb law", "-2 G", c2)
     return Law(
         kind="coulomb",
         value=lambda x: c0 / x,
@@ -135,6 +143,7 @@ def harmonic(strength: float) -> Law:
         raise InputError("harmonic strength must be positive")
     k = float(strength)
     k2 = 2.0 * k
+    _check_folded("harmonic law", "2 k", k2)
     return Law(
         kind="harmonic",
         value=lambda x: k * x * x,
@@ -149,8 +158,15 @@ def gaussian_well(depth: float, width: float = 1.0) -> Law:
     _check_finite("gaussian well", depth, width)
     if depth <= 0.0 or width <= 0.0:
         raise InputError("gaussian well requires depth > 0 and width > 0")
-    g, w2 = float(depth), float(width) ** 2
-    c0, two_w2, w4 = -g, 2.0 / w2, w2 * w2
+    g = float(depth)
+    try:
+        w2 = float(width) ** 2
+    except OverflowError:
+        w2 = math.inf
+    w4 = w2 * w2
+    # w^4 within the floats keeps w^2 and 2/w^2 there too.
+    _check_folded("gaussian well", "width^4", w4, divisor=True)
+    c0, two_w2 = -g, 2.0 / w2
     # d1 and d2 start from g*E, which is exactly -value(x) = -(-g*E).
     return Law(
         kind="gaussian-well",
@@ -167,7 +183,10 @@ def exponential_well(depth: float, scale: float = 1.0) -> Law:
     if depth <= 0.0 or scale <= 0.0:
         raise InputError("exponential well requires depth > 0 and scale > 0")
     g, s = float(depth), float(scale)
+    _check_folded("exponential well", "scale^2", s * s, divisor=True)
     c0, c1, c2 = -g, g / s, -(g / (s * s))
+    # depth/scale^2 within the floats keeps depth/scale there too.
+    _check_folded("exponential well", "depth/scale^2", c2)
     return Law(
         kind="exponential-well",
         value=lambda x: c0 * exp(-x / s),

@@ -308,5 +308,6 @@ def fgs_closed(N: int, D: int, d: int, variant: int = 2) -> float:
 def fgs_approx(N: int, D: int, d: int, phi: float = 2.0) -> float:
     """Asymptotic estimate of the fermionic ground-state Q, valid for N >> 1."""
     _check_fermions(N, D, d, phi)
-    return (D / (D + 1.0)) * (phi * math.factorial(D) / (2.0 * d)) ** (1.0 / D) \
-        * N ** ((D + 1.0) / D)
+    # The D-th root of phi D!/(2 d) in logarithms: D! overflows a float from D = 171.
+    root = math.exp((math.log(phi) + math.lgamma(D + 1.0) - math.log(2.0 * d)) / D)
+    return (D / (D + 1.0)) * root * N ** ((D + 1.0) / D)

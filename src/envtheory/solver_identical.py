@@ -301,7 +301,7 @@ def solve_et(system: IdenticalSystem, Q: float) -> EtSolution:
 def _solve_et(system: IdenticalSystem, Q: float, levels: _Levels | None) -> EtSolution:
     """solve_et, reading scan brackets off ``levels`` where it is given."""
     if not 0.0 < Q < math.inf:
-        raise InputError("Q must be positive and finite")
+        raise InputError(f"quantum number must be positive and finite, got {Q}")
     N, T, V = system.N, system.kinetic, system.potential
     c2 = pair_count(N)
     sq = math.sqrt(c2)
@@ -378,8 +378,6 @@ def dosm_identical(system: IdenticalSystem, lam: float) -> DosmIdenticalReport:
 def _dosm_identical(system: IdenticalSystem, lam: float,
                     levels: _Levels | None) -> DosmIdenticalReport:
     """dosm_identical, its orbital solve reading scan brackets off ``levels``."""
-    if not 0.0 < lam < math.inf:
-        raise InputError("lam must be positive and finite")
     N, T, V = system.N, system.kinetic, system.potential
     c2 = pair_count(N)
     orbital = _solve_et(system, lam, levels)

@@ -271,13 +271,12 @@ def _newton(system: NPlusOneSystem, q_a: float, q_b: float, r_aa: float,
     Each step is u <- u - t |H|^-1 g with the exact gradient g and Hessian H.
     Where E is convex |H| = H and this is Newton's step; elsewhere |H| keeps
     it a descent direction, so the iteration ends only at a minimum.  A
-    trial is kept when E falls, when it already meets NEWTON_TOL, or when E
-    is unchanged to the last bit and either the largest scaled residual
-    shrinks (a decrease below one ulp of E) or E still falls along the step
-    at the trial, g(trial) . du < 0 (a plateau, such as a short-range law
-    that has underflowed to 0, which the descent crosses toward the escape
-    radius); otherwise, and where the surface cannot be evaluated, t is
-    halved.  A start where E cannot be evaluated, and a stationary point
+    trial is kept when E does not rise or when it already meets NEWTON_TOL;
+    otherwise, and where the surface cannot be evaluated, t is halved.  An
+    E unchanged to the last bit is kept: a decrease below one ulp of E, or
+    a plateau (a short-range law that has underflowed to 0), which the
+    descent crosses toward the escape radius; NEWTON_MAX_STEPS bounds any
+    such walk.  A start where E cannot be evaluated, and a stationary point
     that is not a minimum (a start on a saddle or a maximum), raise
     NonConvergenceError.  A step that carries a radius
     beyond both SCAN_HI and ESCAPE_FACTOR times the start's larger radius
@@ -316,11 +315,7 @@ def _newton(system: NPlusOneSystem, q_a: float, q_b: float, r_aa: float,
                 step *= 0.5
                 continue
             f_trial = _scaled(trial)
-            worst = max(abs(f_trial[0]), abs(f_trial[1]))
-            (tk1, tk2), (tv1, tv2) = trial[1], trial[2]
-            if trial[0] < energy or worst < NEWTON_TOL or trial[0] == energy and (
-                    worst < max(abs(f[0]), abs(f[1]))
-                    or (tk1 + tv1) * du1 + (tk2 + tv2) * du2 < 0.0):
+            if trial[0] <= energy or max(abs(f_trial[0]), abs(f_trial[1])) < NEWTON_TOL:
                 break
             step *= 0.5
         else:
@@ -415,7 +410,7 @@ def _solve(system: NPlusOneSystem, q_a: float, q_b: float,
     result at it.
     """
     if not (0.0 < q_a < math.inf and 0.0 < q_b < math.inf):
-        raise InputError("q_a and q_b must be positive and finite")
+        raise InputError(f"quantum numbers must be positive and finite, got ({q_a}, {q_b})")
     if start is None:
         start = _virial_start(system, q_a, q_b)
         fallback = partial(_grid_start, system, q_a, q_b)
@@ -462,8 +457,6 @@ def dosm_np1(system: NPlusOneSystem, lam_a: float, lam_b: float) -> DosmNp1Repor
     log q as -H_kin, the kinetic part of the Hessian, and the minimum moves as
     du/dlog q = H^-1 H_kin: the report's radius_response.
     """
-    if not (0.0 < lam_a < math.inf and 0.0 < lam_b < math.inf):
-        raise InputError("lam_a and lam_b must be positive and finite")
     c2 = pair_count(system.N_a)
     orbital, surface = _solve(system, lam_a, lam_b)
     r_aa, R0 = orbital.r_aa, orbital.R0

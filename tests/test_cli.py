@@ -4,6 +4,10 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -195,11 +199,29 @@ def test_csv_and_json_payloads_agree(tmp_path, capsys):
 
 
 def test_pretty_output_lists_keys(tmp_path, capsys):
+    # One line per field of the json record, in its order: the key padded
+    # to the longest key, two spaces, the value.
     path = _write(tmp_path, HO_IDENTICAL)
     rc, out, _ = _run(capsys, "solve-identical", path)
     assert rc == 0
-    assert "energy" in out
-    assert "5.19615242271" in out
+    record = _run_json(capsys, "solve-identical", path, "--output", "json")
+    width = max(map(len, record))
+    lines = out.splitlines()
+    assert [line[:width].rstrip() for line in lines] == list(record)
+    assert all(line[width:width + 2] == "  " for line in lines)
+    assert f"{'energy':<{width}}  5.19615242271" in lines
+
+
+@pytest.mark.parametrize("command, text, expect, got", [
+    ("solve-identical", HO_SPLIT, "identical", "nplusone"),
+    ("iet-np1", HO_IDENTICAL, "nplusone", "identical"),
+], ids=["nplusone-to-identical", "identical-to-nplusone"])
+def test_a_solver_command_refuses_a_definition_of_the_other_type(tmp_path, capsys, command,
+                                                                 text, expect, got):
+    rc, out, err = _run(capsys, command, _write(tmp_path, text))
+    assert rc == 2 and out == ""
+    assert json.loads(err)["message"] == (f"{command} needs a definition of type "
+                                          f"{expect!r}, got {got!r}")
 
 
 def test_iet_subcommand_forces_improved_method(tmp_path, capsys):
@@ -631,7 +653,10 @@ def test_tol_must_be_finite_and_non_negative(tmp_path, capsys, tol):
     path = _write(tmp_path, HO_IDENTICAL)
     rc, out, err = _run(capsys, "solve-identical", path, "--tol", tol)
     assert rc == 2 and out == ""
-    assert json.loads(err)["message"].startswith("argument --tol:")
+    message = json.loads(err)["message"]
+    assert message.startswith("argument --tol:")
+    if tol == "small":
+        assert message == "argument --tol: invalid float value: 'small'"
 
 
 @pytest.mark.parametrize("argv", [
@@ -646,6 +671,50 @@ def test_non_finite_numbers_exit_two(capsys, argv):
     rc, out, err = _run(capsys, *argv)
     assert rc == 2 and out == ""
     assert json.loads(err)["error"] == "InputError"
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("critical-coupling", "--shape", "gaussian", "--n", "3", "--q", "1e300"), "g"),
+    (("critical-coupling", "--shape", "gaussian", "--n", "3", "--m", "1e-320"), "g"),
+    (("fgs", "--n", "5", "--phi", "1e308"), "q_phi"),
+], ids=["large-q", "tiny-m", "large-phi"])
+@pytest.mark.parametrize("output", ["json", "pretty", "csv"])
+def test_a_record_with_a_number_that_is_not_finite_exits_two(capsys, argv, field, output):
+    # Finite inputs whose result overflows: printed, it would not be json.
+    for quiet in ((), ("--quiet",)):
+        rc, out, err = _run(capsys, *argv, "--output", output, *quiet)
+        assert rc == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "InputError", "exit": 2,
+            "message": f"{field} = inf is not finite: the inputs leave the floating range"}
+
+
+def test_a_well_beyond_the_floats_exits_two(tmp_path, capsys):
+    message = "gaussian well leaves the floating range: width^4 = 0"
+    rc, out, err = _run(capsys, "critical-coupling", "--shape", "gaussian", "--n", "3",
+                        "--range", "1e-300")
+    assert rc == 2 and out == "" and json.loads(err)["message"] == message
+    path = _write(tmp_path, _with_potential("kind = gaussian\ndepth = 1\nwidth = 1e-200"))
+    rc, out, err = _run(capsys, "solve-identical", path)
+    assert rc == 2 and out == "" and json.loads(err)["message"] == message
+
+
+def test_the_module_runs_as_a_script(capsys):
+    # `python -m envtheory.cli`, as the cli-cold benchmark runs it, prints
+    # the record and exits with main's status.
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    argv = ["fgs", "--n", "3", "--output", "json"]
+    run = subprocess.run([sys.executable, "-m", "envtheory.cli", *argv], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0
+    assert json.loads(run.stdout) == _run_json(capsys, *argv)
+
+
+def test_fgs_estimates_beyond_the_factorials_of_floats(capsys):
+    # 171! overflows a float; the estimate's root is taken in logarithms.
+    record = _run_json(capsys, "fgs", "--n", "3", "--dim", "171", "--output", "json")
+    assert record["q_approx"] == 192.728106593
+    assert record["q_phi"] == record["q_closed"] == 173.0
 
 
 @pytest.mark.parametrize("method", ["et", "iet", "dosm"])

@@ -96,8 +96,9 @@ def test_level_energies():
     w_b = math.sqrt(4.5 / 2.0)
     assert level(pair, 0, 0) == pytest.approx(0.5 * (w_a + w_b))
     assert level(pair, 2, 1) == pytest.approx(2.5 * w_a + 1.5 * w_b)
-    with pytest.raises(InputError):
-        level(pair, -1, 0)
+    for n, n_prime in [(-1, 0), (0, -1)]:
+        with pytest.raises(InputError):
+            level(pair, n, n_prime)
 
 
 def test_unstable_form_raises():
@@ -107,6 +108,9 @@ def test_unstable_form_raises():
     assert min(A, B) < 0.0
     with pytest.raises(UnstableModeError):
         level(pair, 0, 0)
+    # Uncoupled, with the second stiffness negative: A > 0 > B.
+    with pytest.raises(UnstableModeError, match=r"\(A=1\.0, B=-1\.0\)"):
+        level(OscPair(1.0, 1.0, 1.0, -1.0), 0, 0)
 
 
 def test_mass_validation():

@@ -104,7 +104,7 @@ def test_a_start_on_a_maximum_is_not_returned():
 def test_a_decrease_below_one_ulp_of_e_is_still_a_descent():
     # E = 6.3e26 is almost all T_b, while its r_aa-dependent part is about
     # 1e8, below ulp(E) = 1.4e11: steps toward the minimum leave E unchanged
-    # to the last bit, and only the shrinking residual shows the progress.
+    # to the last bit, and the descent keeps them, as E does not rise.
     system = NPlusOneSystem(3, 3, laws.kinetic_power(0.5, 1.0),
                             laws.kinetic_power(0.5, 300.0), laws.power(1.0, 300.0),
                             laws.power(1.0, 300.0))
@@ -136,9 +136,9 @@ def test_screened_system_without_a_minimum_does_not_bind():
 def test_a_descent_onto_a_flat_plateau_walks_out_unbound():
     # System 1/74 of tests/np1_random_set.py.  The Yukawa V_ab of range 0.38
     # underflows to exactly 0 as R0 grows, and E is then flat to the last
-    # bit, while its kinetic part still falls along each step.  The descent
-    # keeps those trials and walks past the escape radius: no minimum, where
-    # it once stopped with "no descent direction".
+    # bit.  The descent keeps those trials, as E does not rise, and walks
+    # past the escape radius: no minimum, where it once stopped with "no
+    # descent direction".
     system = NPlusOneSystem(8, 3, laws.kinetic_power(4.985032997528657, 1.065866841860275),
                             laws.kinetic_power(3.039686093015771, 1.7908724604224848),
                             laws.gaussian_well(23.935468857625736, 4.994031280988509),
@@ -257,6 +257,13 @@ def test_every_solve_is_a_minimum_or_an_error(N_a, alpha_a, alpha_b, F_a, F_b,
 _CONSTANT = laws.custom(lambda x: 1.0, lambda x: 0.0, lambda x: 0.0)
 
 
+def _log_square(k, shift=0.0):
+    """k (ln x - shift)^2: stationary at x = e^shift, with second derivative 2 k in ln x."""
+    return laws.custom(lambda x: k * (math.log(x) - shift) ** 2,
+                       lambda x: 2.0 * k * (math.log(x) - shift) / x,
+                       lambda x: 2.0 * k * (1.0 + shift - math.log(x)) / (x * x))
+
+
 def _only_at_one(f):
     """f at x = 1, a ValueError everywhere else."""
     def g(x):
@@ -272,6 +279,16 @@ def _only_at_one(f):
      "stationary point is not a minimum of E", True),
     # Only V_aa varies: E does not depend on R0 and H22 = H12 = 0.
     ((_CONSTANT, _CONSTANT, laws.harmonic(1.0), _CONSTANT), "singular Hessian", False),
+    # With P0 = 1/R0, T_b and V_aa make E = k_b (log R0)^2 + k_a (log r_aa)^2:
+    # stationary at the start, a maximum (H11 < 0, det H > 0) or a saddle
+    # (H11 > 0, det H < 0).
+    ((_CONSTANT, _log_square(-1.0), _log_square(-1.0), _CONSTANT),
+     "stationary point is not a minimum of E", True),
+    ((_CONSTANT, _log_square(-1.0), _log_square(1.0), _CONSTANT),
+     "stationary point is not a minimum of E", True),
+    # H = 2e200 I is positive definite, but its det overflows to inf.
+    ((_CONSTANT, _log_square(1e200), _log_square(1e200, 1.0), _CONSTANT),
+     "singular Hessian", False),
     # V_aa = ln r: its log-Hessian r^2 V'' + r V' is exactly 0, so H = 0 and
     # |H| is the zero matrix.
     ((_CONSTANT, _CONSTANT, laws.custom(math.log, lambda r: 1.0 / r, lambda r: -1.0 / (r * r)),
@@ -281,7 +298,7 @@ def _only_at_one(f):
       laws.custom(_only_at_one(lambda r: r * r), _only_at_one(lambda r: 2.0 * r),
                   _only_at_one(lambda r: 2.0)), laws.harmonic(1.0)),
      "no descent direction", False),
-], ids=["constant", "one-law", "log", "no-trial"])
+], ids=["constant", "one-law", "maximum", "saddle", "det-overflow", "log", "no-trial"])
 def test_newton_exits_without_a_minimum(laws_, message, flat):
     system = NPlusOneSystem(2, 3, *laws_)
     with pytest.raises(NonConvergenceError) as info:

@@ -132,6 +132,33 @@ def test_variational_character_reads_both_exponents(alpha, beta, character):
     assert solve_et(system, 1.5).variational == character
 
 
+def test_a_kinetic_law_that_is_not_a_power_against_a_power_potential_is_scanned():
+    # A custom copy of p^2/2 is no power law to the solver: against the
+    # harmonic V it has no closed form and no known character, and the
+    # scan finds the oscillator's root.
+    copy = laws.custom(lambda p: 0.5 * p ** 2.0, lambda p: 1.0 * p ** 1.0,
+                       lambda p: 1.0 * p ** 0.0)
+    solution = solve_et(IdenticalSystem(3, 3, copy, laws.harmonic(1.0)), 3.0)
+    assert solution.variational == "unknown"
+    assert solution.energy == pytest.approx(_ho_energy(3, 1.0, 1.0, 3.0), rel=1e-14)
+    assert solution.rho0 == pytest.approx(solve_et(_ho_system(3), 3.0).rho0, rel=1e-14)
+
+
+@pytest.mark.parametrize("kinetic, rho0", [
+    (laws.power(-0.5, 2.0), math.sqrt(1.5)),
+    (laws.power(0.5, -1.0), 1.0 / 3.0),
+], ids=["negative-coefficient", "negative-exponent"])
+def test_a_kinetic_power_without_positive_constants_is_scanned(kinetic, rho0):
+    # The closed form and the bound theorem both need T = c p^a with
+    # c, a > 0.  Against V = -r^2 at N = 2, Q = 1.5 the motion residual
+    # -2 p0^2 + 2 rho^2 or -1/p0 + 2 rho^2, with p0 = 1.5/rho, has its
+    # one root at rho0 = sqrt(1.5) or 1/3; the curvatures alone would
+    # read "exact" and "lower".
+    solution = solve_et(IdenticalSystem(2, 3, kinetic, laws.power(-1.0, 2.0)), 1.5)
+    assert solution.rho0 == pytest.approx(rho0, rel=1e-14)
+    assert solution.variational == "unknown"
+
+
 def test_linear_kinetic_harmonic_pair_is_an_upper_bound():
     # 2|p| + r^2 is -d^2/dp^2 + 2p in momentum space, an Airy problem; its
     # ground state is 2^(2/3) a_1 with a_1 the first zero of -Ai.

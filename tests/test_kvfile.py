@@ -45,6 +45,8 @@ def test_empty_text():
     ("[]\nk = 1\n", "empty section"),
     ("[a]\n= 1\n", "empty key or value"),
     ("[a]\nk =\n", "empty key or value"),
+    ("[a\nk = 1\n", "expected"),
+    ("a]\nk = 1\n", "expected"),
 ])
 def test_malformed_input(text, fragment):
     with pytest.raises(InputError, match=fragment):

@@ -1,6 +1,7 @@
 """Laws: closed-form derivatives against finite differences, kinds."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -123,6 +124,36 @@ def test_well_validation():
 def test_non_finite_constants_are_rejected(build):
     with pytest.raises(InputError):
         build()
+
+
+@pytest.mark.parametrize("build, folded", [
+    (lambda: laws.power(1e308, 3.0), "c e (e - 1) = inf"),
+    (lambda: laws.kinetic_power(1e300, 1e8), "c e (e - 1) = inf"),
+    (lambda: laws.coulomb(1e308), "-2 G = -inf"),
+    (lambda: laws.harmonic(1e308), "2 k = inf"),
+    (lambda: laws.gaussian_well(1.0, 1e-200), "width^4 = 0"),
+    (lambda: laws.gaussian_well(1.0, 1e-100), "width^4 = 0"),
+    (lambda: laws.gaussian_well(1.0, 1e100), "width^4 = inf"),
+    (lambda: laws.gaussian_well(1.0, 1e200), "width^4 = inf"),
+    (lambda: laws.exponential_well(1.0, 1e-200), "scale^2 = 0"),
+    (lambda: laws.exponential_well(1e300, 1e-10), "depth/scale^2 = -inf"),
+], ids=["power", "kinetic", "coulomb", "harmonic", "gaussian-narrow", "gaussian-w4-underflow",
+        "gaussian-w4-overflow", "gaussian-wide", "exponential-narrow", "exponential-steep"])
+def test_constants_folded_beyond_the_floats_are_rejected(build, folded):
+    # Each would divide by zero or overflow while it is built, or carry an
+    # infinite derivative constant.
+    with pytest.raises(InputError, match=f"leaves the floating range: {re.escape(folded)}$"):
+        build()
+
+
+def test_constants_folded_within_the_floats_are_kept():
+    # Near each edge, and where a folded constant is zero without dividing.
+    for law in (laws.power(1e300, 3.0), laws.power(2.0, 1.0), laws.power(1.0, 0.0),
+                laws.coulomb(1e307), laws.harmonic(1e307), laws.gaussian_well(1.0, 1e-75),
+                laws.gaussian_well(1.0, 1e75), laws.exponential_well(1.0, 1e-150),
+                laws.exponential_well(1e300, 1.0)):
+        x = law.params[-1] if law.kind.endswith("well") else 1.0
+        assert all(math.isfinite(f(x)) for f in (law.value, law.d1, law.d2)), law.kind
 
 
 # ---------------------------------------------------------------------------

@@ -189,12 +189,30 @@ def test_a_level_out_of_range_is_sampled(a, Q, level):
     # away from Q/sqrt(C2), so p0 is not: each grid is sampled whole.  The
     # root is that of the closed form for the same two powers.
     system = IdenticalSystem(2, 3, laws.kinetic_power(0.05, a), _power_sum(2.0))
-    assert (solver_identical._levels(system).reader(Q, None) is not None) == level
+    sampled = []
+    reader = solver_identical._levels(system).reader(Q, lambda rho: sampled.append(rho) or 1.0)
+    assert (reader is not None) == level
+    if reader is not None:
+        grid = rootscan._grid(rootscan.SCAN_LO, rootscan.SCAN_HI, 0)
+        assert reader(grid) == [1.0] * len(grid) and sampled == list(grid)
     outcome = _outcome(solve_et, system, Q)
     assert "n_roots=1," in outcome
     assert outcome == _sampled_outcome(solve_et, system, Q)
     closed = solve_et(system._replace(potential=laws.potential_power(1.0, 2.0)), Q)
     assert solve_et(system, Q).rho0 == pytest.approx(closed.rho0, rel=1e-13)
+
+
+@pytest.mark.parametrize("c, a, N", [
+    (1.0, 2.0 * solver_identical._MAX_A, 2),
+    (2.0 ** -101, 1.0, 2),
+    (2.0 ** 99, 1.0, 3),
+], ids=["a-above-max", "c-a-below-band", "n-c-a-above-band"])
+def test_a_kinetic_power_outside_the_margin_derivation_has_no_level(c, a, N):
+    # The margin of _Levels holds for a <= _MAX_A and for c a and N c a
+    # within 2^+-100; outside them every grid point is sampled.
+    system = IdenticalSystem(N, 3, laws.kinetic_power(c, a), laws.gaussian_well(3.0, 1.0))
+    assert solver_identical._levels(system) is None
+    assert _outcome(solve_et, system, 2.0) == _sampled_outcome(solve_et, system, 2.0)
 
 
 def test_a_kinetic_law_that_is_not_a_power_is_sampled():

@@ -442,15 +442,26 @@ def test_a_filling_that_cycles_with_period_three_reaches_no_fixed_point(monkeypa
 # A descent returns only points where the Hessian of E is positive definite,
 # so the next two exits are guards; a stand-in solver reaches them.
 
+def _stuck_at(R0):
+    """A stand-in descent that ends at (r_aa, R0) = (1, R0), wherever it starts."""
+    def stuck(system, q_a, q_b, r_aa, _):
+        surface = solver_nplus1._surface(system, q_a, q_b, 1.0, R0)
+        return 1.0, R0, surface, 1, solver_nplus1._scaled(surface)
+    return stuck
+
+
 def test_an_orbital_point_that_is_no_minimum_is_unstable(monkeypatch):
     # A descent that ended at (r_aa, R0) = (1, 0.1) of helium, where the
     # Hessian of E is indefinite: the block mode's constant A is negative.
-    def stuck(system, q_a, q_b, r_aa, R0):
-        surface = solver_nplus1._surface(system, q_a, q_b, 1.0, 0.1)
-        return 1.0, 0.1, surface, 1, solver_nplus1._scaled(surface)
-
-    monkeypatch.setattr(solver_nplus1, "_newton", stuck)
+    monkeypatch.setattr(solver_nplus1, "_newton", _stuck_at(0.1))
     with pytest.raises(UnstableOrbitalError, match="A=-"):
+        dosm_np1(solver_nplus1._atom_system(2.0, 2, 7294.30), 1.0, 1.0)
+
+
+def test_an_orbital_point_with_an_unstable_relative_mode_is_unstable(monkeypatch):
+    # At (1, 1) of helium A is positive and the relative mode's B negative.
+    monkeypatch.setattr(solver_nplus1, "_newton", _stuck_at(1.0))
+    with pytest.raises(UnstableOrbitalError, match=r"\(A=16\.7\d*, B=-"):
         dosm_np1(solver_nplus1._atom_system(2.0, 2, 7294.30), 1.0, 1.0)
 
 
@@ -468,6 +479,8 @@ def test_atom_validation():
         atom_report(0.0, 2, 7294.30)
     with pytest.raises(InputError):
         atom_report(2.0, 2, -5.0)
+    with pytest.raises(InputError, match="nucleus_mass > 0"):
+        atom_report(2.0, 2, 0.0)
     with pytest.raises(InputError):
         atom_report(2.0, 2, 7294.30, method="exact")
     assert issubclass(NoBindingError, EnvTheoryError)
@@ -513,10 +526,14 @@ def test_iet_spec_validation():
     wrong_count = split_ground_spec(4, 3)
     with pytest.raises(InputError):
         solve_iet_np1(system, wrong_count)
-    flat = QuantumSpec(D=2, internal_modes=((0, 0), (0, 1)), relative_mode=(0, 0))
     system_2d = _ho_split(3, 1.0, 1.0, 1.0, 1.0, D=2)
-    with pytest.raises(DegenerateOrbitalError):
-        solve_iet_np1(system_2d, flat)
+    # At D = 2 an aggregate lam vanishes where all its l do: the block's
+    # (lam_a), the relative mode's (lam_b), or both.
+    for modes, relative in [(((0, 0), (0, 1)), (0, 0)), (((0, 0), (1, 0)), (0, 1)),
+                            (((1, 0), (0, 0)), (0, 0))]:
+        flat = QuantumSpec(D=2, internal_modes=modes, relative_mode=relative)
+        with pytest.raises(DegenerateOrbitalError):
+            solve_iet_np1(system_2d, flat)
 
 
 def test_solve_iet_np1_refuses_a_spec_of_another_dimension():

@@ -36,6 +36,8 @@ def test_spec_relative_mode_aggregates():
     dict(D=3, internal_modes=()),
     dict(D=3, internal_modes=((-1, 0),)),
     dict(D=3, internal_modes=((0, 0),), relative_mode=(0, -2)),
+    dict(D=3, internal_modes=((0.5, 0),)),
+    dict(D=3, internal_modes=((0, 0.5),)),
 ])
 def test_spec_validation(bad):
     with pytest.raises(InputError):
@@ -68,8 +70,9 @@ def test_level_degeneracy_closed_form():
     assert qnum.level_degeneracy(0, 2) == 1
     assert qnum.level_degeneracy(5, 2) == 2
     assert qnum.level_degeneracy(5, 2, d=4) == 8
-    with pytest.raises(InputError):
-        qnum.level_degeneracy(-1, 3)
+    for bad in [(-1, 3, 1), (0, 1, 1), (0, 3, 0)]:
+        with pytest.raises(InputError, match="need l >= 0, D >= 2, d >= 1"):
+            qnum.level_degeneracy(*bad)
 
 
 def test_bgs_aggregates():
@@ -296,6 +299,10 @@ def test_fgs_closed_variant_validation():
         qnum.fgs_approx(1, 3, 1)
     with pytest.raises(InputError):
         qnum.fgs_fill(4, 3, 1, phi=-2.0)
+    # d = 0 would divide by zero in fgs_approx and never end fgs_closed's shell count.
+    for fermions in (qnum.fgs_fill, qnum.fgs_closed, qnum.fgs_approx):
+        with pytest.raises(InputError, match="need N >= 2, D >= 2, d >= 1, phi > 0"):
+            fermions(4, 3, 0)
 
 
 def test_fgs_approx_tracks_closed_form_at_large_n():
@@ -303,6 +310,15 @@ def test_fgs_approx_tracks_closed_form_at_large_n():
         exact = qnum.fgs_closed(4000, D, 2, variant=2)
         approx = qnum.fgs_approx(4000, D, 2, phi=2.0)
         assert approx == pytest.approx(exact, rel=0.03)
+
+
+@pytest.mark.parametrize("D", [2, 3, 10, 171, 1000])
+def test_fgs_approx_takes_its_root_in_logarithms(D):
+    # D! overflows a float from D = 171 on; the estimate does not.  Its
+    # oracle takes the log of the exact integer D!.
+    root = math.exp((math.log(2.0) + math.log(math.factorial(D)) - math.log(4.0)) / D)
+    want = D / (D + 1.0) * root * 7.0 ** ((D + 1.0) / D)
+    assert qnum.fgs_approx(7, D, 2, 2.0) == pytest.approx(want, rel=1e-13)
 
 
 def test_ground_spec_matches_bgs():
@@ -360,3 +376,11 @@ def test_spec_from_filling_rejects_fractional_aggregates():
                                     lam=1.0, q_phi=3.125)
     with pytest.raises(InputError):
         qnum.spec_from_filling(broken)
+
+
+@pytest.mark.parametrize("nu_a, lam_a", [(-0.5, 0.5), (0.5, -0.5)], ids=["n-sum", "l-sum"])
+def test_aggregates_below_the_ground_state_are_unreachable(nu_a, lam_a):
+    # One mode at D = 3 has nu >= 1/2 and lam >= 1/2: one less is an
+    # integer sum of -1, which no mode reaches.
+    with pytest.raises(InputError, match="not reachable with integer quantum numbers"):
+        qnum.split_spec(3, 2, nu_a, lam_a, 0.5, 0.5)

@@ -64,8 +64,9 @@ def test_build_power_identical_limit():
     system = repro.build_power(1.0, 2.0)
     sol = solve_et_np1(system, 1.5, 1.5)
     assert sol.energy == pytest.approx(3.0 * math.sqrt(3.0), rel=1e-10)
-    with pytest.raises(InputError):
-        repro.build_power(-1.0, 2.0)
+    for m in (-1.0, 0.0):
+        with pytest.raises(InputError, match="m must be positive"):
+            repro.build_power(m, 2.0)
 
 
 def test_split_spec_aggregates():
@@ -152,8 +153,10 @@ def test_failed_checks_are_flagged():
 
 
 def test_run_table_validation_and_determinism():
-    with pytest.raises(InputError):
-        repro.run_table(0)
+    # "1" names table 1's fixtures, but is not the table number 1.
+    for table in (0, "1"):
+        with pytest.raises(InputError, match="table must be 1, 2, 3 or 4"):
+            repro.run_table(table)
     assert repro.run_table(2) == repro.run_table(2)
 
 

@@ -50,8 +50,31 @@ def test_exact_grid_hit_is_reported():
     # sign change around it.
     roots = find_roots(lambda x: 0.0 if x == 1e-2 else 1.0, 1e-2, 1.0)
     assert roots[0] == 1e-2
-    # So does the last sample, which has no right-hand neighbour.
-    assert find_roots(lambda x: x - 1e8, 1e-8, 1e8) == [1e8]
+    # So does the last sample, which has no right-hand neighbour: on the
+    # first grid, with no widening past it.
+    sampled = []
+    assert find_roots(lambda x: sampled.append(x) or x - 1e8, 1e-8, 1e8) == [1e8]
+    assert max(sampled) == 1e8
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["negative-hole", "positive-hole"])
+def test_a_sign_change_across_a_hole_is_no_root(sign):
+    # fn changes sign only across a hole on [1, 2): on either side of it a
+    # bracket would have a NaN end.
+    def fn(x):
+        return math.nan if 1.0 <= x < 2.0 else sign * (x - 1.5)
+
+    with pytest.raises(NoRootError):
+        find_roots(fn, 0.1, 10.0)
+
+
+@pytest.mark.parametrize("where", [(0, -1), (1, 200)], ids=["both-ends", "interior"])
+def test_an_isolated_zero_is_a_root_wherever_it_lies_on_the_grid(where):
+    # fn is 1 everywhere except for exact zeros at these grid points: each
+    # is a root, the first one too where the last sample is also zero.
+    grid = rootscan._grid(0.1, 10.0, 0)
+    zeros = sorted(grid[i] for i in where)
+    assert find_roots(lambda x: 0.0 if x in zeros else 1.0, 0.1, 10.0) == zeros
 
 
 def test_zeros_next_to_zeros_are_not_roots():
@@ -79,6 +102,10 @@ def test_no_root_error_carries_trace():
     assert all(math.isfinite(v) for _, v in trace)
 
 
+def test_a_no_root_error_without_a_trace_has_an_empty_one():
+    assert NoRootError("no root").trace == []
+
+
 def test_no_root_error_names_the_last_range_it_sampled():
     # A scan of [1e-8, 1e8] ends on [1e-16, 1e16] after two widenings by 1e4.
     with pytest.raises(NoRootError) as info:
@@ -87,6 +114,22 @@ def test_no_root_error_names_the_last_range_it_sampled():
     xs = [x for x, _ in info.value.trace]
     assert xs[0] == pytest.approx(1e-16, rel=1e-12)
     assert xs[-1] == pytest.approx(1e16, rel=1e-12)
+
+
+@pytest.mark.parametrize("s, below, above", [
+    (1.5, -1e-300, 1.0),   # the interpolated trials round onto a
+    (1.5, -1.0, 1e-300),   # ... onto b
+    (1.2, -1.0, 1e-300),   # and a geometric midpoint rounds onto an end
+])
+def test_a_polish_whose_trials_round_onto_an_end_closes_in(s, below, above):
+    # fn steps from below to above at s: the polish must close the bracket
+    # to (s-, s), the float below s and s, whatever its trials round to,
+    # and return the end with the smaller |f|.
+    def fn(x):
+        return below if x < s else above
+
+    root = rootscan._polish(fn, 1.0, fn(1.0), 2.0, fn(2.0))
+    assert root == (math.nextafter(s, 0.0) if abs(below) < abs(above) else s)
 
 
 def test_roots_have_full_relative_precision_at_small_scale():
