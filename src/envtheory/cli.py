@@ -56,7 +56,7 @@ import sys
 from collections import namedtuple
 
 from . import laws, repro
-from .errors import EnvTheoryError, InputError, NonConvergenceError
+from .errors import EnvTheoryError, InputError, NonConvergenceError, require_finite
 from .kvfile import parse_sections
 from .qnum import (MAX_FILL_LEVELS, QuantumSpec, _check_fit, bgs, fgs_approx, fgs_closed,
                    fgs_fill, global_q, ground_spec, spec_from_filling)
@@ -124,8 +124,8 @@ def _emit_rows(rows: list[dict], args) -> None:
 def _emit_record(record: dict, args) -> int:
     """Print the one record of a command; a number in it that is not finite is refused."""
     for key, value in record.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise InputError(f"{key} = {value} is not finite: the inputs leave the floating range")
+        if isinstance(value, float):
+            require_finite(key, value)
     _emit_rows([record], args)
     return 0
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InputError
+from .errors import InputError, require_finite
 from .laws import Law
 from .rootscan import SCAN_HI, SCAN_LO, find_roots
 
@@ -35,7 +35,10 @@ def u_star(shape: Law) -> float:
 
 
 def critical_g(shape: Law, m: float, N: int, Q: float) -> float:
-    """Critical coupling for a bound state with global quantum number Q."""
+    """Critical coupling for a bound state with global quantum number Q.
+
+    A g beyond the floats (Q^2/m overflows) raises InputError.
+    """
     if not (math.isfinite(m) and math.isfinite(Q)):
         raise InputError(f"m and Q must be finite, got m = {m}, Q = {Q}")
     if m <= 0.0:
@@ -45,4 +48,5 @@ def critical_g(shape: Law, m: float, N: int, Q: float) -> float:
     if Q <= 0.0:
         raise InputError("Q must be positive")
     u = u_star(shape)
-    return (1.0 / (u * u * shape.value(u))) * (2.0 / (N * (N - 1) ** 2)) * Q * Q / m
+    return require_finite(
+        "g", (1.0 / (u * u * shape.value(u))) * (2.0 / (N * (N - 1) ** 2)) * Q * Q / m)

@@ -1,6 +1,8 @@
-"""Exception hierarchy shared by all solver layers."""
+"""Exception hierarchy shared by all solver layers, and the one check of a finite result."""
 
 from __future__ import annotations
+
+import math
 
 
 class EnvTheoryError(Exception):
@@ -9,6 +11,13 @@ class EnvTheoryError(Exception):
 
 class InputError(EnvTheoryError):
     """Malformed or inconsistent user input (bad parameters, bad files)."""
+
+
+def require_finite(name: str, value: float) -> float:
+    """``value`` itself; InputError naming ``name`` where the inputs drove it beyond the floats."""
+    if not math.isfinite(value):
+        raise InputError(f"{name} = {value} is not finite: the inputs leave the floating range")
+    return value
 
 
 class NoRootError(EnvTheoryError):

@@ -20,7 +20,7 @@ import math
 from collections import namedtuple
 from heapq import heappush, heapreplace
 
-from .errors import InputError
+from .errors import InputError, require_finite
 from .records import Record
 
 __all__ = [
@@ -93,7 +93,8 @@ class GroundStateResult(Record, namedtuple(
 
     ``levels`` lists the filled single-particle levels as (n, l, occupancy)
     triples; occupancies sum to N.  The aggregates include the centre-of-mass
-    removal tails (N-1)/2 and (N-1)(D-2)/2, so Q_phi = phi*nu + lam directly.
+    removal tails (N-1)/2 and (N-1)(D-2)/2, so Q_phi = phi*nu + lam directly;
+    bgs and fgs_fill refuse a Q_phi beyond the floats as InputError.
     ``statistics`` is "boson" or "fermion"; ``d`` is None for bosons.
     """
 
@@ -209,7 +210,7 @@ def bgs(N: int, D: int, phi: float = 2.0) -> GroundStateResult:
     lam = 0.5 * (D - 2) * (N - 1)
     return GroundStateResult(N=N, D=D, phi=phi, statistics="boson", d=None,
                              levels=((0, 0, N),), nu=nu, lam=lam,
-                             q_phi=phi * nu + lam)
+                             q_phi=require_finite("q_phi", phi * nu + lam))
 
 
 def _check_fermions(N: int, D: int, d: int, phi: float = 2.0) -> None:
@@ -271,7 +272,7 @@ def fgs_fill(N: int, D: int, d: int, phi: float = 2.0) -> GroundStateResult:
     lam = l_sum + 0.5 * (D - 2) * (N - 1)
     return GroundStateResult(N=N, D=D, phi=phi, statistics="fermion", d=d,
                              levels=tuple(filled), nu=nu, lam=lam,
-                             q_phi=phi * nu + lam)
+                             q_phi=require_finite("q_phi", phi * nu + lam))
 
 
 def fgs_closed(N: int, D: int, d: int, variant: int = 2) -> float:

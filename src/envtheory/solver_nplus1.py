@@ -16,9 +16,13 @@ combinations
 
 The two quantization conditions eliminate p_a and P0, which leaves the energy
 surface E(r_aa, R0); the two equations of motion are its stationary
-conditions.  One function evaluates E with its exact gradient and Hessian in
-log coordinates, chain-ruled from the laws' first and second derivatives.
-The solution is the minimum of E reached by one damped Newton descent.
+conditions.  One binding, _surface_at, evaluates E with its exact gradient
+and Hessian in log coordinates, chain-ruled from the laws' first and second
+derivatives.  It reads the system and (q_a, q_b) once per solve, and each
+evaluation gives one flat record (E, k1, k2, v1, v2, t11, t12, t22, p11,
+p12, p22): the gradient is k + v, its kinetic plus its potential part, and
+the Hessian t + p.  The solution is the minimum of E reached by one damped
+Newton descent, on the same binding as its virial start.
 Where the laws are homogeneous powers (T_a and T_b share an exponent alpha,
 V_aa and V_ab an exponent beta, alpha + beta > 0), E(lam r_aa, lam R0) =
 lam^-alpha K + lam^beta V, and the descent starts at the minimum of E along
@@ -178,9 +182,9 @@ def _geometry(system: NPlusOneSystem, q_a: float, q_b: float,
 def _energy(system: NPlusOneSystem, q_a: float, q_b: float, r_aa: float, R0: float) -> float:
     """E(r_aa, R0; q_a, q_b) alone, from the laws' values.
 
-    Its terms are those of _surface, added in the same order, and _geometry
-    forms p_a' and r_0' as _surface does, so wherever _surface can be
-    evaluated the two energies are equal to the last bit.
+    Its terms are those of _surface_at, added in the same order, and
+    _geometry forms p_a' and r_0' as _surface_at does, so wherever the
+    surface can be evaluated the two energies are equal to the last bit.
     """
     N_a = system.N_a
     _, P0, pap, r0p = _geometry(system, q_a, q_b, r_aa, R0)
@@ -189,58 +193,49 @@ def _energy(system: NPlusOneSystem, q_a: float, q_b: float, r_aa: float, R0: flo
             + N_a * system.potential_ab.value(r0p))
 
 
-def _root_sum(t1: float, t2: float, sign: float):
-    """s = sqrt(t1 + t2) for t_i = w_i exp(2 sign u_i), with its u-gradient and Hessian."""
-    s = math.sqrt(t1 + t2)
-    return (s, (sign * t1 / s, sign * t2 / s),
-            (2.0 * t1 / s - t1 * t1 / s ** 3, -t1 * t2 / s ** 3,
-             2.0 * t2 / s - t2 * t2 / s ** 3))
+def _surface_at(system: NPlusOneSystem, q_a: float,
+                q_b: float) -> Callable[[float, float], tuple]:
+    """E(r_aa, R0; q_a, q_b) with its derivatives in u = (log r_aa, log R0), bound once.
 
-
-def _surface(system: NPlusOneSystem, q_a: float, q_b: float, r_aa: float, R0: float):
-    """Energy E(r_aa, R0; q_a, q_b) with its derivatives in u = (log r_aa, log R0).
-
-    Returns (E, kinetic, potential, kinetic_hessian, potential_hessian): the
-    gradient of E is kinetic + potential and its exact Hessian (H11, H12, H22)
-    is kinetic_hessian + potential_hessian, componentwise, chain-ruled from the
-    laws' d1 and d2 through p_a' and r_0'.
+    Reads the system's constants and its twelve law callables once and
+    returns at(r_aa, R0), which gives the flat record
+    (E, k1, k2, v1, v2, t11, t12, t22, p11, p12, p22): the gradient of E is
+    (k1 + v1, k2 + v2), its kinetic plus its potential part, and its exact
+    Hessian (H11, H12, H22) is (t11 + p11, t12 + p12, t22 + p22), chain-ruled
+    from the laws' d1 and d2 through p_a' = sqrt(a1 + a2), with a1 = p_a^2
+    and a2 = P0^2/N_a^2, and r_0' = sqrt(b1 + b2), with b1 = (N_a-1)/(2 N_a)
+    r_aa^2 and b2 = R0^2.
     """
+    # at() closes over 19 names.  CPython 3.11 keeps every freed tuple of 20
+    # items, such as the cells of a 20-name closure, on a free list that it
+    # never takes one from again (up to 2,000 of them, 368 kB).
     N_a = system.N_a
     c2 = pair_count(N_a)
-    p_a = q_a / (math.sqrt(c2) * r_aa)
-    P0 = q_b / R0
-    pap, (pg1, pg2), (ph11, ph12, ph22) = _root_sum(p_a ** 2, P0 ** 2 / N_a ** 2, -1.0)
-    r0p, (rg1, rg2), (rh11, rh12, rh22) = _root_sum(
-        0.5 * (N_a - 1) / N_a * r_aa ** 2, R0 ** 2, 1.0)
-    ta, tb, vaa, vab = (system.kinetic_a, system.kinetic_b,
-                        system.potential_aa, system.potential_ab)
-    ta1, ta2, tb1, tb2 = ta.d1(pap), ta.d2(pap), tb.d1(P0), tb.d2(P0)
-    vaa1, vab1, vab2 = vaa.d1(r_aa), vab.d1(r0p), vab.d2(r0p)
-    energy = (N_a * ta.value(pap) + tb.value(P0)
-              + c2 * vaa.value(r_aa) + N_a * vab.value(r0p))
-    kinetic = (N_a * ta1 * pg1, N_a * ta1 * pg2 - tb1 * P0)
-    potential = (c2 * vaa1 * r_aa + N_a * vab1 * rg1, N_a * vab1 * rg2)
-    kinetic_hessian = (N_a * (ta2 * pg1 * pg1 + ta1 * ph11),
-                       N_a * (ta2 * pg1 * pg2 + ta1 * ph12),
-                       N_a * (ta2 * pg2 * pg2 + ta1 * ph22) + tb2 * P0 ** 2 + tb1 * P0)
-    potential_hessian = (c2 * (vaa.d2(r_aa) * r_aa ** 2 + vaa1 * r_aa)
-                         + N_a * (vab2 * rg1 * rg1 + vab1 * rh11),
-                         N_a * (vab2 * rg1 * rg2 + vab1 * rh12),
-                         N_a * (vab2 * rg2 * rg2 + vab1 * rh22))
-    return energy, kinetic, potential, kinetic_hessian, potential_hessian
+    root_c2, n2, half = math.sqrt(c2), N_a ** 2, 0.5 * (N_a - 1) / N_a
+    (ta, ta1_, ta2_), (tb, tb1_, tb2_), (vaa, vaa1_, vaa2_), (vab, vab1_, vab2_) = [
+        (law.value, law.d1, law.d2) for law in (system.kinetic_a, system.kinetic_b,
+                                                system.potential_aa, system.potential_ab)]
 
-
-def _hessian(surface) -> tuple[float, float, float]:
-    """(H11, H12, H22) of a _surface result: its kinetic plus its potential Hessian."""
-    (k11, k12, k22), (v11, v12, v22) = surface[3], surface[4]
-    return k11 + v11, k12 + v12, k22 + v22
-
-
-def _scaled(surface) -> tuple[float, float]:
-    """Equations of motion scaled as (kinetic + potential)/max(|kinetic|, |potential|)."""
-    _, (k1, k2), (v1, v2), _, _ = surface
-    return ((k1 + v1) / max(abs(k1), abs(v1), 1e-300),
-            (k2 + v2) / max(abs(k2), abs(v2), 1e-300))
+    def at(r_aa: float, R0: float) -> tuple:
+        p_a, P0 = q_a / (root_c2 * r_aa), q_b / R0
+        P0_2, r_aa_2 = P0 ** 2, r_aa ** 2
+        a1, a2, b1, b2 = p_a ** 2, P0_2 / n2, half * r_aa_2, R0 ** 2
+        pap, r0p = math.sqrt(a1 + a2), math.sqrt(b1 + b2)
+        pap3, r0p3 = pap ** 3, r0p ** 3
+        pg1, pg2, ph12 = -a1 / pap, -a2 / pap, -a1 * a2 / pap3
+        ph11, ph22 = 2.0 * a1 / pap - a1 * a1 / pap3, 2.0 * a2 / pap - a2 * a2 / pap3
+        rg1, rg2, rh12 = b1 / r0p, b2 / r0p, -b1 * b2 / r0p3
+        rh11, rh22 = 2.0 * b1 / r0p - b1 * b1 / r0p3, 2.0 * b2 / r0p - b2 * b2 / r0p3
+        ta1, ta2, tb1, tb2 = ta1_(pap), ta2_(pap), tb1_(P0), tb2_(P0)
+        vaa1, vab1, vab2 = vaa1_(r_aa), vab1_(r0p), vab2_(r0p)
+        n_ta1, n_vab1, ta2_pg1, vab2_rg1 = N_a * ta1, N_a * vab1, ta2 * pg1, vab2 * rg1
+        return (N_a * ta(pap) + tb(P0) + c2 * vaa(r_aa) + N_a * vab(r0p),
+                n_ta1 * pg1, n_ta1 * pg2 - tb1 * P0, c2 * vaa1 * r_aa + n_vab1 * rg1, n_vab1 * rg2,
+                N_a * (ta2_pg1 * pg1 + ta1 * ph11), N_a * (ta2_pg1 * pg2 + ta1 * ph12),
+                N_a * (ta2 * pg2 * pg2 + ta1 * ph22) + tb2 * P0_2 + tb1 * P0,
+                c2 * (vaa2_(r_aa) * r_aa_2 + vaa1 * r_aa) + N_a * (vab2_rg1 * rg1 + vab1 * rh11),
+                N_a * (vab2_rg1 * rg2 + vab1 * rh12), N_a * (vab2 * rg2 * rg2 + vab1 * rh22))
+    return at
 
 
 def _abs_hessian(h11: float, h12: float, h22: float) -> tuple[float, float, float]:
@@ -248,12 +243,8 @@ def _abs_hessian(h11: float, h12: float, h22: float) -> tuple[float, float, floa
 
     It is the square root (H^2 + |det H| I)/sqrt(tr H^2 + 2 |det H|) of H^2,
     taken with H scaled to its largest entry so that no square overflows or
-    underflows.  Where H is positive definite (h11 > 0 and det H > 0) it is H
-    itself, returned as is, so the descent takes a plain Newton step; a det
-    that overflows to infinity still ends the descent as a singular Hessian.
+    underflows.  An H that is zero or not finite gives the zero matrix.
     """
-    if h11 > 0.0 and h11 * h22 - h12 * h12 > 0.0:
-        return h11, h12, h22
     scale = max(abs(h11), abs(h12), abs(h22))
     if not 0.0 < scale < math.inf:
         return 0.0, 0.0, 0.0
@@ -264,72 +255,80 @@ def _abs_hessian(h11: float, h12: float, h22: float) -> tuple[float, float, floa
             (h22 * h22 + h12 * h12 + det) * norm)
 
 
-def _newton(system: NPlusOneSystem, q_a: float, q_b: float, r_aa: float,
+def _newton(at: Callable[[float, float], tuple], r_aa: float,
             R0: float) -> tuple[float, float, tuple, int, tuple[float, float]]:
     """Damped Newton descent on E in log coordinates, which keeps them positive.
 
-    Each step is u <- u - t |H|^-1 g with the exact gradient g and Hessian H.
-    Where E is convex |H| = H and this is Newton's step; elsewhere |H| keeps
-    it a descent direction, so the iteration ends only at a minimum.  A
-    trial is kept when E does not rise or when it already meets NEWTON_TOL;
-    otherwise, and where the surface cannot be evaluated, t is halved.  An
-    E unchanged to the last bit is kept: a decrease below one ulp of E, or
-    a plateau (a short-range law that has underflowed to 0), which the
-    descent crosses toward the escape radius; NEWTON_MAX_STEPS bounds any
-    such walk.  A start where E cannot be evaluated, and a stationary point
-    that is not a minimum (a start on a saddle or a maximum), raise
-    NonConvergenceError.  A step that carries a radius
-    beyond both SCAN_HI and ESCAPE_FACTOR times the start's larger radius
-    means E falls toward infinite separation and has no minimum:
-    NoBindingError.  The margin lets a start beyond SCAN_HI (a virial start
-    of a weakly bound system) take the outward steps to its minimum.
-    Returns (r_aa, R0, the _surface result there, iterations, scaled
-    residuals).
+    ``at`` is the surface of _surface_at, bound once for the descent, and
+    every point it visits, trials included, is one at() record.  Each step
+    is u <- u - t |H|^-1 g with the record's exact gradient g and Hessian H.
+    Where H is positive definite |H| = H and this is Newton's step, taken
+    without _abs_hessian; elsewhere |H| keeps it a descent direction, so
+    the iteration ends only at a minimum.  A trial is kept when E does not
+    rise or when it already meets NEWTON_TOL; otherwise, and where the
+    surface cannot be evaluated, t is halved.  An E unchanged to the last
+    bit is kept: a decrease below one ulp of E, or a plateau (a short-range
+    law that has underflowed to 0), which the descent crosses toward the
+    escape radius; NEWTON_MAX_STEPS bounds any such walk.  A start where E
+    cannot be evaluated, and a stationary point that is not a minimum (a
+    start on a saddle or a maximum), raise NonConvergenceError, as does a
+    det H that overflows to infinity (a singular Hessian).  A step that
+    carries a radius beyond both SCAN_HI and ESCAPE_FACTOR times the start's
+    larger radius means E falls toward infinite separation and has no
+    minimum: NoBindingError.  The margin lets a start beyond SCAN_HI (a
+    virial start of a weakly bound system) take the outward steps to its
+    minimum.  Returns (r_aa, R0, the record there, iterations, residuals),
+    the residuals being the equations of motion scaled as
+    (k_i + v_i)/max(|k_i|, |v_i|).
     """
     far = max(SCAN_HI, ESCAPE_FACTOR * max(r_aa, R0))
     try:
-        surface = _surface(system, q_a, q_b, r_aa, R0)
+        record = at(r_aa, R0)
     except (OverflowError, ValueError, ZeroDivisionError):
         raise NonConvergenceError("E cannot be evaluated at the start", (r_aa, R0)) from None
-    f = _scaled(surface)
+    energy, k1, k2, v1, v2, t11, t12, t22, p11, p12, p22 = record
+    g1, g2 = k1 + v1, k2 + v2
+    f = (g1 / max(abs(k1), abs(v1), 1e-300), g2 / max(abs(k2), abs(v2), 1e-300))
     for iterations in range(1, NEWTON_MAX_STEPS + 1):
-        energy, (k1, k2), (v1, v2), _, _ = surface
-        h11, h12, h22 = _hessian(surface)
+        h11, h12, h22 = t11 + p11, t12 + p12, t22 + p22
+        det = h11 * h22 - h12 * h12
         if max(abs(f[0]), abs(f[1])) < NEWTON_TOL:
-            if h11 > 0.0 and h11 * h22 - h12 * h12 > 0.0:
-                return r_aa, R0, surface, iterations, f
+            if h11 > 0.0 and det > 0.0:
+                return r_aa, R0, record, iterations, f
             raise NonConvergenceError("stationary point is not a minimum of E",
                                       (r_aa, R0), f)
-        g1, g2 = k1 + v1, k2 + v2
-        a11, a12, a22 = _abs_hessian(h11, h12, h22)
-        det = a11 * a22 - a12 * a12
+        if not (h11 > 0.0 and det > 0.0):
+            h11, h12, h22 = _abs_hessian(h11, h12, h22)
+            det = h11 * h22 - h12 * h12
         if not (det > 0.0 and math.isfinite(det)):
             raise NonConvergenceError("singular Hessian", (r_aa, R0), f)
-        du1, du2 = (a12 * g2 - a22 * g1) / det, (a12 * g1 - a11 * g2) / det
+        du1, du2 = (h12 * g2 - h22 * g1) / det, (h12 * g1 - h11 * g2) / det
         step = 1.0
         for _ in range(NEWTON_MAX_HALVINGS):
             try:
                 trial_r, trial_R = r_aa * math.exp(step * du1), R0 * math.exp(step * du2)
-                trial = _surface(system, q_a, q_b, trial_r, trial_R)
+                trial = at(trial_r, trial_R)
             except (OverflowError, ValueError, ZeroDivisionError):
                 step *= 0.5
                 continue
-            f_trial = _scaled(trial)
-            if trial[0] <= energy or max(abs(f_trial[0]), abs(f_trial[1])) < NEWTON_TOL:
+            trial_energy, k1, k2, v1, v2, t11, t12, t22, p11, p12, p22 = trial
+            g1, g2 = k1 + v1, k2 + v2
+            f_trial = (g1 / max(abs(k1), abs(v1), 1e-300), g2 / max(abs(k2), abs(v2), 1e-300))
+            if trial_energy <= energy or max(abs(f_trial[0]), abs(f_trial[1])) < NEWTON_TOL:
                 break
             step *= 0.5
         else:
             raise NonConvergenceError("no descent direction", (r_aa, R0), f)
-        r_aa, R0, surface, f = trial_r, trial_R, trial, f_trial
+        r_aa, R0, record, energy, f = trial_r, trial_R, trial, trial_energy, f_trial
         if max(r_aa, R0) > far:
             raise NoBindingError(f"no minimum of E: it falls toward (r_aa, R0) = "
-                                 f"({r_aa:.3g}, {R0:.3g}), E = {surface[0]:.6g}")
+                                 f"({r_aa:.3g}, {R0:.3g}), E = {energy:.6g}")
     raise NonConvergenceError(f"Newton did not converge in {NEWTON_MAX_STEPS} steps",
                               (r_aa, R0), f)
 
 
-def _virial_start(system: NPlusOneSystem, q_a: float,
-                  q_b: float) -> tuple[float, float] | None:
+def _virial_start(system: NPlusOneSystem,
+                  at: Callable[[float, float], tuple]) -> tuple[float, float] | None:
     """(lam, lam), the minimum of E along the scale through (r_aa, R0) = (1, 1).
 
     Where T_a and T_b are powers c p^alpha of one exponent (c and alpha are
@@ -340,9 +339,10 @@ def _virial_start(system: NPlusOneSystem, q_a: float,
     NoBindingError, decided without a descent.  Otherwise its log gradient
     sums to -alpha K over the kinetic parts and to beta V over the
     potential ones, so the scale's minimum is at
-    lam^(alpha+beta) = -(k1 + k2)/(v1 + v2), read off one _surface call at
-    (1, 1).  None for other laws, and where that ratio is not positive and
-    finite (for example an atom whose repulsive block outweighs the nucleus).
+    lam^(alpha+beta) = -(k1 + k2)/(v1 + v2), read off one record at (1, 1)
+    of ``at``, the surface the descent then uses.  None for other laws, and
+    where that ratio is not positive and finite (for example an atom whose
+    repulsive block outweighs the nucleus).
     """
     exponents = [laws.power_parameters(law) for law in (
         system.kinetic_a, system.kinetic_b, system.potential_aa, system.potential_ab)]
@@ -355,7 +355,7 @@ def _virial_start(system: NPlusOneSystem, q_a: float,
         raise NoBindingError(f"no minimum of E: its laws are homogeneous with "
                              f"alpha + beta = {alpha + beta:.6g} <= 0")
     try:
-        _, (k1, k2), (v1, v2), _, _ = _surface(system, q_a, q_b, 1.0, 1.0)
+        k1, k2, v1, v2 = at(1.0, 1.0)[1:5]
         ratio = -(k1 + k2) / (v1 + v2)
         # A negative ratio to a fractional power would be a complex number.
         if not 0.0 < ratio < math.inf:
@@ -406,25 +406,27 @@ def _solve(system: NPlusOneSystem, q_a: float, q_b: float,
     virial start of homogeneous power laws, with the grid start of
     _grid_start as its fallback, or at the grid start itself where the laws
     have no virial start; homogeneous laws with alpha + beta <= 0 raise
-    NoBindingError before any start.  Returns the solution and the _surface
-    result at it.
+    NoBindingError before any start.  The surface is bound once
+    (_surface_at), and the virial start and both descents share it.  Returns
+    the solution and the at() record at it.
     """
     if not (0.0 < q_a < math.inf and 0.0 < q_b < math.inf):
         raise InputError(f"quantum numbers must be positive and finite, got ({q_a}, {q_b})")
+    at = _surface_at(system, q_a, q_b)
     if start is None:
-        start = _virial_start(system, q_a, q_b)
+        start = _virial_start(system, at)
         fallback = partial(_grid_start, system, q_a, q_b)
     try:
-        r_aa, R0, surface, iters, res = _newton(system, q_a, q_b, *(start or fallback()))
+        r_aa, R0, record, iters, res = _newton(at, *(start or fallback()))
     except (NonConvergenceError, NoBindingError):
         if start is None or fallback is None:
             raise
-        r_aa, R0, surface, iters, res = _newton(system, q_a, q_b, *fallback())
+        r_aa, R0, record, iters, res = _newton(at, *fallback())
     p_a, P0, pap, r0p = _geometry(system, q_a, q_b, r_aa, R0)
-    return Np1Solution(energy=surface[0], p_a=p_a, r_aa=r_aa, P0=P0, R0=R0,
+    return Np1Solution(energy=record[0], p_a=p_a, r_aa=r_aa, P0=P0, R0=R0,
                        p_a_prime=pap, r_0_prime=r0p, q_a=q_a, q_b=q_b,
                        residual_a=abs(res[0]), residual_b=abs(res[1]),
-                       iterations=iters, n_roots=1), surface
+                       iterations=iters, n_roots=1), record
 
 
 def solve_et_np1(system: NPlusOneSystem, q_a: float, q_b: float) -> Np1Solution:
@@ -458,15 +460,14 @@ def dosm_np1(system: NPlusOneSystem, lam_a: float, lam_b: float) -> DosmNp1Repor
     du/dlog q = H^-1 H_kin: the report's radius_response.
     """
     c2 = pair_count(system.N_a)
-    orbital, surface = _solve(system, lam_a, lam_b)
+    orbital, (_, k1, k2, v1, v2, t11, t12, t22, p11, p12, p22) = _solve(system, lam_a, lam_b)
     r_aa, R0 = orbital.r_aa, orbital.R0
-    kinetic, potential, (t11, t12, t22) = surface[1], surface[2], surface[3]
-    h11, h12, h22 = _hessian(surface)
-    D_a, D_b = -kinetic[0], -kinetic[1]
+    h11, h12, h22 = t11 + p11, t12 + p12, t22 + p22
+    D_a, D_b = -k1, -k2
     mu_a, mu_b = orbital.p_a ** 2 / D_a, orbital.P0 ** 2 / D_b
     # Second derivatives in (r_aa, R0) from those in their logarithms.
-    k_a = (h11 - kinetic[0] - potential[0]) / r_aa ** 2
-    k_b = (h22 - kinetic[1] - potential[1]) / R0 ** 2
+    k_a = (h11 - k1 - v1) / r_aa ** 2
+    k_b = (h22 - k2 - v2) / R0 ** 2
     k_c = 2.0 * h12 / (r_aa * R0)
 
     A, B, mu = normal_modes(OscPair(mu_a, mu_b, k_a, k_b, k_c))

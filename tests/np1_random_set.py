@@ -7,7 +7,8 @@ Run it as a script; pytest does not collect it:
 
 The first form prints one line per system, "set/index outcome", where the
 outcome is "min E r_aa R0 iterations orbital" for a returned point where
-the Hessian of E is positive definite, "saddle E r_aa R0 iterations
+the Hessian of E, read off one record of the solver's own surface
+(_surface_at), is positive definite, "saddle E r_aa R0 iterations
 orbital" for any other returned point, or the error class and message;
 iterations are the deformed descent's, orbital those of the orbital solve
 it starts from.  The second compares two such listings: minima gained and
@@ -43,8 +44,7 @@ import sys
 from envtheory import laws
 from envtheory.errors import EnvTheoryError
 from envtheory.qnum import QuantumSpec
-from envtheory.solver_nplus1 import (NPlusOneSystem, _hessian, _surface, dosm_np1,
-                                     solve_iet_np1)
+from envtheory.solver_nplus1 import NPlusOneSystem, _surface_at, dosm_np1, solve_iet_np1
 
 SIZE = 600
 KINDS = ("power", "coulomb", "gaussian", "exponential", "yukawa", "harmonic",
@@ -141,8 +141,8 @@ def outcome(system: NPlusOneSystem, spec: QuantumSpec) -> str:
         return f"{type(exc).__name__} {exc}"
     # The orbital solve solve_iet_np1 made, run again: the same descent.
     orbital = dosm_np1(system, spec.lam, spec.lam_b).orbital
-    h11, h12, h22 = _hessian(_surface(system, solution.q_a, solution.q_b,
-                                      solution.r_aa, solution.R0))
+    record = _surface_at(system, solution.q_a, solution.q_b)(solution.r_aa, solution.R0)
+    h11, h12, h22 = record[5] + record[8], record[6] + record[9], record[7] + record[10]
     minimum = h11 > 0.0 and h11 * h22 - h12 * h12 > 0.0
     return (f"{'min' if minimum else 'saddle'} {solution.energy!r} {solution.r_aa!r} "
             f"{solution.R0!r} {solution.iterations} {orbital.iterations}")

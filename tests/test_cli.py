@@ -689,6 +689,17 @@ def test_a_record_with_a_number_that_is_not_finite_exits_two(capsys, argv, field
             "message": f"{field} = inf is not finite: the inputs leave the floating range"}
 
 
+def test_a_field_the_library_leaves_infinite_still_exits_two(monkeypatch, capsys):
+    # critical_g and the ground states refuse an infinite g or q_phi
+    # themselves; the CLI's own check covers every other field of a record,
+    # here the fgs estimate q_approx.
+    monkeypatch.setattr(cli, "fgs_approx", lambda *args: math.inf)
+    rc, out, err = _run(capsys, "fgs", "--n", "5")
+    assert rc == 2 and out == ""
+    assert json.loads(err)["message"] == ("q_approx = inf is not finite: "
+                                          "the inputs leave the floating range")
+
+
 def test_a_well_beyond_the_floats_exits_two(tmp_path, capsys):
     message = "gaussian well leaves the floating range: width^4 = 0"
     rc, out, err = _run(capsys, "critical-coupling", "--shape", "gaussian", "--n", "3",

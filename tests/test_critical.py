@@ -108,6 +108,14 @@ def test_validation():
             critical_g(shape, m, 3, Q)
 
 
+@pytest.mark.parametrize("m, Q", [(1e-320, 1.5), (1.0, 1e300)], ids=["tiny-m", "large-q"])
+def test_a_coupling_beyond_the_floats_is_an_input_error(m, Q):
+    # Finite inputs whose Q^2/m overflows: the library refuses g = inf itself.
+    with pytest.raises(InputError) as info:
+        critical_g(_gaussian_shape(1.0), m, 3, Q)
+    assert str(info.value) == "g = inf is not finite: the inputs leave the floating range"
+
+
 def test_growing_shape_has_no_balance_point():
     with pytest.raises(NoRootError):
         u_star(laws.harmonic(1.0))

@@ -16,7 +16,7 @@ from envtheory import laws, solver_nplus1
 from envtheory.errors import EnvTheoryError, NoBindingError, NonConvergenceError
 from envtheory.qnum import QuantumSpec
 from envtheory.solver_nplus1 import (NEWTON_TOL, NPlusOneSystem, _abs_hessian,
-                                     _surface, solve_et_np1, solve_iet_np1)
+                                     _surface_at, solve_et_np1, solve_iet_np1)
 
 
 def _eigh_abs(h11, h12, h22):
@@ -67,8 +67,8 @@ def test_abs_hessian_of_an_indefinite_matrix(h):
 
 
 def _positive_definite_at(system, q_a, q_b, solution):
-    h11, h12, h22 = solver_nplus1._hessian(
-        _surface(system, q_a, q_b, solution.r_aa, solution.R0))
+    record = _surface_at(system, q_a, q_b)(solution.r_aa, solution.R0)
+    h11, h12, h22 = record[5] + record[8], record[6] + record[9], record[7] + record[10]
     return h11 > 0.0 and h11 * h22 - h12 * h12 > 0.0
 
 
@@ -157,10 +157,11 @@ def test_a_start_where_e_cannot_be_evaluated_is_a_solver_error():
                             laws.coulomb(0.19729224144349278),
                             laws.exponential_well(0.7638465908505869, 2.5540209586575613))
     spec = QuantumSpec(3, ((1, 2), (1, 2), (1, 2)), (2, 2))
+    at = _surface_at(system, spec.lam, spec.lam_b)
     with pytest.raises(OverflowError):
-        _surface(system, spec.lam, spec.lam_b, 1e300, 1.0)
+        at(1e300, 1.0)
     with pytest.raises(NonConvergenceError, match="cannot be evaluated at the start"):
-        solver_nplus1._newton(system, spec.lam, spec.lam_b, 1e300, 1.0)
+        solver_nplus1._newton(at, 1e300, 1.0)
 
 
 def test_a_decrease_hidden_in_rounding_is_reached_from_the_grid_start():
@@ -273,6 +274,21 @@ def _only_at_one(f):
     return g
 
 
+def test_a_start_where_e_is_concave_descends_to_the_minimum():
+    # E = -cos(log r_aa) - cos(log R0) + 4: at log r = 2 both curvatures are
+    # cos(2) < 0, so H is negative definite and Newton's own step would climb
+    # toward the maximum at log r = pi.  The step on |H| goes down to (1, 1).
+    wave = laws.custom(lambda x: -math.cos(math.log(x)), lambda x: math.sin(math.log(x)) / x,
+                       lambda x: (math.cos(math.log(x)) - math.sin(math.log(x))) / (x * x))
+    at = _surface_at(NPlusOneSystem(2, 3, _CONSTANT, wave, wave, _CONSTANT), 1.0, 1.0)
+    start = at(math.exp(2.0), math.exp(2.0))
+    assert start[5] + start[8] < 0.0 and start[7] + start[10] < 0.0
+    assert start[6] + start[9] == 0.0
+    r_aa, R0, record, _, _ = solver_nplus1._newton(at, math.exp(2.0), math.exp(2.0))
+    assert (r_aa, R0) == pytest.approx((1.0, 1.0), rel=1e-9)
+    assert record[0] == pytest.approx(2.0, rel=1e-15)
+
+
 @pytest.mark.parametrize("laws_, message, flat", [
     # E is constant: the start is stationary, but H = 0 is no minimum.
     ((_CONSTANT, _CONSTANT, _CONSTANT, _CONSTANT),
@@ -302,7 +318,7 @@ def _only_at_one(f):
 def test_newton_exits_without_a_minimum(laws_, message, flat):
     system = NPlusOneSystem(2, 3, *laws_)
     with pytest.raises(NonConvergenceError) as info:
-        solver_nplus1._newton(system, 1.0, 1.0, 1.0, 1.0)
+        solver_nplus1._newton(_surface_at(system, 1.0, 1.0), 1.0, 1.0)
     assert str(info.value) == message
     assert info.value.last_point == (1.0, 1.0)
     residuals = info.value.residuals

@@ -325,7 +325,8 @@ def test_homogeneous_minima_scale_with_the_quantum_numbers(case, q_a, q_b, s):
     # ESCAPE_FACTOR times the start's, so the scaled minimum must lie inside
     # that radius around the virial start; without one, the grid start lies
     # below SCAN_HI.
-    start = solver_nplus1._virial_start(system, s * q_a, s * q_b)
+    start = solver_nplus1._virial_start(
+        system, solver_nplus1._surface_at(system, s * q_a, s * q_b))
     assume(length * max(base.r_aa, base.R0)
            < max(SCAN_HI, ESCAPE_FACTOR * max(start or (0.0,))))
     scaled = solve_et_np1(system, s * q_a, s * q_b)
@@ -444,9 +445,11 @@ def test_a_filling_that_cycles_with_period_three_reaches_no_fixed_point(monkeypa
 
 def _stuck_at(R0):
     """A stand-in descent that ends at (r_aa, R0) = (1, R0), wherever it starts."""
-    def stuck(system, q_a, q_b, r_aa, _):
-        surface = solver_nplus1._surface(system, q_a, q_b, 1.0, R0)
-        return 1.0, R0, surface, 1, solver_nplus1._scaled(surface)
+    def stuck(at, r_aa, _):
+        record = at(1.0, R0)
+        k1, k2, v1, v2 = record[1:5]
+        return 1.0, R0, record, 1, ((k1 + v1) / max(abs(k1), abs(v1), 1e-300),
+                                    (k2 + v2) / max(abs(k2), abs(v2), 1e-300))
     return stuck
 
 
@@ -548,6 +551,84 @@ def test_solution_is_deterministic():
     first = solve_et_np1(system, 2.5, 1.5)
     second = solve_et_np1(system, 2.5, 1.5)
     assert first == second
+
+
+# The three solutions of each of three systems, to the last bit: a change to
+# the descent, its starts or its surface that moves any value shows here.
+_PINNED = {
+    ("power", "et"):
+        ("Np1Solution(energy=-0.17967324087358313, p_a=0.31490873181286705, "
+         "r_aa=4.763284877382719, P0=0.4796002248944875, R0=3.127604872016066, "
+         "p_a_prime=0.3958176389471532, r_0_prime=3.9311744989550337, q_a=1.5, "
+         "q_b=1.5, residual_a=8.396573371077023e-16, residual_b=1.723826061693446e-16, "
+         "iterations=6, n_roots=1, phi_a=None, phi_b=None)"),
+    ("power", "orbital"):
+        ("Np1Solution(energy=-1.617059167862248, p_a=0.9447261954386011, "
+         "r_aa=0.5292538752647465, P0=1.4388006746834627, R0=0.3475116524462295, "
+         "p_a_prime=1.1874529168414598, r_0_prime=0.4367971665505592, q_a=0.5, "
+         "q_b=0.5, residual_a=4.975747182860458e-16, "
+         "residual_b=3.0645796652327914e-16, iterations=6, n_roots=1, phi_a=None, "
+         "phi_b=None)"),
+    ("power", "deformed"):
+        ("Np1Solution(energy=-0.2907812195026902, p_a=0.41335488799761233, "
+         "r_aa=3.1160512625060175, P0=0.5853422834331862, R0=1.7921588243600484, "
+         "p_a_prime=0.5064767128163079, r_0_prime=2.3747162187033903, "
+         "q_a=1.2880350206079934, q_b=1.0490263385258451, "
+         "residual_a=4.873324581718416e-16, residual_b=4.629055576360424e-16, "
+         "iterations=4, n_roots=1, phi_a=1.5760700412159865, phi_b=1.09805267705169)"),
+    ("uroh", "et"):
+        ("Np1Solution(energy=15.351637126151466, p_a=2.5639041778842118, "
+         "r_aa=0.585045265317923, P0=3.832605806191146, R0=0.39137862745417695, "
+         "p_a_prime=3.200909472288249, r_0_prime=0.4886171514034737, q_a=1.5, q_b=1.5, "
+         "residual_a=2.1624199166673584e-16, residual_b=1.4495927683544432e-16, "
+         "iterations=5, n_roots=1, phi_a=None, phi_b=None)"),
+    ("uroh", "orbital"):
+        ("Np1Solution(energy=7.380297349569069, p_a=1.2325965662876246, "
+         "r_aa=0.40564773071364024, P0=1.8425246923789529, R0=0.27136678388523044, "
+         "p_a_prime=1.5388367703335468, r_0_prime=0.3387882107666895, q_a=0.5, "
+         "q_b=0.5, residual_a=0.0, residual_b=0.0, iterations=5, n_roots=1, "
+         "phi_a=None, phi_b=None)"),
+    ("uroh", "deformed"):
+        ("Np1Solution(energy=14.701264864687005, p_a=2.459046477025977, "
+         "r_aa=0.5732193216850767, P0=3.6664646188489, R0=0.38268389547014925, "
+         "p_a_prime=3.0671893121376725, r_0_prime=0.478113021722357, "
+         "q_a=1.409572953552908, q_b=1.403096962944573, "
+         "residual_a=2.798811994298831e-13, residual_b=2.895964410944086e-14, "
+         "iterations=2, n_roots=1, phi_a=1.819145907105816, phi_b=1.8061939258891462)"),
+    ("helium", "et"):
+        ("Np1Solution(energy=-1.2166040934837405, p_a=0.743007242468214, "
+         "r_aa=2.0188228516011675, P0=1.630168300337642, R0=0.9201503916431933, "
+         "p_a_prime=1.1029151981075647, r_0_prime=1.3658653556547546, q_a=1.5, "
+         "q_b=1.5, residual_a=2.3529353656531487e-14, "
+         "residual_b=1.6222041275832632e-13, iterations=6, n_roots=1, phi_a=None, "
+         "phi_b=None)"),
+    ("helium", "orbital"):
+        ("Np1Solution(energy=-10.949436841353666, p_a=2.229021727404643, "
+         "r_aa=0.2243136501779074, P0=4.890504901012928, R0=0.1022389324047992, "
+         "p_a_prime=3.308745594322695, r_0_prime=0.15176281729497268, q_a=0.5, "
+         "q_b=0.5, residual_a=2.44901914601695e-14, residual_b=1.6305573929158223e-13, "
+         "iterations=6, n_roots=1, phi_a=None, phi_b=None)"),
+    ("helium", "deformed"):
+        ("Np1Solution(energy=-1.6509552881914598, p_a=0.7669256238383928, "
+         "r_aa=1.3638665127931044, P0=2.0615421949057926, R0=0.7194689308180254, "
+         "p_a_prime=1.2847816810042694, r_0_prime=0.9912963777761112, "
+         "q_a=1.045984176156145, q_b=1.483215558805116, "
+         "residual_a=6.474941314965165e-12, residual_b=2.9538244177178446e-12, "
+         "iterations=4, n_roots=1, phi_a=1.0919683523122903, phi_b=1.9664311176102316)"),
+}
+_PINNED_SYSTEMS = {"power": lambda: repro.build_power(5, -1),
+                   "uroh": lambda: repro.build_uroh(10),
+                   "helium": lambda: solver_nplus1._atom_system(2, 2, 7294.3)}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_SYSTEMS))
+def test_et_orbital_and_deformed_solutions_are_pinned_to_the_last_bit(name):
+    system = _PINNED_SYSTEMS[name]()
+    spec = split_ground_spec(system.N_a, 3)
+    et = solve_et_np1(system, 2.0 * spec.nu + spec.lam, 2.0 * spec.nu_b + spec.lam_b)
+    assert repr(et) == _PINNED[name, "et"]
+    assert repr(dosm_np1(system, spec.lam, spec.lam_b).orbital) == _PINNED[name, "orbital"]
+    assert repr(solve_iet_np1(system, spec)) == _PINNED[name, "deformed"]
 
 
 def test_phi_pair_matches_report():

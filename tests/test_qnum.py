@@ -276,6 +276,16 @@ def test_non_finite_phi_is_rejected(phi):
         qnum.fgs_approx(8, 3, 1, phi)
 
 
+@pytest.mark.parametrize("ground_state", [lambda: qnum.bgs(5, 3, 1e308),
+                                          lambda: qnum.fgs_fill(5, 3, 1, 1e308)],
+                         ids=["bgs", "fgs_fill"])
+def test_a_q_phi_beyond_the_floats_is_an_input_error(ground_state):
+    # phi = 1e308 is finite, but phi*nu + lam overflows at nu = 2.
+    with pytest.raises(InputError) as info:
+        ground_state()
+    assert str(info.value) == "q_phi = inf is not finite: the inputs leave the floating range"
+
+
 def test_a_filling_with_too_many_levels_is_refused():
     # At phi = 1e-9 almost every level holds one particle, so N = bound + 1
     # would list more levels than the bound allows.

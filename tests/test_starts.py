@@ -152,16 +152,20 @@ def test_cold_descents_in_the_tables_stay_within_their_budget(monkeypatch):
 
 def test_the_predicted_start_costs_no_surface_evaluation(monkeypatch):
     # The DOSM constants and the tangent predictor read the orbital point's
-    # Hessian off the surface its descent last evaluated, so every _surface
-    # call of an improved solve is made by one of its descents, except the
-    # one evaluation at the unit shape that gives a homogeneous system's
-    # cold (orbital) solve its virial start.
+    # Hessian off the record its descent last evaluated, so every surface
+    # evaluation of an improved solve is made by one of its descents, except
+    # the one at the unit shape that gives a homogeneous system's cold
+    # (orbital) solve its virial start.
     calls, depth = {"descent": 0, "other": 0}, [0]
-    surface, newton = solver_nplus1._surface, solver_nplus1._newton
+    bind, newton = solver_nplus1._surface_at, solver_nplus1._newton
 
-    def counted_surface(*args):
-        calls["descent" if depth[0] else "other"] += 1
-        return surface(*args)
+    def counted_bind(*args):
+        at = bind(*args)
+
+        def counted_at(r_aa, R0):
+            calls["descent" if depth[0] else "other"] += 1
+            return at(r_aa, R0)
+        return counted_at
 
     def counted_newton(*args):
         depth[0] += 1
@@ -170,7 +174,7 @@ def test_the_predicted_start_costs_no_surface_evaluation(monkeypatch):
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(solver_nplus1, "_surface", counted_surface)
+    monkeypatch.setattr(solver_nplus1, "_surface_at", counted_bind)
     monkeypatch.setattr(solver_nplus1, "_newton", counted_newton)
     solve_iet_np1(_helium(), spec_from_filling(fgs_fill(2, 3, 2, 2.0)))
     rows = repro.table_fixtures(3)
@@ -217,12 +221,13 @@ def test_a_far_virial_start_descends_to_the_minimum_of_the_grid_start():
     # SCAN_HI, while E's minimum lies at r_aa = 282: the descent comes in
     # from there, and no outward step on the way counts as an escape.
     system, q_a, q_b = _weak_ion()
-    start = solver_nplus1._virial_start(system, q_a, q_b)
+    at = solver_nplus1._surface_at(system, q_a, q_b)
+    start = solver_nplus1._virial_start(system, at)
     assert start[0] > 100 * solver_nplus1.SCAN_HI
-    r_aa, R0, surface, _, _ = solver_nplus1._newton(
-        system, q_a, q_b, *solver_nplus1._grid_start(system, q_a, q_b))
+    r_aa, R0, record, _, _ = solver_nplus1._newton(
+        at, *solver_nplus1._grid_start(system, q_a, q_b))
     solution = solve_et_np1(system, q_a, q_b)
-    assert solution.energy == pytest.approx(surface[0], rel=1e-13)
+    assert solution.energy == pytest.approx(record[0], rel=1e-13)
     assert solution.r_aa == pytest.approx(r_aa, rel=1e-10)
     assert solution.R0 == pytest.approx(R0, rel=1e-10)
     assert solution.energy == pytest.approx(-0.004288316907305717, rel=1e-12)
@@ -232,13 +237,14 @@ def test_a_failed_virial_descent_falls_back_on_the_grid_start(monkeypatch):
     # A virial start where E cannot be evaluated fails its descent
     # (NonConvergenceError); the solve then descends from the grid start.
     system, q_a, q_b = _weak_ion()
-    r_aa, R0, surface, _, _ = solver_nplus1._newton(
-        system, q_a, q_b, *solver_nplus1._grid_start(system, q_a, q_b))
+    at = solver_nplus1._surface_at(system, q_a, q_b)
+    r_aa, R0, record, _, _ = solver_nplus1._newton(
+        at, *solver_nplus1._grid_start(system, q_a, q_b))
     monkeypatch.setattr(solver_nplus1, "_virial_start", lambda *args: (1e300, 1.0))
     with pytest.raises(NonConvergenceError, match="cannot be evaluated"):
-        solver_nplus1._newton(system, q_a, q_b, 1e300, 1.0)
+        solver_nplus1._newton(at, 1e300, 1.0)
     solution = solve_et_np1(system, q_a, q_b)
-    assert (solution.energy, solution.r_aa, solution.R0) == (surface[0], r_aa, R0)
+    assert (solution.energy, solution.r_aa, solution.R0) == (record[0], r_aa, R0)
     assert solution.energy == pytest.approx(-0.004288316907305717, rel=1e-12)
 
 
@@ -256,7 +262,8 @@ def test_a_failed_virial_descent_falls_back_on_the_grid_start(monkeypatch):
     solver_nplus1._atom_system(1.0, 8, 1836.0),
 ], ids=["two-kinetic-exponents", "two-potential-exponents", "gaussian", "repulsive"])
 def test_only_homogeneous_laws_with_a_scale_minimum_have_a_virial_start(system):
-    assert solver_nplus1._virial_start(system, 1.5, 1.5) is None
+    at = solver_nplus1._surface_at(system, 1.5, 1.5)
+    assert solver_nplus1._virial_start(system, at) is None
 
 
 @pytest.mark.parametrize("system, spec, alpha_plus_beta", [
@@ -283,7 +290,7 @@ def test_homogeneous_collapse_is_unbound_without_a_descent(monkeypatch, system, 
     monkeypatch.setattr(solver_nplus1, "_grid_start", no_descent)
     message = f"homogeneous with alpha \\+ beta = {alpha_plus_beta} <= 0"
     with pytest.raises(NoBindingError, match=message):
-        solver_nplus1._virial_start(system, 1.5, 1.5)
+        solver_nplus1._virial_start(system, solver_nplus1._surface_at(system, 1.5, 1.5))
     with pytest.raises(NoBindingError, match=message):
         solve_et_np1(system, 2.0 * spec.nu + spec.lam, 2.0 * spec.nu_b + spec.lam_b)
     with pytest.raises(NoBindingError, match=message):
@@ -295,9 +302,10 @@ def test_a_unit_shape_where_e_overflows_has_no_virial_start():
     # cannot be read there and the grid start takes over.
     system = NPlusOneSystem(2, 3, laws.kinetic_power(0.5, 2.0), laws.kinetic_power(0.5, 2.0),
                             laws.harmonic(1.0), laws.harmonic(1.0))
+    at = solver_nplus1._surface_at(system, 1e200, 1.5)
     with pytest.raises(OverflowError):
-        solver_nplus1._surface(system, 1e200, 1.5, 1.0, 1.0)
-    assert solver_nplus1._virial_start(system, 1e200, 1.5) is None
+        at(1.0, 1.0)
+    assert solver_nplus1._virial_start(system, at) is None
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -314,14 +322,14 @@ def test_the_virial_start_is_the_minimum_along_the_scale(alpha, beta, N_a, q_a, 
                             laws.kinetic_power(F_b, alpha),
                             laws.power(math.copysign(g_aa, beta), beta),
                             laws.power(math.copysign(g_ab, beta), beta))
-    lam, lam_R = solver_nplus1._virial_start(system, q_a, q_b)
+    at = solver_nplus1._surface_at(system, q_a, q_b)
+    lam, lam_R = solver_nplus1._virial_start(system, at)
     assert lam == lam_R
-    energy, kinetic, potential, _, _ = solver_nplus1._surface(system, q_a, q_b, lam, lam)
-    slope = sum(kinetic) + sum(potential)
-    assert abs(slope) <= 1e-12 * (abs(sum(kinetic)) + abs(sum(potential)))
+    energy, k1, k2, v1, v2 = at(lam, lam)[:5]
+    slope = k1 + k2 + v1 + v2
+    assert abs(slope) <= 1e-12 * (abs(k1 + k2) + abs(v1 + v2))
     for factor in (0.99, 1.01):
-        assert solver_nplus1._surface(system, q_a, q_b, lam * factor,
-                                      lam * factor)[0] > energy
+        assert at(lam * factor, lam * factor)[0] > energy
 
 
 def _screened():
@@ -338,9 +346,11 @@ def _screened():
 
 def _rule_start(system, q_a, q_b):
     """The grid start's rule evaluated by brute force over every ray sample."""
+    at = solver_nplus1._surface_at(system, q_a, q_b)
+
     def energy(r_aa, R0):
         try:
-            value = solver_nplus1._surface(system, q_a, q_b, r_aa, R0)[0]
+            value = at(r_aa, R0)[0]
         except (ArithmeticError, ValueError):
             return math.inf
         return math.inf if math.isnan(value) else value
@@ -363,7 +373,7 @@ def test_the_grid_start_is_the_lowest_local_minimum_along_its_rays(monkeypatch):
     calls, energy = [], solver_nplus1._energy
     monkeypatch.setattr(solver_nplus1, "_energy",
                         lambda *args: calls.append(args) or energy(*args))
-    monkeypatch.setattr(solver_nplus1, "_surface", _no_surface)
+    monkeypatch.setattr(solver_nplus1, "_surface_at", _no_surface)
     start = solver_nplus1._grid_start(system, 10.5, 1.5)
     # Four rays of 54 samples of E alone, a factor 2 apart over [SCAN_LO, SCAN_HI].
     assert len(calls) == 4 * 54
@@ -394,14 +404,14 @@ def _no_surface(*args):
                     laws.exponential_well(3.0, 0.5)), 3.5, 2.5),
 ])
 def test_the_grid_samples_e_as_the_surface_does(system, q_a, q_b):
-    # At every grid sample where _surface can be evaluated, _energy gives its
-    # E to the last bit.
-    compared = 0
+    # At every grid sample where the surface can be evaluated, _energy gives
+    # its E to the last bit.
+    at, compared = solver_nplus1._surface_at(system, q_a, q_b), 0
     for shape in (1 / 16, 1 / 4, 1, 4):
         for k in range(54):
             r_aa = SCAN_LO * 2.0 ** k
             try:
-                full = solver_nplus1._surface(system, q_a, q_b, r_aa, shape * r_aa)[0]
+                full = at(r_aa, shape * r_aa)[0]
             except (ArithmeticError, ValueError):
                 continue
             energy = solver_nplus1._energy(system, q_a, q_b, r_aa, shape * r_aa)

@@ -1,10 +1,11 @@
 """The N_a+1 energy surface: exact derivatives against symbolic ones.
 
 The solver's Newton steps, its DOSM stiffnesses and its responses all come
-from one function returning E(r_aa, R0; Q_a, Q_b), its gradient in
-u = (log r_aa, log R0) and its Hessian in u, each split into kinetic and
-potential parts.  Here sympy differentiates the same energy written out from
-the compact equation set, independently of the chain rule in the solver.
+from one surface, bound once per (system, Q_a, Q_b), whose records hold
+E(r_aa, R0; Q_a, Q_b), its gradient in u = (log r_aa, log R0) and its
+Hessian in u, each split into kinetic and potential parts.  Here sympy
+differentiates the same energy written out from the compact equation set,
+independently of the chain rule in the solver.
 """
 
 import math
@@ -14,7 +15,7 @@ import pytest
 import sympy as sp
 
 from envtheory import laws
-from envtheory.solver_nplus1 import NPlusOneSystem, _surface, dosm_np1, solve_et_np1
+from envtheory.solver_nplus1 import NPlusOneSystem, _surface_at, dosm_np1, solve_et_np1
 
 X = sp.Symbol("x", positive=True)
 
@@ -83,8 +84,8 @@ def test_surface_matches_symbolic_derivatives(case):
         def num(expr):
             return float(expr.evalf(30, subs=at))
 
-        energy, kinetic, potential, kinetic_hessian, potential_hessian = _surface(
-            system, q_a, q_b, r_aa, R0)
+        # (E, k1, k2, v1, v2, t11, t12, t22, p11, p12, p22)
+        energy, *derivatives = _surface_at(system, q_a, q_b)(r_aa, R0)
         pairs = ((u[0], u[0]), (u[0], u[1]), (u[1], u[1]))
         sym_kin = [num(sp.diff(kin, v)) for v in u]
         sym_pot = [num(sp.diff(pot, v)) for v in u]
@@ -94,8 +95,8 @@ def test_surface_matches_symbolic_derivatives(case):
         # Away from a stationary point: the gradient itself is tested, not zero.
         assert max(abs(k + v) for k, v in zip(sym_kin, sym_pot)) > 1e-3 * scale
         _close(energy, num(kin + pot), abs(num(kin + pot)))
-        for got, exact in zip(kinetic + potential + kinetic_hessian + potential_hessian,
-                              sym_kin + sym_pot + sym_kin_hess + sym_pot_hess):
+        for got, exact in zip(derivatives, sym_kin + sym_pot + sym_kin_hess + sym_pot_hess,
+                              strict=True):
             _close(got, exact, scale)
 
 
