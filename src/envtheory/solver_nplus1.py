@@ -260,7 +260,8 @@ def _newton(at: Callable[[float, float], tuple], r_aa: float,
     """Damped Newton descent on E in log coordinates, which keeps them positive.
 
     ``at`` is the surface of _surface_at, bound once for the descent, and
-    every point it visits, trials included, is one at() record.  Each step
+    every point it visits is one at() record, read by one trial block: the
+    start is the first trial, a step of zero kept whatever its E.  Each step
     is u <- u - t |H|^-1 g with the record's exact gradient g and Hessian H.
     Where H is positive definite |H| = H and this is Newton's step, taken
     without _abs_hessian; elsewhere |H| keeps it a descent direction, so
@@ -282,14 +283,34 @@ def _newton(at: Callable[[float, float], tuple], r_aa: float,
     (k_i + v_i)/max(|k_i|, |v_i|).
     """
     far = max(SCAN_HI, ESCAPE_FACTOR * max(r_aa, R0))
-    try:
-        record = at(r_aa, R0)
-    except (OverflowError, ValueError, ZeroDivisionError):
-        raise NonConvergenceError("E cannot be evaluated at the start", (r_aa, R0)) from None
-    energy, k1, k2, v1, v2, t11, t12, t22, p11, p12, p22 = record
-    g1, g2 = k1 + v1, k2 + v2
-    f = (g1 / max(abs(k1), abs(v1), 1e-300), g2 / max(abs(k2), abs(v2), 1e-300))
-    for iterations in range(1, NEWTON_MAX_STEPS + 1):
+    energy, f, du1, du2 = math.inf, None, 0.0, 0.0
+    for iterations in range(1, NEWTON_MAX_STEPS + 2):
+        step = 1.0
+        for _ in range(NEWTON_MAX_HALVINGS):
+            try:
+                trial_r, trial_R = r_aa * math.exp(step * du1), R0 * math.exp(step * du2)
+                trial = at(trial_r, trial_R)
+            except (OverflowError, ValueError, ZeroDivisionError):
+                if f is None:
+                    raise NonConvergenceError("E cannot be evaluated at the start",
+                                              (r_aa, R0)) from None
+                step *= 0.5
+                continue
+            trial_energy, k1, k2, v1, v2, t11, t12, t22, p11, p12, p22 = trial
+            g1, g2 = k1 + v1, k2 + v2
+            f_trial = (g1 / max(abs(k1), abs(v1), 1e-300), g2 / max(abs(k2), abs(v2), 1e-300))
+            if (trial_energy <= energy or max(abs(f_trial[0]), abs(f_trial[1])) < NEWTON_TOL
+                    or f is None):
+                break
+            step *= 0.5
+        else:
+            raise NonConvergenceError("no descent direction", (r_aa, R0), f)
+        r_aa, R0, record, energy, f = trial_r, trial_R, trial, trial_energy, f_trial
+        if max(r_aa, R0) > far:
+            raise NoBindingError(f"no minimum of E: it falls toward (r_aa, R0) = "
+                                 f"({r_aa:.3g}, {R0:.3g}), E = {energy:.6g}")
+        if iterations > NEWTON_MAX_STEPS:
+            break
         h11, h12, h22 = t11 + p11, t12 + p12, t22 + p22
         det = h11 * h22 - h12 * h12
         if max(abs(f[0]), abs(f[1])) < NEWTON_TOL:
@@ -303,26 +324,6 @@ def _newton(at: Callable[[float, float], tuple], r_aa: float,
         if not (det > 0.0 and math.isfinite(det)):
             raise NonConvergenceError("singular Hessian", (r_aa, R0), f)
         du1, du2 = (h12 * g2 - h22 * g1) / det, (h12 * g1 - h11 * g2) / det
-        step = 1.0
-        for _ in range(NEWTON_MAX_HALVINGS):
-            try:
-                trial_r, trial_R = r_aa * math.exp(step * du1), R0 * math.exp(step * du2)
-                trial = at(trial_r, trial_R)
-            except (OverflowError, ValueError, ZeroDivisionError):
-                step *= 0.5
-                continue
-            trial_energy, k1, k2, v1, v2, t11, t12, t22, p11, p12, p22 = trial
-            g1, g2 = k1 + v1, k2 + v2
-            f_trial = (g1 / max(abs(k1), abs(v1), 1e-300), g2 / max(abs(k2), abs(v2), 1e-300))
-            if trial_energy <= energy or max(abs(f_trial[0]), abs(f_trial[1])) < NEWTON_TOL:
-                break
-            step *= 0.5
-        else:
-            raise NonConvergenceError("no descent direction", (r_aa, R0), f)
-        r_aa, R0, record, energy, f = trial_r, trial_R, trial, trial_energy, f_trial
-        if max(r_aa, R0) > far:
-            raise NoBindingError(f"no minimum of E: it falls toward (r_aa, R0) = "
-                                 f"({r_aa:.3g}, {R0:.3g}), E = {energy:.6g}")
     raise NonConvergenceError(f"Newton did not converge in {NEWTON_MAX_STEPS} steps",
                               (r_aa, R0), f)
 

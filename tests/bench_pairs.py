@@ -3,17 +3,17 @@
 Run it as a script; pytest does not collect it:
 
     python tests/bench_pairs.py PARENT CHANGE --out BENCH_N.json \\
-        [--workloads tables sweep cli-cold] [--seeds 1 2 3] [--pairs 6] \\
-        [--seconds 30] [--trace-workloads tables] [--trace-seed 1] \\
-        [--trace-seconds 5] [--before TEXT] [--after TEXT]
+        [--workloads tables sweep cli-cold] [--seeds 1 2 3] [--pairs 10] \\
+        [--seconds 30] [--before TEXT] [--after TEXT]
 
 PARENT and CHANGE are the roots of two source checkouts, best clean copies
 of their committed files.  For each workload it runs `python3 bench/run.py
 --workload W --seed S --seconds T --trace 0` in both checkouts, one after
 the other, --pairs times: the parent first in odd pairs and the change
 first in even ones, with the seeds taken in turn (pairs are counted per
-workload).  Each traced workload then runs once per side with --trace 1 at
---trace-seed.  Progress goes to stderr.
+workload).  Ten pairs are what a claimed gain is judged on.  Then `tables`
+runs once per side with --trace 1 at seed 1 for 5 s, for the per-layer
+counts of its fixed traced passes.  Progress goes to stderr.
 
 The output holds "before", "after", "command" and "machine"; "summary", per
 workload and end-to-end metric of the change's BENCHMARK.json, the q1,
@@ -33,6 +33,9 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+
+TRACED = ("tables", 1, 5.0)
 
 
 def _run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -78,11 +81,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--workloads", nargs="+", default=["tables", "sweep", "cli-cold"])
     parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
-    parser.add_argument("--pairs", type=int, default=6)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--trace-workloads", nargs="*", default=["tables"])
-    parser.add_argument("--trace-seed", type=int, default=1)
-    parser.add_argument("--trace-seconds", type=float, default=5.0)
     parser.add_argument("--before", default="the parent commit")
     parser.add_argument("--after", default="this change")
     args = parser.parse_args(argv)
@@ -101,13 +101,13 @@ def main(argv: list[str] | None = None) -> int:
                 ops = line["metrics"]["ops_per_s"]["value"]
                 print(f"{workload} seed {seed} pair {pair} {side}: {ops:.6g} ops/s, "
                       f"correct {line['correct']}", file=sys.stderr)
+    workload, seed, seconds = TRACED
     traced = []
-    for workload in args.trace_workloads:
-        for side in ("parent", "change"):
-            line = _run(roots[side], workload, args.trace_seed, args.trace_seconds, 1)
-            traced.append({"workload": workload, "seed": args.trace_seed, "side": side,
-                           "traced": True, "line": line})
-            print(f"{workload} traced {side}: correct {line['correct']}", file=sys.stderr)
+    for side in ("parent", "change"):
+        line = _run(roots[side], workload, seed, seconds, 1)
+        traced.append({"workload": workload, "seed": seed, "side": side, "traced": True,
+                       "line": line})
+        print(f"{workload} traced {side}: correct {line['correct']}", file=sys.stderr)
 
     report = {
         "before": args.before,
@@ -120,9 +120,9 @@ def main(argv: list[str] | None = None) -> int:
                     f"in even ones (pairs counted per workload)"),
         "summary": summarize(runs, metrics),
         "runs": runs,
-        "traced": {"command": (f"python3 bench/run.py --workload W --seed {args.trace_seed} "
-                               f"--seconds {args.trace_seconds:g} --trace 1 (per-layer "
-                               f"counts of the fixed traced passes)"),
+        "traced": {"command": (f"python3 bench/run.py --workload {workload} --seed {seed} "
+                               f"--seconds {seconds:g} --trace 1 (per-layer counts of "
+                               f"the fixed traced passes)"),
                    "runs": traced},
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")

@@ -289,6 +289,33 @@ def test_a_start_where_e_is_concave_descends_to_the_minimum():
     assert record[0] == pytest.approx(2.0, rel=1e-15)
 
 
+def test_a_start_where_e_is_nan_is_still_the_start():
+    # E = (u1^2 + u2^2)/2 in u = (log r_aa, log R0), NaN at the start u = (1, 1)
+    # only.  The start is kept, and Newton's step from it lands on the
+    # minimum, which its residuals accept although NaN is below no energy.
+    def at(r_aa, R0):
+        u1, u2 = math.log(r_aa), math.log(R0)
+        energy = math.nan if (u1, u2) == (1.0, 1.0) else 0.5 * (u1 * u1 + u2 * u2)
+        return energy, -1.0, -1.0, 1.0 + u1, 1.0 + u2, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0
+    r_aa, R0, record, iterations, _ = solver_nplus1._newton(at, math.e, math.e)
+    assert (r_aa, R0) == pytest.approx((1.0, 1.0), rel=1e-15)
+    assert record[0] < 1e-30 and iterations == 2
+
+
+def test_newton_stops_after_newton_max_steps(monkeypatch):
+    # Helium from (1, 1) converges at its k-th point, after k - 1 steps: a
+    # limit of k steps lets it, one of k - 1 stops it at the point it reached.
+    at = _surface_at(solver_nplus1._atom_system(2.0, 2, 7294.3), 1.0, 1.0)
+    r_aa, R0, record, k, f = solver_nplus1._newton(at, 1.0, 1.0)
+    assert k > 2
+    monkeypatch.setattr(solver_nplus1, "NEWTON_MAX_STEPS", k)
+    assert solver_nplus1._newton(at, 1.0, 1.0) == (r_aa, R0, record, k, f)
+    monkeypatch.setattr(solver_nplus1, "NEWTON_MAX_STEPS", k - 1)
+    with pytest.raises(NonConvergenceError, match=f"did not converge in {k - 1} steps") as info:
+        solver_nplus1._newton(at, 1.0, 1.0)
+    assert info.value.last_point == (r_aa, R0)
+
+
 @pytest.mark.parametrize("laws_, message, flat", [
     # E is constant: the start is stationary, but H = 0 is no minimum.
     ((_CONSTANT, _CONSTANT, _CONSTANT, _CONSTANT),

@@ -146,3 +146,13 @@ def test_radius_response_is_the_slope_of_the_minimum(case):
     for got, expect in zip(report.radius_response, slopes):
         assert got == pytest.approx(expect, rel=1e-6, abs=1e-6 * scale)
     assert report.radii(lam_a, lam_b) == (report.orbital.r_aa, report.orbital.R0)
+
+
+def test_the_bound_surface_closes_over_fewer_than_twenty_names():
+    # CPython 3.11 keeps each freed tuple of 20 items, such as the cells of a
+    # 20-name closure, on a free list that it never takes one from again; a
+    # solve binds one surface, so a 20th name would raise peak memory with
+    # every solve until that list is full (2,000 tuples, 368 kB).
+    system = NPlusOneSystem(2, 3, laws.kinetic_power(0.5, 2.0), laws.kinetic_power(0.5, 2.0),
+                            laws.power(1.0, -1.0), laws.coulomb(2.0))
+    assert len(_surface_at(system, 1.0, 1.0).__closure__) < 20
