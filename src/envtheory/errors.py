@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 
 class EnvTheoryError(Exception):
@@ -18,6 +19,15 @@ def require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise InputError(f"{name} = {value} is not finite: the inputs leave the floating range")
     return value
+
+
+def finite(name: str, compute: Callable[[], float]) -> float:
+    """compute() through require_finite, where an overflow or a division by zero counts as inf."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    return require_finite(name, value)
 
 
 class NoRootError(EnvTheoryError):

@@ -20,7 +20,7 @@ import math
 from collections import namedtuple
 from heapq import heappush, heapreplace
 
-from .errors import InputError, require_finite
+from .errors import InputError, finite, require_finite
 from .records import Record
 
 __all__ = [
@@ -307,8 +307,11 @@ def fgs_closed(N: int, D: int, d: int, variant: int = 2) -> float:
 
 
 def fgs_approx(N: int, D: int, d: int, phi: float = 2.0) -> float:
-    """Asymptotic estimate of the fermionic ground-state Q, valid for N >> 1."""
+    """Asymptotic estimate of the fermionic ground-state Q, valid for N >> 1.
+
+    An estimate beyond the floats raises InputError.
+    """
     _check_fermions(N, D, d, phi)
     # The D-th root of phi D!/(2 d) in logarithms: D! overflows a float from D = 171.
     root = math.exp((math.log(phi) + math.lgamma(D + 1.0) - math.log(2.0 * d)) / D)
-    return (D / (D + 1.0)) * root * N ** ((D + 1.0) / D)
+    return finite("q_approx", lambda: (D / (D + 1.0)) * root * N ** ((D + 1.0) / D))

@@ -8,16 +8,29 @@ rho0, with C2 = N(N-1)/2 interacting pairs:
     N T'(p0) p0 = C2 V'(rho0) rho0,
     Q = sqrt(C2) rho0 p0.
 
-The quantization condition eliminates p0, leaving one equation in rho0.  For
-two power laws T = c p^a and V = c' r^b it is a power balance, decided in
-closed form: its one root, or NoRootError where it has none.  Every other
-pair of laws is solved by the root scan; where T is a power c p^a, the
-scan reads the residual's signs off a level, K(Q) against one sample of
-g(rho) = C2 V'(rho) rho^(1+a), which the two solves of the improved variant
-share; each root is a crossing of g with the level K(Q).  The
-improved variant deforms the global quantum number to Q_phi = phi*nu + lam,
-with phi extracted by quantizing small radial oscillations around the
-purely orbital solution (Q replaced by lam alone).
+The quantization condition eliminates p0 = Q/(sqrt(C2) rho), which leaves
+the energy curve E(rho; Q) = N T(p0) + C2 V(rho); the equation of motion is
+its stationary condition.  One binding, _identical_at, reads the system and
+Q once per solve, and each evaluation gives one flat record (p0, k, v): the
+log-gradient dE/dlog rho is k + v, its kinetic part k = -N T'(p0) p0 plus
+its potential part v = C2 V'(rho) rho.  The motion residual, each root's
+momentum and the residual at the solution read these records; a plain
+solve evaluates the law values at the roots only, and no second
+derivative.  For
+two power laws T = c p^a and V = c' r^b the equation is a power balance,
+decided in closed form: its one root, or NoRootError where it has none.
+Every other pair of laws is solved by the root scan; where T is a power
+c p^a, the scan reads the residual's signs off a level, K(Q) against one
+sample of g(rho) = C2 V'(rho) rho^(1+a), which the two solves of the
+improved variant share; each root is a crossing of g with the level K(Q).
+
+The improved variant deforms the global quantum number to Q_phi =
+phi*nu + lam, with phi extracted by quantizing small radial oscillations
+around the purely orbital solution (Q replaced by lam alone).  As for the
+modes of solver_nplus1.dosm_np1, everything is read off the energy curve
+there: the response D = -k and the mass mu = p0^2/D off the record of the
+orbital solve, and the stiffness, its second derivative in rho,
+(log-Hessian - log-gradient)/rho0^2.
 """
 
 from __future__ import annotations
@@ -28,7 +41,7 @@ from typing import Callable
 
 from . import laws
 from .errors import (DegenerateOrbitalError, InputError, NoRootError,
-                     UnstableOrbitalError, UnsupportedRegimeError)
+                     UnstableOrbitalError, UnsupportedRegimeError, finite)
 from .qnum import QuantumSpec, _check_fit
 from .records import Record
 from .rootscan import SCAN_HI, SCAN_LO, _sample, find_roots
@@ -272,6 +285,24 @@ def _levels(system: IdenticalSystem) -> _Levels | None:
     return _Levels(system, c, a)
 
 
+def _identical_at(system: IdenticalSystem, Q: float) -> Callable[[float], tuple]:
+    """E(rho; Q) = N T(p0) + C2 V(rho), p0 = Q/(sqrt(C2) rho), in u = log rho, bound once.
+
+    Reads N, C2, sqrt(C2) and the two d1 callables once and returns at(rho),
+    which gives the flat record (p0, k, v): the log-gradient dE/du is k + v,
+    its kinetic part k = -N T'(p0) p0 plus its potential part
+    v = C2 V'(rho) rho.  The one-coordinate case of
+    solver_nplus1._surface_at; no law value or second derivative is read.
+    """
+    N, c2 = system.N, pair_count(system.N)
+    sq, t1, v1 = math.sqrt(c2), system.kinetic.d1, system.potential.d1
+
+    def at(rho: float) -> tuple:
+        p0 = Q / (sq * rho)
+        return p0, -(N * t1(p0) * p0), c2 * v1(rho) * rho
+    return at
+
+
 def solve_et(system: IdenticalSystem, Q: float) -> EtSolution:
     """Solve the compact set at global quantum number Q.
 
@@ -282,6 +313,7 @@ def solve_et(system: IdenticalSystem, Q: float) -> EtSolution:
     residual within four machine epsilons (4 * 2^-52) of its terms counts as
     zero (so a balance that vanishes identically raises NoRootError).  If several roots exist,
     all are kept in ascending energy and the lowest-energy one is returned.
+    A root whose energy leaves the floats raises InputError.
 
     For a power kinetic law T = c p^a the residual is rho^-a (K(Q) - g(rho)),
     and the scan reads its sign at each grid point off K - g, with g sampled
@@ -295,47 +327,45 @@ def solve_et(system: IdenticalSystem, Q: float) -> EtSolution:
     zero: the scan reads the signs, zeros and holes that sampling the
     residual gives, and finds the same roots bit for bit.
     """
-    return _solve_et(system, Q, _levels(system))
+    return _solve_et(system, Q, _levels(system))[0]
 
 
-def _solve_et(system: IdenticalSystem, Q: float, levels: _Levels | None) -> EtSolution:
-    """solve_et, reading scan brackets off ``levels`` where it is given."""
+def _solve_et(system: IdenticalSystem, Q: float,
+              levels: _Levels | None) -> tuple[EtSolution, tuple]:
+    """solve_et, reading scan brackets off ``levels`` where it is given.
+
+    The energy curve is bound once (_identical_at); the motion residual,
+    each root's momentum and the residual at the solution read its records.
+    Returns the solution and the at() record at it.
+    """
     if not 0.0 < Q < math.inf:
         raise InputError(f"quantum number must be positive and finite, got {Q}")
-    N, T, V = system.N, system.kinetic, system.potential
-    c2 = pair_count(N)
-    sq = math.sqrt(c2)
+    N, c2, T, V = system.N, pair_count(system.N), system.kinetic, system.potential
+    at = _identical_at(system, Q)
 
     def motion(rho: float) -> float:
-        p0 = Q / (sq * rho)
-        lhs, rhs = N * T.d1(p0) * p0, c2 * V.d1(rho) * rho
-        diff = lhs - rhs
+        _, k, v = at(rho)
+        diff = -k - v
         # Within four machine epsilons of finite terms, diff is rounding, not
         # a sign: it is zero, and the scan takes no zero next to a zero for
         # a root.
-        return 0.0 if abs(diff) <= 4.0 * 2.0 ** -52 * abs(lhs) < math.inf else diff
+        return 0.0 if abs(diff) <= 4.0 * 2.0 ** -52 * abs(k) < math.inf else diff
 
     root = _power_root(system, Q, motion)
-    if root is not None:
-        roots = [root]
-    else:
-        values = levels.reader(Q, motion) if levels is not None else None
-        roots = find_roots(motion, SCAN_LO, SCAN_HI, values)
-    found = []
+    roots = [root] if root is not None else find_roots(
+        motion, SCAN_LO, SCAN_HI, levels.reader(Q, motion) if levels is not None else None)
+    found, records = [], {}
     for rho in roots:
-        p0 = Q / (sq * rho)
-        energy = N * T.value(p0) + c2 * V.value(rho)
-        found.append((energy, rho))
+        records[rho] = record = at(rho)
+        found.append((finite("energy", lambda: N * T.value(record[0]) + c2 * V.value(rho)), rho))
     found.sort()
     energy, rho0 = found[0]
-    p0 = Q / (sq * rho0)
-    lhs, rhs = N * T.d1(p0) * p0, c2 * V.d1(rho0) * rho0
-    res_motion = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    res_quant = abs(Q - sq * rho0 * p0) / Q
+    p0, k, v = record = records[rho0]
     return EtSolution(energy=energy, rho0=rho0, p0=p0, q=Q,
-                      residual_motion=res_motion, residual_quantization=res_quant,
+                      residual_motion=abs(-k - v) / max(abs(k), abs(v), 1e-300),
+                      residual_quantization=abs(Q - math.sqrt(c2) * rho0 * p0) / Q,
                       n_roots=len(found), all_roots=tuple(found),
-                      variational=_variational_character(system))
+                      variational=_variational_character(system)), record
 
 
 def power_law_energy(N: int, D: int, F: float, alpha: float,
@@ -344,7 +374,8 @@ def power_law_energy(N: int, D: int, F: float, alpha: float,
 
     ``D`` enters only through q_phi and is accepted for interface symmetry
     with the numeric path.  Requires alpha + beta > 0; outside that region
-    the extremisation has no solution.
+    the extremisation has no solution.  An energy beyond the floats raises
+    InputError.
     """
     if F <= 0.0 or alpha <= 0.0 or G <= 0.0:
         raise InputError("need F > 0, alpha > 0, G > 0")
@@ -354,23 +385,30 @@ def power_law_energy(N: int, D: int, F: float, alpha: float,
         raise InputError("q_phi must be positive")
     if alpha + beta <= 0.0:
         raise UnsupportedRegimeError("power-law closed form needs alpha + beta > 0")
-    c2 = pair_count(N)
-    base = ((c2 * G / alpha) ** alpha * (N * F / abs(beta)) ** beta
-            * (q_phi / math.sqrt(c2)) ** (alpha * beta))
-    return math.copysign(1.0, beta) * (alpha + beta) * base ** (1.0 / (alpha + beta))
+
+    def energy() -> float:
+        c2 = pair_count(N)
+        base = ((c2 * G / alpha) ** alpha * (N * F / abs(beta)) ** beta
+                * (q_phi / math.sqrt(c2)) ** (alpha * beta))
+        return math.copysign(1.0, beta) * (alpha + beta) * base ** (1.0 / (alpha + beta))
+    return finite("energy", energy)
 
 
 def dosm_identical(system: IdenticalSystem, lam: float) -> DosmIdenticalReport:
     """Quantize small radial oscillations around the purely orbital solution.
 
-    The orbital solution is the compact set solved with Q replaced by lam.
-    Around it, the radial displacement and momentum form a harmonic mode of
-    mass mu = p0/(N T'(p0)) and stiffness
+    The orbital solution is the compact set solved with Q replaced by lam,
+    and everything else is read off the energy curve E(rho; lam) there.
+    Minus the kinetic part of its log-gradient, D = -k = N T'(p0) p0, is the
+    first-order response of the energy to a quantum-number increase, and
+    fixes the mass of the radial mode, mu = p0^2/D.  Its stiffness is the
+    second derivative of E in rho0, (log-Hessian - log-gradient)/rho0^2:
 
-        k = 2 N p0 T'(p0)/rho0^2 + N p0^2 T''(p0)/rho0^2 + C2 V''(rho0),
+        k = (N p0^2 T''(p0) + 2 D)/rho0^2 + C2 V''(rho0).
 
-    and matching its spectrum against the first-order response of the energy
-    to a quantum-number increase yields the deformation parameter phi.
+    Matching the mode's spectrum against the response D yields the
+    deformation parameter phi = (lam/D) sqrt(k/(C2 mu)).  A mass beyond the
+    floats (T'(p0) underflows to zero) raises InputError.
     """
     return _dosm_identical(system, lam, _levels(system))
 
@@ -378,19 +416,17 @@ def dosm_identical(system: IdenticalSystem, lam: float) -> DosmIdenticalReport:
 def _dosm_identical(system: IdenticalSystem, lam: float,
                     levels: _Levels | None) -> DosmIdenticalReport:
     """dosm_identical, its orbital solve reading scan brackets off ``levels``."""
-    N, T, V = system.N, system.kinetic, system.potential
-    c2 = pair_count(N)
-    orbital = _solve_et(system, lam, levels)
-    rho0, p0 = orbital.rho0, orbital.p0
-    t1 = T.d1(p0)
-    mu = p0 / (N * t1)
-    k = (2.0 * N * p0 / rho0 ** 2) * t1 + (N * p0 ** 2 / rho0 ** 2) * T.d2(p0) \
-        + c2 * V.d2(rho0)
-    if k <= 0.0:
+    N, c2 = system.N, pair_count(system.N)
+    orbital, (p0, k, _) = _solve_et(system, lam, levels)
+    rho0, D = orbital.rho0, -k
+    mu = finite("mu", lambda: p0 ** 2 / D)
+    stiffness = ((N * p0 ** 2 * system.kinetic.d2(p0) + 2.0 * D) / rho0 ** 2
+                 + c2 * system.potential.d2(rho0))
+    if stiffness <= 0.0:
         raise UnstableOrbitalError(
-            f"radial stiffness k={k} is not positive; no harmonic quantization")
-    phi = lam / (N * p0 * t1) * math.sqrt(k / (c2 * mu))
-    return DosmIdenticalReport(orbital=orbital, mu=mu, k=k, phi=phi, n_pairs=c2)
+            f"radial stiffness k={stiffness} is not positive; no harmonic quantization")
+    phi = lam / D * math.sqrt(stiffness / (c2 * mu))
+    return DosmIdenticalReport(orbital=orbital, mu=mu, k=stiffness, phi=phi, n_pairs=c2)
 
 
 def phi_identical(system: IdenticalSystem, lam: float) -> float:
@@ -417,6 +453,6 @@ def solve_iet(system: IdenticalSystem, spec: QuantumSpec) -> EtSolution:
             "lam = 0: the orbital-only set degenerates (D = 2 with all l = 0)")
     levels = _levels(system)
     phi = _dosm_identical(system, lam, levels).phi
-    solution = _solve_et(system, phi * nu + lam, levels)
+    solution = _solve_et(system, phi * nu + lam, levels)[0]
     variational = "unknown" if abs(phi - 2.0) > 1e-12 else solution.variational
     return solution._replace(variational=variational, phi=phi)

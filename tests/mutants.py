@@ -20,6 +20,8 @@ no bytecode cache.  It survives when its failing tests are exactly those of
 the unmutated copy; a run that fails other tests, or any more or fewer, or
 that passes its time limit, kills it.  Progress goes to stderr; stdout
 lists each survivor as "module.py:LINE  mutation", and then the counts.
+SIGTERM stops a run as Ctrl-C does: it kills the running suites and removes
+the temporary copies.
 All modules make about 300 mutants, which take about 20 minutes with
 ``--jobs 2`` on two cores.  It needs only the standard library and pytest.
 """
@@ -28,13 +30,16 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import os
 import queue
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
 import textwrap
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -123,22 +128,57 @@ def mutants(path: Path) -> list[tuple[int, str, str]]:
     return unique
 
 
-def failing(checkout: Path, timeout: float) -> frozenset[str] | None:
-    """The ids of the tests that fail in ``checkout``; None past ``timeout`` seconds."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
-    try:
-        run = subprocess.run(PYTEST, cwd=checkout, env=env, capture_output=True,
-                             text=True, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        return None
-    ids = set()
-    for line in run.stdout.splitlines():
-        for tag in ("FAILED ", "ERROR "):
-            if line.startswith(tag):
-                ids.add(line[len(tag):].split(" - ")[0])
-    if run.returncode not in (0, 1) or (run.returncode == 1 and not ids):
-        ids.add(f"<pytest exit {run.returncode}>")
-    return frozenset(ids)
+class Suites:
+    """The pytest processes of a run, each in a process group of its own.
+
+    stop() kills every running group and refuses to start another, so that
+    a stopped run leaves no suite, nor a process a suite started, behind.
+    """
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.running: set[subprocess.Popen] = set()
+        self.stopped = False
+
+    def _kill(self, child: subprocess.Popen) -> None:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(child.pid, signal.SIGKILL)
+        child.wait()
+
+    def stop(self) -> None:
+        with self.lock:
+            self.stopped = True
+            for child in self.running:
+                self._kill(child)
+
+    def failing(self, checkout: Path, timeout: float) -> frozenset[str] | None:
+        """The ids of the tests that fail in ``checkout``; None past ``timeout`` seconds."""
+        env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
+        with self.lock:
+            if self.stopped:
+                return None
+            child = subprocess.Popen(PYTEST, cwd=checkout, env=env, stdout=subprocess.PIPE,
+                                     stderr=subprocess.DEVNULL, text=True,
+                                     start_new_session=True)
+            self.running.add(child)
+        try:
+            stdout = child.communicate(timeout=timeout)[0]
+        except subprocess.TimeoutExpired:
+            return None
+        finally:
+            with self.lock:
+                self.running.discard(child)
+                if child.poll() is None:
+                    # Past the time limit, or the run is stopping (SystemExit).
+                    self._kill(child)
+        ids = set()
+        for line in stdout.splitlines():
+            for tag in ("FAILED ", "ERROR "):
+                if line.startswith(tag):
+                    ids.add(line[len(tag):].split(" - ")[0])
+        if child.returncode not in (0, 1) or (child.returncode == 1 and not ids):
+            ids.add(f"<pytest exit {child.returncode}>")
+        return frozenset(ids)
 
 
 def copy_checkout(into: Path) -> Path:
@@ -171,10 +211,14 @@ def main(argv: list[str]) -> int:
         todo += [(path, line, what, text) for line, what, text in mutants(path)
                  if lines is None or line in lines]
     originals = {path: path.read_text(encoding="utf-8") for path, *_ in todo}
+    # SIGTERM exits as SystemExit does, through the cleanup of the suites and
+    # of the temporary directory.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    suites = Suites()
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copies = [copy_checkout(Path(tmp) / f"copy{k}") for k in range(max(1, args.jobs))]
         began = time.perf_counter()
-        parent = failing(copies[0], timeout=600.0)
+        parent = suites.failing(copies[0], timeout=600.0)
         if parent is None:
             raise SystemExit("the unmutated suite did not finish in 600 s")
         limit = max(60.0, 10.0 * (time.perf_counter() - began))
@@ -191,21 +235,26 @@ def main(argv: list[str]) -> int:
             target = checkout / "src" / "envtheory" / path.name
             try:
                 target.write_text(text, encoding="utf-8")
-                result = failing(checkout, limit)
+                result = suites.failing(checkout, limit)
             finally:
                 target.write_text(originals[path], encoding="utf-8")
                 free.put(checkout)
             return item, result
 
         with ThreadPoolExecutor(max_workers=len(copies)) as pool:
-            for k, (item, result) in enumerate(pool.map(run, todo), 1):
-                path, line, what, _ = item
-                verdict = ("timeout" if result is None else "survived" if result == parent
-                           else f"killed by {len(result ^ parent)}")
-                print(f"[{k}/{len(todo)}] {path.name}:{line}  {what}  {verdict}",
-                      file=sys.stderr)
-                if result == parent:
-                    survivors.append(f"{path.name}:{line}  {what}")
+            try:
+                for k, (item, result) in enumerate(pool.map(run, todo), 1):
+                    path, line, what, _ = item
+                    verdict = ("timeout" if result is None else "survived" if result == parent
+                               else f"killed by {len(result ^ parent)}")
+                    print(f"[{k}/{len(todo)}] {path.name}:{line}  {what}  {verdict}",
+                          file=sys.stderr)
+                    if result == parent:
+                        survivors.append(f"{path.name}:{line}  {what}")
+            finally:
+                # The pool finishes its queue before the directory goes; a
+                # stopped run's queue starts no suite.
+                suites.stop()
     for survivor in survivors:
         print(survivor)
     print(f"{len(survivors)} of {len(todo)} mutants survived")

@@ -15,7 +15,7 @@ import pytest
 from envtheory import laws
 from envtheory.errors import (DegenerateOrbitalError, InputError,
                               UnstableOrbitalError, UnsupportedRegimeError)
-from envtheory.qnum import QuantumSpec, global_q, ground_spec, split_ground_spec
+from envtheory.qnum import QuantumSpec, fgs_approx, global_q, ground_spec, split_ground_spec
 from envtheory.solver_identical import (IdenticalSystem, dosm_identical,
                                         pair_count, phi_identical,
                                         power_law_energy, solve_et, solve_iet)
@@ -86,11 +86,14 @@ def test_power_law_energy_validation():
         power_law_energy(3, 3, 1.0, 1.0, 1.0, -1.0, 3.0)
     with pytest.raises(UnsupportedRegimeError):
         power_law_energy(3, 3, 1.0, 0.5, 1.0, -0.9, 3.0)
-    for bad in [dict(F=-1.0), dict(alpha=-2.0), dict(G=0.0), dict(beta=0.0),
-                dict(q_phi=0.0)]:
+    # Each with its own message: beta = 0 would also divide by zero on the way
+    # to an energy beyond the floats, which is an InputError of its own.
+    for bad, message in [(dict(F=-1.0), "need F > 0"), (dict(alpha=-2.0), "need F > 0"),
+                         (dict(G=0.0), "need F > 0"), (dict(beta=0.0), "beta must be nonzero"),
+                         (dict(q_phi=0.0), "q_phi must be positive")]:
         kw = dict(N=3, D=3, F=1.0, alpha=2.0, G=1.0, beta=2.0, q_phi=3.0)
         kw.update(bad)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=message):
             power_law_energy(**kw)
 
 
@@ -332,3 +335,57 @@ def test_solve_et_returns_lowest_of_sorted_roots():
     assert sol.n_roots == 3
     assert list(sol.all_roots) == sorted(sol.all_roots)
     assert (sol.energy, sol.rho0) == sol.all_roots[0]
+
+
+def _counted(law, calls):
+    """``law`` as a custom law that logs its value and d1 calls and whose d2 raises."""
+    def value(x):
+        calls.append(("value", x))
+        return law.value(x)
+
+    def d1(x):
+        calls.append(("d1", x))
+        return law.d1(x)
+
+    def d2(x):
+        raise RuntimeError("a second derivative was evaluated")
+    return laws.custom(value, d1, d2)
+
+
+def test_a_plain_solve_reads_first_derivatives_and_values_only_at_its_roots():
+    # Custom laws are scanned sample by sample through the motion residual:
+    # it evaluates T' and V' only, and each root adds T(p0) and V(rho0).
+    # The level reading of the same laws finds the same roots bit for bit.
+    well = laws.make_weighted_sum([(1.0, laws.gaussian_well(5.0, 0.5)),
+                                   (1.0, laws.harmonic(1e-3))])
+    kinetic = laws.kinetic_power(0.5, 2.0)
+    t_calls, v_calls = [], []
+    system = IdenticalSystem(3, 3, _counted(kinetic, t_calls), _counted(well, v_calls))
+    sol = solve_et(system, 1.5)
+    assert sol == solve_et(IdenticalSystem(3, 3, kinetic, well), 1.5)
+    assert sol.n_roots == 3
+    roots = sorted(rho for _, rho in sol.all_roots)
+    assert sorted(x for kind, x in v_calls if kind == "value") == roots
+    assert sorted(x for kind, x in t_calls if kind == "value") == sorted(
+        1.5 / (math.sqrt(3.0) * rho) for rho in roots)
+    assert len(t_calls) == len(v_calls) > 100
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solve_et(IdenticalSystem(3, 3, laws.kinetic_power(1e300, 3.0776524493226027),
+                                     laws.potential_power(5e-324, 3.949673844080401)),
+                     83971.92347273297),
+    lambda: dosm_identical(IdenticalSystem(3, 3, laws.kinetic_power(2.7767812214232022e-05,
+                                                                    4.406007314734759),
+                                           laws.potential_power(26038.404296125387,
+                                                                2.261264032108856)), 1e-300),
+    lambda: power_law_energy(3, 3, 1e300, 2.0, 1e300, 1.0, 1.0),
+    lambda: power_law_energy(3, 3, 1.0, 1e-320, 1.0, 1.0, 1.0),
+    lambda: power_law_energy(10 ** 200, 3, 1.0, 2.0, 1.0, 1.0, 1.0),
+    lambda: fgs_approx(13 * 10 ** 230, 3, 1, 2.0),
+    lambda: fgs_approx(10 ** 300, 3, 1, 2.0),
+], ids=["energy-overflows", "mass-divides-by-zero", "power-energy-overflows",
+        "power-energy-inf", "power-energy-nan", "fgs-approx-inf", "fgs-approx-overflows"])
+def test_results_beyond_the_floats_are_input_errors(call):
+    with pytest.raises(InputError, match="leave the floating range"):
+        call()

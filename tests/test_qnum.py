@@ -267,13 +267,12 @@ def test_a_billion_fermions_at_tiny_phi_are_refused_quickly():
 @pytest.mark.parametrize("phi", [math.nan, math.inf])
 def test_non_finite_phi_is_rejected(phi):
     # With phi = inf the key phi*0 + 0 is nan, and with phi = nan every key
-    # is, so the fill order of fgs_fill would be undefined.
-    with pytest.raises(InputError):
-        qnum.fgs_fill(8, 3, 1, phi)
-    with pytest.raises(InputError):
-        qnum.bgs(8, 3, phi)
-    with pytest.raises(InputError):
-        qnum.fgs_approx(8, 3, 1, phi)
+    # is, so the fill order of fgs_fill would be undefined.  The argument
+    # check names phi before any result leaves the floats.
+    for ground_state in (lambda: qnum.fgs_fill(8, 3, 1, phi), lambda: qnum.bgs(8, 3, phi),
+                         lambda: qnum.fgs_approx(8, 3, 1, phi)):
+        with pytest.raises(InputError, match="phi must be finite"):
+            ground_state()
 
 
 @pytest.mark.parametrize("ground_state", [lambda: qnum.bgs(5, 3, 1e308),

@@ -1,11 +1,13 @@
-"""The N_a+1 energy surface: exact derivatives against symbolic ones.
+"""The energy surfaces of both solvers: exact derivatives against symbolic ones.
 
-The solver's Newton steps, its DOSM stiffnesses and its responses all come
-from one surface, bound once per (system, Q_a, Q_b), whose records hold
+The N_a+1 solver's Newton steps, its DOSM stiffnesses and its responses all
+come from one surface, bound once per (system, Q_a, Q_b), whose records hold
 E(r_aa, R0; Q_a, Q_b), its gradient in u = (log r_aa, log R0) and its
-Hessian in u, each split into kinetic and potential parts.  Here sympy
-differentiates the same energy written out from the compact equation set,
-independently of the chain rule in the solver.
+Hessian in u, each split into kinetic and potential parts.  The identical
+solver binds its curve E(rho; Q) once per solve, and its records hold p0 and
+the log-gradient's kinetic and potential parts; its DOSM adds the curvature
+in rho.  Here sympy differentiates the same energies written out from the
+compact equation sets, independently of the chain rule in the solvers.
 """
 
 import math
@@ -15,6 +17,7 @@ import pytest
 import sympy as sp
 
 from envtheory import laws
+from envtheory.solver_identical import IdenticalSystem, _identical_at, dosm_identical
 from envtheory.solver_nplus1 import NPlusOneSystem, _surface_at, dosm_np1, solve_et_np1
 
 X = sp.Symbol("x", positive=True)
@@ -156,3 +159,55 @@ def test_the_bound_surface_closes_over_fewer_than_twenty_names():
     system = NPlusOneSystem(2, 3, laws.kinetic_power(0.5, 2.0), laws.kinetic_power(0.5, 2.0),
                             laws.power(1.0, -1.0), laws.coulomb(2.0))
     assert len(_surface_at(system, 1.0, 1.0).__closure__) < 20
+
+
+# Identical systems (N, T, V) on the laws above, each with its symbolic twin.
+IDENTICAL = {
+    "power": (3, CASES["power"][1], CASES["power"][3]),
+    "coulomb": (4, CASES["coulomb"][1], CASES["coulomb"][4]),
+    "harmonic": (5, CASES["yukawa"][1], CASES["yukawa"][3]),
+    "yukawa": (5, CASES["yukawa"][1], CASES["yukawa"][4]),
+}
+
+
+def _identical_symbolic(N, t, v, Q):
+    """Kinetic and potential parts of E(rho; Q) as sympy expressions in u = log rho."""
+    u = sp.Symbol("u", real=True)
+    c2 = sp.Rational(N * (N - 1), 2)
+    rho = sp.exp(u)
+    return u, N * t.subs(X, Q / (sp.sqrt(c2) * rho)), c2 * v.subs(X, rho)
+
+
+@pytest.mark.parametrize("case", sorted(IDENTICAL))
+def test_identical_records_are_the_symbolic_log_gradient(case):
+    N, (t, st), (v, sv) = IDENTICAL[case]
+    system = IdenticalSystem(N, 3, t, v)
+    rng = np.random.default_rng(13)
+    for _ in range(4):
+        Q, rho = float(rng.uniform(0.5, 6.0)), float(np.exp(rng.uniform(-1.5, 1.5)))
+        u, kin, pot = _identical_symbolic(N, st, sv, Q)
+        at = {u: math.log(rho)}
+        p0, k, v_ = _identical_at(system, Q)(rho)
+        sym_k, sym_v = (float(sp.diff(e, u).evalf(30, subs=at)) for e in (kin, pot))
+        assert abs(k + v_) > 1e-3 * max(abs(sym_k), abs(sym_v))
+        _close(p0, Q / (math.sqrt(N * (N - 1) / 2) * rho), p0)
+        _close(k, sym_k, abs(sym_k))
+        _close(v_, sym_v, abs(sym_v))
+
+
+@pytest.mark.parametrize("case", sorted(IDENTICAL))
+def test_identical_dosm_constants_are_the_symbolic_curvature(case):
+    # The stiffness is E''(rho0) and D = -dE_kin/dlog rho at the orbital root,
+    # and the mass p0^2/D.
+    N, (t, st), (v, sv) = IDENTICAL[case]
+    lam = 1.5
+    report = dosm_identical(IdenticalSystem(N, 3, t, v), lam)
+    u, kin, pot = _identical_symbolic(N, st, sv, lam)
+    r = sp.Symbol("r", positive=True)
+    rho0, p0 = report.orbital.rho0, report.orbital.p0
+    stiffness = float(sp.diff((kin + pot).subs(u, sp.log(r)), r, 2).evalf(30, subs={r: rho0}))
+    D = -float(sp.diff(kin, u).evalf(30, subs={u: math.log(rho0)}))
+    _close(report.k, stiffness, abs(stiffness))
+    _close(report.mu, p0 ** 2 / D, p0 ** 2 / D)
+    _close(report.phi, lam / D * math.sqrt(stiffness / (report.n_pairs * p0 ** 2 / D)),
+           report.phi)
