@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InputError, require_finite
+from .errors import InputError, finite
 from .laws import Law
 from .rootscan import SCAN_HI, SCAN_LO, find_roots
 
@@ -37,7 +37,8 @@ def u_star(shape: Law) -> float:
 def critical_g(shape: Law, m: float, N: int, Q: float) -> float:
     """Critical coupling for a bound state with global quantum number Q.
 
-    A g beyond the floats (Q^2/m overflows) raises InputError.
+    A g beyond the floats (Q^2/m overflows, or v(u*) underflows to zero)
+    raises InputError.
     """
     if not (math.isfinite(m) and math.isfinite(Q)):
         raise InputError(f"m and Q must be finite, got m = {m}, Q = {Q}")
@@ -48,5 +49,5 @@ def critical_g(shape: Law, m: float, N: int, Q: float) -> float:
     if Q <= 0.0:
         raise InputError("Q must be positive")
     u = u_star(shape)
-    return require_finite(
-        "g", (1.0 / (u * u * shape.value(u))) * (2.0 / (N * (N - 1) ** 2)) * Q * Q / m)
+    return finite(
+        "g", lambda: (1.0 / (u * u * shape.value(u))) * (2.0 / (N * (N - 1) ** 2)) * Q * Q / m)

@@ -11,8 +11,10 @@ depends on second derivatives.
 Each of value, d1 and d2 is one closure over constants folded when the law
 is built (c*e for a power's d1, g/s for an exponential's, the members'
 callables for a weighted sum), so an evaluation recomputes no constant and
-calls nothing but exp, pow or a member.  Every folded expression rounds
-exactly as its unfolded form: the values are bit-identical to it.
+calls nothing but exp, pow or a member.  A sum of one or two members is one
+straight-line expression, 0 + c0*m0(x) [+ c1*m1(x)]; longer sums loop over
+their members.  Every folded expression rounds exactly as its unfolded
+form: the values are bit-identical to it.
 Law objects are immutable after construction and safe for concurrent reads.
 ``Law`` is the package's last dataclass; every other record is a named
 tuple (see ``records``).  It stays one because the benchmark's tracer
@@ -217,6 +219,18 @@ def make_weighted_sum(terms: Sequence[tuple[float, Law]]) -> Law:
 
 def _summed(pairs: tuple[tuple[float, Callable[[float], float]], ...]
             ) -> Callable[[float], float]:
+    """x -> 0 + c0 m0(x) + c1 m1(x) + ..., added left to right from the int 0.
+
+    One and two members are one straight-line expression each, which adds
+    as the loop does, bit for bit, without its iteration.
+    """
+    if len(pairs) == 1:
+        ((c0, m0),) = pairs
+        return lambda x: 0 + c0 * m0(x)
+    if len(pairs) == 2:
+        (c0, m0), (c1, m1) = pairs
+        return lambda x: 0 + c0 * m0(x) + c1 * m1(x)
+
     def f(x: float) -> float:
         total = 0
         for c, member in pairs:

@@ -233,8 +233,10 @@ def fgs_fill(N: int, D: int, d: int, phi: float = 2.0) -> GroundStateResult:
     l = 0.  Every level sorts after the one that adds it, so levels leave in
     fill order; the entries are distinct, so that order does not depend on
     the heap's layout.  (n, l) comes only after (n, l-1), so each degeneracy
-    is computed once per l, when l first comes.  The walk stops at the level
-    that takes the last particle, so it takes at most N levels at any phi.
+    is computed once per l, when l first comes.  A level holds its full
+    degeneracy until the one that takes the remaining particles, where the
+    walk stops without adding successors, so it takes at most N levels at
+    any phi.  The aggregates are summed as the levels are filled.
     A filling that would list more than MAX_FILL_LEVELS levels (only
     possible for N above that number; at small phi each level holds few
     particles) raises InputError: its time and memory grow with the levels.
@@ -253,18 +255,23 @@ def fgs_fill(N: int, D: int, d: int, phi: float = 2.0) -> GroundStateResult:
     # unless N exceeds the bound.
     for _ in range(min(N, MAX_FILL_LEVELS)):
         _, n, l = heap[0]
+        try:
+            occ = degeneracy[l]
+        except IndexError:  # l comes for the first time, as len(degeneracy)
+            occ = level_degeneracy(l, D, d)
+            degeneracy.append(occ)
+        if occ >= left:
+            filled.append((n, l, left))
+            n_sum += left * n
+            l_sum += left * l
+            break
         heapreplace(heap, (phi * n + (l + 1), n, l + 1))
         if l == 0:
             heappush(heap, (phi * (n + 1), n + 1, 0))
-        if l == len(degeneracy):
-            degeneracy.append(level_degeneracy(l, D, d))
-        occ = min(degeneracy[l], left)
         filled.append((n, l, occ))
         n_sum += occ * n
         l_sum += occ * l
         left -= occ
-        if not left:
-            break
     else:
         raise InputError(f"the filling of N = {N} at phi = {phi:g} lists more than "
                          f"{MAX_FILL_LEVELS} levels; fgs_approx estimates its Q")

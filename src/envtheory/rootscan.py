@@ -14,6 +14,10 @@ bracket holds adjacent floats, so roots have full relative precision at any
 scale and there is no tolerance to choose.  Non-finite samples (overflow of
 a steep law, singular points) are treated as holes in the grid rather than
 errors, since they routinely occur at the extreme ends of the scan range.
+A grid is sampled in one pass, a generator extending one list (_column):
+where fn raises OverflowError, ValueError or ZeroDivisionError, that point
+is a hole (NaN) and the pass resumes after it, so fn is evaluated once per
+point, and a value that is not finite is a hole too.
 An exactly-zero sample is a root only when both of its neighbours are
 nonzero: next to another zero, the residual vanishes on the whole bracket
 or both of its terms have underflowed, and neither is a root.
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .errors import NoRootError
 
@@ -51,12 +55,40 @@ _EXPAND_FACTOR = 1e4
 _POLISH_SLACK = 2.0 ** 12
 
 
+# The errors of an evaluation that make its point a hole.
+_HOLE_ERRORS = (OverflowError, ValueError, ZeroDivisionError)
+
+
 def _sample(fn: Callable[[float], float], x: float) -> float:
     try:
         v = fn(x)
-    except (OverflowError, ValueError, ZeroDivisionError):
+    except _HOLE_ERRORS:
         return math.nan
     return v if math.isfinite(v) else math.nan
+
+
+def _column(draw: Callable[[Iterator], Iterator[float]], points: Iterable) -> list[float]:
+    """The values draw yields over ``points``, NaN at each point where it raises.
+
+    ``draw`` maps an iterator of points to a generator of one value per
+    point.  Where it raises one of _HOLE_ERRORS, that point (already taken
+    from the iterator) reads NaN and a new draw resumes after it, so each
+    point is drawn once; list.extend keeps what the generator gave before.
+    """
+    points = iter(points)
+    out: list[float] = []
+    while True:
+        try:
+            out.extend(draw(points))
+            return out
+        except _HOLE_ERRORS:
+            out.append(math.nan)
+
+
+def _samples(fn: Callable[[float], float], grid: tuple[float, ...]) -> list[float]:
+    """[_sample(fn, x) for x in grid] for an fn of float values, in one pass over the grid."""
+    isfinite, nan = math.isfinite, math.nan
+    return _column(lambda points: (v if isfinite(v := fn(x)) else nan for x in points), grid)
 
 
 def _polish(fn: Callable[[float], float], a: float, fa: float,
@@ -126,7 +158,7 @@ def find_roots(fn: Callable[[float], float], lo: float, hi: float,
     """
     for attempt in range(_EXPANSIONS + 1):
         grid = _grid(lo, hi, attempt)
-        vals = [_sample(fn, x) for x in grid] if values is None else values(grid)
+        vals = _samples(fn, grid) if values is None else values(grid)
         roots: list[float] = []
         for i in range(len(grid) - 1):
             fa, fb = vals[i], vals[i + 1]

@@ -44,7 +44,7 @@ from .errors import (DegenerateOrbitalError, InputError, NoRootError,
                      UnstableOrbitalError, UnsupportedRegimeError, finite)
 from .qnum import QuantumSpec, _check_fit
 from .records import Record
-from .rootscan import SCAN_HI, SCAN_LO, _sample, find_roots
+from .rootscan import SCAN_HI, SCAN_LO, _column, _sample, _samples, find_roots
 
 __all__ = [
     "IdenticalSystem",
@@ -65,7 +65,10 @@ def pair_count(N: int) -> float:
 
 
 class IdenticalSystem(Record, namedtuple("IdenticalSystem", "N D kinetic potential")):
-    """N identical particles in D dimensions with kinetic law T and pair potential V."""
+    """N identical particles in D dimensions with kinetic law T and pair potential V.
+
+    An N whose pair count C2 leaves the floats raises InputError.
+    """
 
     __slots__ = ()
 
@@ -75,6 +78,7 @@ class IdenticalSystem(Record, namedtuple("IdenticalSystem", "N D kinetic potenti
             raise InputError("need N >= 2")
         if D < 2:
             raise InputError("need D >= 2")
+        finite("C2 = N(N-1)/2", lambda: pair_count(N))
         return tuple.__new__(cls, (N, D, kinetic, potential))
 
 
@@ -223,6 +227,16 @@ class _Levels:
     K, a term outside the band, g not evaluated) the residual itself is
     sampled, so the scan reads the signs, zeros and holes that sampling the
     residual would give.
+
+    The sample.  g is C2 V'(rho) rho, the residual's second term as motion
+    forms it, times rho^a, taken in one pass per grid (rootscan._column):
+    V' is evaluated once per point, and a point where it raises reads NaN.
+    The column rho^a, NaN where it leaves the band or overflows, depends on
+    the grid and a alone, so it is computed once and shared by every system
+    with that kinetic exponent (_powers), such as every p^2/(2m) of any
+    mass and potential.  Both caches are keyed by the grid's
+    identity and hold the grid, so no other grid can take its id and read
+    its columns.
     """
 
     def __init__(self, system: IdenticalSystem, c: float, a: float) -> None:
@@ -231,24 +245,18 @@ class _Levels:
         self.d1 = system.potential.d1
         self.a = a
         self.nca = system.N * c * a
-        self.grids: dict[tuple[float, int], list[float]] = {}
+        self.grids: dict[int, tuple[tuple[float, ...], list[float]]] = {}
 
     def _sampled(self, grid: tuple[float, ...]) -> list[float]:
         """g on the grid; NaN where rho^a or |C2 V'(rho) rho| leaves the band."""
-        key = (grid[0], len(grid))
-        if key not in self.grids:
-            c2, d1, a = self.c2, self.d1, self.a
-            gs = []
-            for rho in grid:
-                try:
-                    rhs = c2 * d1(rho) * rho  # the residual's second term, as motion has it
-                    ra = rho ** a
-                except (OverflowError, ValueError, ZeroDivisionError):
-                    rhs = ra = math.nan
-                in_band = abs(rhs) <= _BAND and 1.0 / _BAND <= ra <= _BAND
-                gs.append(rhs * ra if in_band else math.nan)
-            self.grids[key] = gs
-        return self.grids[key]
+        entry = self.grids.get(id(grid))
+        if entry is None:
+            c2, d1, nan = self.c2, self.d1, math.nan
+            entry = self.grids[id(grid)] = grid, _column(
+                lambda points: (rhs * ra if -_BAND <= (rhs := c2 * d1(rho) * rho) <= _BAND
+                                else nan for rho, ra in points),
+                zip(grid, _powers(grid, self.a)))
+        return entry[1]
 
     def reader(self, Q: float, motion: Callable[[float], float]
                ) -> Callable[[tuple[float, ...]], list[float]] | None:
@@ -267,11 +275,31 @@ class _Levels:
 
         def values(grid: tuple[float, ...]) -> list[float]:
             if not (qs / grid[-1] >= 1.0 / _WIDE and qs / grid[0] <= _WIDE):
-                return [_sample(motion, x) for x in grid]
+                return _samples(motion, grid)
             return [K - g if g < below or g > above else _sample(motion, x)
                     for x, g in zip(grid, self._sampled(grid))]
 
         return values
+
+
+# The rho^a columns of _powers by (id(grid), a), each with its grid; cleared
+# when full, which bounds their memory.
+_POWERS: dict[tuple[int, float], tuple[tuple[float, ...], list[float]]] = {}
+_POWERS_KEPT = 16
+
+
+def _powers(grid: tuple[float, ...], a: float) -> list[float]:
+    """rho^a on the grid, NaN where it overflows or leaves [2^-350, 2^350]; cached."""
+    key = (id(grid), a)
+    entry = _POWERS.get(key)
+    if entry is None:
+        if len(_POWERS) >= _POWERS_KEPT:
+            _POWERS.clear()
+        low, nan = 1.0 / _BAND, math.nan
+        entry = _POWERS[key] = grid, _column(
+            lambda points: (ra if low <= (ra := rho ** a) <= _BAND else nan for rho in points),
+            grid)
+    return entry[1]
 
 
 def _levels(system: IdenticalSystem) -> _Levels | None:

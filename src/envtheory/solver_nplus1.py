@@ -55,7 +55,7 @@ from typing import Callable
 from . import laws
 from .coupled_osc import OscPair, normal_modes
 from .errors import (DegenerateOrbitalError, InputError, NoBindingError,
-                     NonConvergenceError, UnstableOrbitalError)
+                     NonConvergenceError, UnstableOrbitalError, finite)
 from .qnum import QuantumSpec, _check_fit, fgs_fill, spec_from_filling
 from .records import Record
 from .rootscan import SCAN_HI, SCAN_LO
@@ -101,7 +101,8 @@ class NPlusOneSystem(Record, namedtuple(
 
     T_b is the distinct particle's kinetic law and V_ab its interaction with
     each block particle.  The pure 1+1 case is a two-body problem outside
-    this solver's scope.
+    this solver's scope.  An N_a whose pair count C2 leaves the floats
+    raises InputError.
     """
 
     __slots__ = ()
@@ -112,6 +113,7 @@ class NPlusOneSystem(Record, namedtuple(
             raise InputError("need N_a >= 2")
         if D < 2:
             raise InputError("need D >= 2")
+        finite("C2 = N_a(N_a-1)/2", lambda: pair_count(N_a))
         return tuple.__new__(cls, (N_a, D, kinetic_a, kinetic_b, potential_aa, potential_ab))
 
 

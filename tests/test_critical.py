@@ -119,3 +119,19 @@ def test_a_coupling_beyond_the_floats_is_an_input_error(m, Q):
 def test_growing_shape_has_no_balance_point():
     with pytest.raises(NoRootError):
         u_star(laws.harmonic(1.0))
+
+
+@pytest.mark.parametrize("shape", [
+    laws.make_weighted_sum([(-0.40274579314734804,
+                             laws.gaussian_well(6.3616223815e-314, 1.6159000590553592e-05))]),
+    laws.make_weighted_sum([(-0.013194020956015582,
+                             laws.exponential_well(1.81233e-318, 0.0001873682250240585))]),
+], ids=["gaussian", "exponential"])
+def test_a_shape_that_underflows_at_its_balance_point_is_an_input_error(shape):
+    # u*^2 v(u*) underflows to zero, so 1/(u*^2 v(u*)) divides by zero: g
+    # is beyond the floats, as where Q^2/m overflows.
+    u = u_star(shape)
+    assert u * u * shape.value(u) == 0.0
+    with pytest.raises(InputError) as info:
+        critical_g(shape, 1.0, 3, 3.0)
+    assert str(info.value) == "g = inf is not finite: the inputs leave the floating range"

@@ -389,3 +389,15 @@ def test_a_plain_solve_reads_first_derivatives_and_values_only_at_its_roots():
 def test_results_beyond_the_floats_are_input_errors(call):
     with pytest.raises(InputError, match="leave the floating range"):
         call()
+
+
+@pytest.mark.parametrize("N", [10 ** 155, 10 ** 200, 10 ** 400])
+def test_a_pair_count_beyond_the_floats_is_refused_at_construction(N):
+    # Once a solve of N = 10**200 failed as NoRootError: its C2 = N(N-1)/2
+    # is inf.  At 10**400 N itself is beyond the floats.
+    with pytest.raises(InputError) as info:
+        IdenticalSystem(N, 3, laws.kinetic_power(0.5, 2.0), laws.harmonic(1.0))
+    assert str(info.value) == ("C2 = N(N-1)/2 = inf is not finite: "
+                               "the inputs leave the floating range")
+    largest = IdenticalSystem(10 ** 154, 3, laws.kinetic_power(0.5, 2.0), laws.harmonic(1.0))
+    assert math.isfinite(solve_et(largest, 3.0).energy)

@@ -268,3 +268,60 @@ def test_the_band_edges_are_read_as_sampling_reads_them(monkeypatch, a, quantity
     assert (reader is not None and x not in sampled) == read
     monkeypatch.setattr(rootscan, "_grid", lambda lo, hi, attempt: grid)
     assert _outcome(solve_et, system, Q) == _sampled_outcome(solve_et, system, Q)
+
+
+def _g_alone(levels, d1, grid):
+    """g on the grid read point by point, as the sample once was."""
+    band, out = solver_identical._BAND, []
+    for rho in grid:
+        try:
+            rhs, ra = levels.c2 * d1(rho) * rho, rho ** levels.a
+        except (OverflowError, ValueError, ZeroDivisionError):
+            rhs = ra = math.nan
+        in_band = abs(rhs) <= band and 1.0 / band <= ra <= band
+        out.append(rhs * ra if in_band else math.nan)
+    return [v.hex() for v in out]
+
+
+def test_a_derivative_that_raises_is_a_hole_of_the_one_sample_pass():
+    # V'.d1 raises OverflowError on three runs of points, the first point
+    # among them: the pass resumes after each, calls d1 once per point, and
+    # reads g as point-by-point sampling does.  The solves find the roots
+    # that sampling the residual finds.
+    well = laws.gaussian_well(3.0, 1.0)
+
+    def d1(x):
+        if x < 2e-8 or 1e-3 < x < 1e-2 or x > 1e6:
+            raise OverflowError("synthetic blow-up")
+        return well.d1(x)
+
+    counted, calls = _counted_d1(laws.custom(well.value, d1, well.d2))
+    system = IdenticalSystem(10, 3, laws.kinetic_power(0.5, 2.0), counted)
+    levels = solver_identical._levels(system)
+    grid = rootscan._grid(rootscan.SCAN_LO, rootscan.SCAN_HI, 0)
+    g = [v.hex() for v in levels._sampled(grid)]
+    assert calls == list(grid)
+    assert g == _g_alone(levels, d1, grid)
+    assert g.count(math.nan.hex()) > 40
+    spec = ground_spec(10, 3)
+    assert _outcome(solve_iet, system, spec).startswith("EtSolution(")
+    assert _outcome(solve_iet, system, spec) == _sampled_outcome(solve_iet, system, spec)
+    assert _outcome(solve_et, system, 13.5) == _sampled_outcome(solve_et, system, 13.5)
+
+
+def test_grids_with_the_same_first_point_and_length_read_their_own_columns(monkeypatch):
+    # Two five-point grids that share their first point and their length,
+    # scanned in turn by one system and by two: each reads its own rho^a
+    # and g, which _g_alone computes afresh.
+    well = laws.gaussian_well(3.0, 1.0)
+    system = IdenticalSystem(10, 3, laws.kinetic_power(0.5, 2.0), well)
+    grids = [(0.1, 0.5, 1.0, 2.0, 4.0), (0.1, 0.3, 0.9, 3.0, 8.0)]
+    levels = solver_identical._levels(system)
+    for grid in grids:
+        assert solver_identical._powers(grid, 2.0) == [x ** 2.0 for x in grid]
+        assert [v.hex() for v in levels._sampled(grid)] == _g_alone(levels, well.d1, grid)
+    for grid in grids:
+        monkeypatch.setattr(rootscan, "_grid", lambda lo, hi, attempt: grid)
+        outcome = _outcome(solve_et, system, 13.5)
+        assert outcome.startswith("EtSolution(")
+        assert outcome == _sampled_outcome(solve_et, system, 13.5)

@@ -661,3 +661,14 @@ def test_improved_atoms_beyond_oxygen_converge_to_the_energy_minimum(Z, mass):
                     options={"xatol": 1e-9, "fatol": 1e-10, "maxiter": 20_000})
     assert best.success
     assert orbital == pytest.approx(best.fun, rel=1e-9)
+
+
+@pytest.mark.parametrize("N_a", [10 ** 155, 10 ** 400])
+def test_a_block_pair_count_beyond_the_floats_is_refused_at_construction(N_a):
+    # Once a solve of N_a = 10**155 failed as NonConvergenceError ("E cannot
+    # be evaluated at the start"): its C2 = N_a(N_a-1)/2 is inf.
+    h = laws.harmonic(1.0)
+    with pytest.raises(InputError) as info:
+        NPlusOneSystem(N_a, 3, laws.kinetic_power(0.5, 2.0), laws.kinetic_power(0.5, 2.0), h, h)
+    assert str(info.value) == ("C2 = N_a(N_a-1)/2 = inf is not finite: "
+                               "the inputs leave the floating range")

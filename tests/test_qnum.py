@@ -393,3 +393,16 @@ def test_aggregates_below_the_ground_state_are_unreachable(nu_a, lam_a):
     # integer sum of -1, which no mode reaches.
     with pytest.raises(InputError, match="not reachable with integer quantum numbers"):
         qnum.split_spec(3, 2, nu_a, lam_a, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("N, D, d, phi, last", [
+    (8, 3, 2, 2.0, (0, 1, 6)),  # 2 + 6: the last level fills exactly
+    (7, 3, 2, 2.0, (0, 1, 5)),  # one short of it: the last level takes the rest
+    (2, 3, 2, 2.0, (0, 0, 2)),  # the first level fills exactly
+    (3, 2, 1, 0.5, (0, 1, 1)),  # a level of capacity 2 takes one
+], ids=["exact", "partial", "first-exact", "partial-of-two"])
+def test_fgs_fill_gives_the_last_level_what_is_left(N, D, d, phi, last):
+    res = qnum.fgs_fill(N, D, d, phi)
+    assert res.levels[-1] == last
+    assert sum(occ for _, _, occ in res.levels) == N
+    _same_as_popping(N, D, d, phi)

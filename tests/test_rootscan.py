@@ -227,3 +227,66 @@ def test_a_polish_costs_little_more_than_bisection_at_a_multiple_root(order):
     assert root == _bisected(lambda x: bisections.append(x) or fn(x), 1.0, fn(1.0),
                              4.0, fn(4.0))
     assert len(calls) <= len(bisections) + 14
+
+
+def _holey(calls):
+    """x - 3 with holes: raises on three runs of points, inf or NaN on others."""
+    def fn(x):
+        calls.append(x)
+        if x < 2e-8 or 0.5 < x < 0.7 or x > 5e7:
+            raise (OverflowError, ValueError, ZeroDivisionError)[len(calls) % 3]("hole")
+        if 10.0 < x < 12.0:
+            return math.inf
+        if 20.0 < x < 22.0:
+            return math.nan
+        return x - 3.0
+    return fn
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def test_one_sampling_pass_reads_each_point_as_sampling_it_alone():
+    # The pass resumes after each point that raises: fn runs once per point,
+    # in grid order, and each value is _sample's, bit for bit.
+    grid = rootscan._grid(1e-8, 1e8, 0)
+    calls = []
+    alone = [rootscan._sample(_holey(calls), x) for x in grid]
+    assert calls == list(grid)
+    calls.clear()
+    assert _bits(rootscan._samples(_holey(calls), grid)) == _bits(alone)
+    assert calls == list(grid)
+    assert math.isnan(alone[0]) and math.isnan(alone[-1])
+    assert any(math.isnan(v) for x, v in zip(grid, alone) if 10.0 < x < 12.0)
+
+
+def _per_point(fn, grid):
+    return [rootscan._sample(fn, x) for x in grid]
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e9], ids=["root", "no-root"])
+def test_a_scan_through_holes_finds_what_per_point_sampling_finds(monkeypatch, shift):
+    # Without a root the scan widens twice and its NoRootError trace is the
+    # same too; the scan calls fn once per grid point and in each polish.
+    def outcome(calls):
+        fn = _holey(calls)
+        try:
+            return find_roots(lambda x: fn(x) - shift, 1e-8, 1e8)
+        except NoRootError as exc:
+            return str(exc), _bits(v for _, v in exc.trace), [x for x, _ in exc.trace]
+
+    calls = []
+    one_pass = outcome(calls)
+    made = list(calls)
+    monkeypatch.setattr(rootscan, "_samples", _per_point)
+    calls.clear()
+    assert outcome(calls) == one_pass
+    assert calls == made
+    grids = [rootscan._grid(1e-8, 1e8, attempt) for attempt in range(3)]
+    if shift:
+        assert made == [x for grid in grids for x in grid]
+    else:
+        n = len(grids[0])
+        assert made[:n] == list(grids[0]) and all(2.0 < x < 4.0 for x in made[n:])
+        assert one_pass == [pytest.approx(3.0, rel=1e-15)]
