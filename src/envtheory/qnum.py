@@ -255,11 +255,9 @@ def fgs_fill(N: int, D: int, d: int, phi: float = 2.0) -> GroundStateResult:
     # unless N exceeds the bound.
     for _ in range(min(N, MAX_FILL_LEVELS)):
         _, n, l = heap[0]
-        try:
-            occ = degeneracy[l]
-        except IndexError:  # l comes for the first time, as len(degeneracy)
-            occ = level_degeneracy(l, D, d)
-            degeneracy.append(occ)
+        if l == len(degeneracy):
+            degeneracy.append(level_degeneracy(l, D, d))
+        occ = degeneracy[l]
         if occ >= left:
             filled.append((n, l, left))
             n_sum += left * n

@@ -64,6 +64,10 @@ def pair_count(N: int) -> float:
     return 0.5 * N * (N - 1)
 
 
+# Up to this N, C2 < 2^1021 is finite; the systems check C2 only above it.
+_FINITE_PAIRS_N = 2 ** 511
+
+
 class IdenticalSystem(Record, namedtuple("IdenticalSystem", "N D kinetic potential")):
     """N identical particles in D dimensions with kinetic law T and pair potential V.
 
@@ -78,7 +82,8 @@ class IdenticalSystem(Record, namedtuple("IdenticalSystem", "N D kinetic potenti
             raise InputError("need N >= 2")
         if D < 2:
             raise InputError("need D >= 2")
-        finite("C2 = N(N-1)/2", lambda: pair_count(N))
+        if N > _FINITE_PAIRS_N:
+            finite("C2 = N(N-1)/2", lambda: pair_count(N))
         return tuple.__new__(cls, (N, D, kinetic, potential))
 
 

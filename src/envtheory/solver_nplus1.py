@@ -59,7 +59,7 @@ from .errors import (DegenerateOrbitalError, InputError, NoBindingError,
 from .qnum import QuantumSpec, _check_fit, fgs_fill, spec_from_filling
 from .records import Record
 from .rootscan import SCAN_HI, SCAN_LO
-from .solver_identical import pair_count
+from .solver_identical import _FINITE_PAIRS_N, pair_count
 # Unused here: bench/tracer.py patches both names in this module, and its tests check that.
 from .rootscan import find_roots  # noqa: F401
 from .solver_identical import solve_et  # noqa: F401
@@ -113,7 +113,8 @@ class NPlusOneSystem(Record, namedtuple(
             raise InputError("need N_a >= 2")
         if D < 2:
             raise InputError("need D >= 2")
-        finite("C2 = N_a(N_a-1)/2", lambda: pair_count(N_a))
+        if N_a > _FINITE_PAIRS_N:
+            finite("C2 = N_a(N_a-1)/2", lambda: pair_count(N_a))
         return tuple.__new__(cls, (N_a, D, kinetic_a, kinetic_b, potential_aa, potential_ab))
 
 
