@@ -239,9 +239,8 @@ class _Levels:
     The column rho^a, NaN where it leaves the band or overflows, depends on
     the grid and a alone, so it is computed once and shared by every system
     with that kinetic exponent (_powers), such as every p^2/(2m) of any
-    mass and potential.  Both caches are keyed by the grid's
-    identity and hold the grid, so no other grid can take its id and read
-    its columns.
+    mass and potential.  Both caches are keyed by the grid's identity and
+    hold the grid, so no other grid can take its id and read its columns.
     """
 
     def __init__(self, system: IdenticalSystem, c: float, a: float) -> None:

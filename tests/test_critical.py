@@ -96,15 +96,18 @@ def test_fermionic_ratio_approaches_power_law():
 
 
 def test_validation():
+    # Each input is refused by its own check: with g computed through
+    # errors.finite, m = 0, N = 1 and Q = inf would also end as "g is not
+    # finite", so the class alone would not tell the checks apart.
     shape = _gaussian_shape(1.0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="mass must be positive"):
         critical_g(shape, 0.0, 3, 3.0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="need N >= 2"):
         critical_g(shape, 1.0, 1, 3.0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="Q must be positive"):
         critical_g(shape, 1.0, 3, -1.0)
     for m, Q in ((math.nan, 3.0), (math.inf, 3.0), (1.0, math.nan), (1.0, math.inf)):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="m and Q must be finite"):
             critical_g(shape, m, 3, Q)
 
 

@@ -325,3 +325,13 @@ def test_grids_with_the_same_first_point_and_length_read_their_own_columns(monke
         outcome = _outcome(solve_et, system, 13.5)
         assert outcome.startswith("EtSolution(")
         assert outcome == _sampled_outcome(solve_et, system, 13.5)
+
+
+def test_the_power_columns_are_bounded():
+    # One column per (grid, a) is kept, up to _POWERS_KEPT of them: more
+    # grids than that clear the cache, and every column still reads right.
+    kept = solver_identical._POWERS_KEPT
+    grids = [tuple(float(i + k) for k in range(1, 4)) for i in range(3 * kept)]
+    for grid in grids:
+        assert solver_identical._powers(grid, 1.5) == [x ** 1.5 for x in grid]
+        assert 0 < len(solver_identical._POWERS) <= kept
