@@ -28,8 +28,8 @@ The solver subcommands read a system definition file, line-oriented
 
     [state]
     mode = bgs              # bgs | fgs | explicit
-    # d = 2                 # fgs: single-particle level degeneracy
-    # modes = 1,0 0,0       # explicit: internal (n,l) pairs
+    # d = 2                 # fgs only: single-particle level degeneracy
+    # modes = 1,0 0,0       # explicit only: internal (n,l) pairs
     # relative = 0,0        # explicit relative (n,l), split systems only
     # method = et           # et | iet | dosm; iet-* subcommands force iet
     # energy_unit = 27.21   # optional nonzero factor, adds an energy_converted field
@@ -267,7 +267,6 @@ def _load_definition(path: str) -> _Definition:
     unit = _num(state, "state", "energy_unit") if "energy_unit" in state else None
     if unit == 0.0:
         raise InputError("[state] energy_unit must be nonzero")
-    d = _int(state, "state", "d", 1.0)
 
     N = _int(sys_sec, "system", count_key)
     if N - 1 > MAX_FILL_LEVELS:
@@ -283,6 +282,7 @@ def _load_definition(path: str) -> _Definition:
     if mode == "bgs":
         spec = ground_spec(N, D)._replace(relative_mode=relative)
     elif mode == "fgs":
+        d = _int(state, "state", "d", 1.0)
         spec = spec_from_filling(fgs_fill(N, D, d, 2.0), relative_mode=relative)
         echo["d"] = d
     elif mode == "explicit":
@@ -297,7 +297,8 @@ def _load_definition(path: str) -> _Definition:
         echo["relative"] = f"{relative[0]},{relative[1]}"
     echo["modes"] = " ".join(f"{n},{l}" for n, l in spec.internal_modes)
     _reject_unknown(sys_sec, "system", ("type", "D", count_key))
-    _reject_unknown(state, "state", ("mode", "method", "energy_unit", "d", "modes")
+    _reject_unknown(state, "state", ("mode", "method", "energy_unit")
+                    + {"fgs": ("d",), "explicit": ("modes",)}.get(mode, ())
                     + (() if relative is None else ("relative",)))
     return _Definition(kind, system, spec, method, unit, echo)
 

@@ -10,19 +10,20 @@ rho0, with C2 = N(N-1)/2 interacting pairs:
 
 The quantization condition eliminates p0 = Q/(sqrt(C2) rho), which leaves
 the energy curve E(rho; Q) = N T(p0) + C2 V(rho); the equation of motion is
-its stationary condition.  One binding, _identical_at, reads the system and
-Q once per solve, and each evaluation gives one flat record (p0, k, v): the
-log-gradient dE/dlog rho is k + v, its kinetic part k = -N T'(p0) p0 plus
-its potential part v = C2 V'(rho) rho.  The motion residual, each root's
-momentum and the residual at the solution read these records; a plain
-solve evaluates the law values at the roots only, and no second
-derivative.  For
-two power laws T = c p^a and V = c' r^b the equation is a power balance,
-decided in closed form: its one root, or NoRootError where it has none.
-Every other pair of laws is solved by the root scan; where T is a power
-c p^a, the scan reads the residual's signs off a level, K(Q) against one
-sample of g(rho) = C2 V'(rho) rho^(1+a), which the two solves of the
-improved variant share; each root is a crossing of g with the level K(Q).
+its stationary condition.  One binding, _Curve, reads the system once per
+public call: N, C2, both laws and their power parameters.  At each Q it
+gives the curve's flat records (p0, k, v): the log-gradient dE/dlog rho is
+k + v, its kinetic part k = -N T'(p0) p0 plus its potential part
+v = C2 V'(rho) rho.  The motion residual, each root's momentum and the
+residual at the solution read these records; a plain solve evaluates the
+law values at the roots only, and no second derivative.  For two power
+laws T = c p^a and V = c' r^b the equation is a power balance, decided in
+closed form: its one root, or NoRootError where it has none.  Every other
+pair of laws is solved by the root scan; where T is a power c p^a, the
+scan reads the residual's signs off a level, K(Q) against one sample of
+g(rho) = C2 V'(rho) rho^(1+a), which the two solves of the improved
+variant share through their one binding; each root is a crossing of g
+with the level K(Q).
 
 The improved variant deforms the global quantum number to Q_phi =
 phi*nu + lam, with phi extracted by quantizing small radial oscillations
@@ -119,19 +120,14 @@ class DosmIdenticalReport(Record, namedtuple("DosmIdenticalReport",
         return self.orbital.energy + math.sqrt(self.k / (self.n_pairs * self.mu)) * nu
 
 
-def _variational_character(system: IdenticalSystem) -> str:
-    """Bound character of the undeformed solution, when the laws reveal it.
+def _variational_character(kin: tuple[float, float], pot: tuple[float, float]) -> str:
+    """Bound character of the undeformed solution for T = c p^a and V = c' r^b.
 
     Envelope theory bounds the eigenvalue from above when T(sqrt(x)) and
     V(sqrt(x)) are both concave, from below when both are convex, and is
-    exact when both are linear.  Both laws must be power laws c r^e, the
-    kinetic one with c, e > 0; x -> c x^(e/2) has a curvature of the sign of
-    c e (e - 2).  Everything else is "unknown".
+    exact when both are linear.  x -> c x^(e/2) has a curvature of the sign
+    of c e (e - 2); anything else is "unknown".
     """
-    kin = laws.power_parameters(system.kinetic)
-    pot = laws.power_parameters(system.potential)
-    if kin is None or pot is None or kin[0] <= 0.0 or kin[1] <= 0.0:
-        return "unknown"
     curvatures = {_sign(c) * _sign(e) * _sign(e - 2.0) for c, e in (kin, pot)}
     if curvatures == {0}:
         return "exact"
@@ -146,66 +142,28 @@ def _sign(x: float) -> int:
     return (x > 0.0) - (x < 0.0)
 
 
-def _power_root(system: IdenticalSystem, Q: float,
-                motion: Callable[[float], float]) -> float | None:
-    """The one root rho0 of the motion residual for two power laws, in closed form.
-
-    With T = c p^a (c, a > 0) and V = c' r^b the residual is
-    N c a (Q/sqrt(C2))^a rho^-a - C2 c' b rho^b.  Where c' b > 0 and
-    a + b != 0 it changes sign once, at
-    rho0^(a+b) = N c a (Q/sqrt(C2))^a / (C2 c' b), taken in logarithms (of
-    the ratio's factors where the ratio itself over- or underflows).
-    NoRootError is raised, without a sample, where no isolated root exists:
-    c' b <= 0 (the residual is positive everywhere), a + b = 0 (it is
-    rho^b (N c a (Q/sqrt(C2))^a - C2 c' b), of one sign or identically zero),
-    and a root beyond the floating range, where ``motion``, the residual,
-    cannot be evaluated (the scan treats such points as holes).  None means
-    the laws are not such a pair, and the scan solves them.
-    """
-    kin = laws.power_parameters(system.kinetic)
-    pot = laws.power_parameters(system.potential)
-    if kin is None or pot is None or kin[0] <= 0.0 or kin[1] <= 0.0:
-        return None
-    (c, a), (cv, b) = kin, pot
-    if cv * b <= 0.0:
-        raise NoRootError(f"no root: V = {cv:g} r^{b:g} does not increase, so the "
-                          f"motion residual is positive at every rho0")
-    if a + b == 0.0:
-        raise NoRootError(f"no isolated root: T = {c:g} p^{a:g} against V = {cv:g} r^{b:g} "
-                          f"has a + b = 0, so the motion residual is a constant times "
-                          f"rho^{b:g}, of one sign or zero at every rho0")
-    N, c2 = system.N, pair_count(system.N)
-    ratio = N * c * a / (c2 * cv * b)
-    if 0.0 < ratio < math.inf:
-        log_ratio = math.log(ratio)
-    else:
-        log_ratio = (math.log(N) + math.log(c) + math.log(a) - math.log(c2)
-                     - math.log(abs(cv)) - math.log(abs(b)))
-    log_rho = (log_ratio + a * (math.log(Q) - 0.5 * math.log(c2))) / (a + b)
-    try:
-        rho0 = math.exp(log_rho)
-        in_range = math.isfinite(motion(rho0))
-    except ArithmeticError:
-        in_range = False
-    if not in_range:
-        raise NoRootError(f"no root in the floating range: at rho0 = exp({log_rho:.6g}) "
-                          f"the motion residual cannot be evaluated")
-    return rho0
-
-
-# The level reading's bounds (see _Levels).
+# The level reading's bounds (see _Curve).
 _WIDE = 2.0 ** 100
 _BAND = 2.0 ** 350
 _MARGIN = 2.0 ** -30
 _MAX_A = 2.0 ** 20
 
 
-class _Levels:
-    """g(rho) = C2 V'(rho) rho^(1+a) on the scan's grids, for T = c p^a.
+class _Curve:
+    """E(rho; Q) = N T(p0) + C2 V(rho), p0 = Q/(sqrt(C2) rho): one binding per system.
 
-    The motion residual is N T'(p0) p0 - C2 V'(rho) rho = rho^-a (K - g(rho))
-    with K(Q) = N c a (Q/sqrt(C2))^a, so its sign at a grid point is the sign
-    of K - g there, and g, sampled once per grid, serves every Q.
+    Reads N, C2, sqrt(C2), the two laws and their power parameters once and
+    answers what the solves ask of the system: the curve at a quantum number
+    (at), the closed-form root of two power laws (root), the scan's level
+    reading (reader) and the bound character (variational).  The power
+    parameters count where both laws are powers and T = c p^a has c, a > 0;
+    elsewhere the character is "unknown" and the roots are scanned.
+
+    The level reading.  For T = c p^a the motion residual is
+    N T'(p0) p0 - C2 V'(rho) rho = rho^-a (K - g(rho)) with
+    K(Q) = N c a (Q/sqrt(C2))^a and g(rho) = C2 V'(rho) rho^(1+a), so its
+    sign at a grid point is the sign of K - g there, and g, sampled once per
+    grid, serves every Q.
 
     The band.  c a, N c a and p0 lie within _WIDE^+-1 = 2^+-100 (so
     N <= 2^200).  Where K and rho^a lie within _BAND^+-1 = 2^+-350, the
@@ -243,13 +201,78 @@ class _Levels:
     hold the grid, so no other grid can take its id and read its columns.
     """
 
-    def __init__(self, system: IdenticalSystem, c: float, a: float) -> None:
-        self.c2 = pair_count(system.N)
+    def __init__(self, system: IdenticalSystem) -> None:
+        self.N, self.T, self.V = N, T, V = system.N, system.kinetic, system.potential
+        self.c2 = pair_count(N)
         self.sq = math.sqrt(self.c2)
-        self.d1 = system.potential.d1
-        self.a = a
-        self.nca = system.N * c * a
+        self.d1 = V.d1
+        kin, pot = laws.power_parameters(T), laws.power_parameters(V)
+        if kin is not None and (kin[0] <= 0.0 or kin[1] <= 0.0):
+            kin = None
+        self.powers = None if kin is None or pot is None else (kin, pot)
+        self.variational = "unknown" if self.powers is None else _variational_character(kin, pot)
+        c, self.a = kin or (0.0, 0.0)
+        self.nca = N * c * self.a
+        self.leveled = 0.0 < self.a <= _MAX_A and c * self.a >= 1.0 / _WIDE and self.nca <= _WIDE
         self.grids: dict[int, tuple[tuple[float, ...], list[float]]] = {}
+
+    def at(self, Q: float) -> Callable[[float], tuple]:
+        """E(rho; Q) in u = log rho: at(rho) gives the flat record (p0, k, v).
+
+        The log-gradient dE/du is k + v, its kinetic part k = -N T'(p0) p0
+        plus its potential part v = C2 V'(rho) rho.  The one-coordinate case
+        of solver_nplus1._surface_at; no law value or second derivative is
+        read.
+        """
+        N, c2, sq, t1, v1 = self.N, self.c2, self.sq, self.T.d1, self.d1
+
+        def at(rho: float) -> tuple:
+            p0 = Q / (sq * rho)
+            return p0, -(N * t1(p0) * p0), c2 * v1(rho) * rho
+        return at
+
+    def root(self, Q: float, motion: Callable[[float], float]) -> float | None:
+        """The one root rho0 of the motion residual for two power laws, in closed form.
+
+        With T = c p^a (c, a > 0) and V = c' r^b the residual is
+        N c a (Q/sqrt(C2))^a rho^-a - C2 c' b rho^b.  Where c' b > 0 and
+        a + b != 0 it changes sign once, at
+        rho0^(a+b) = N c a (Q/sqrt(C2))^a / (C2 c' b), taken in logarithms (of
+        the ratio's factors where the ratio itself over- or underflows).
+        NoRootError is raised, without a sample, where no isolated root exists:
+        c' b <= 0 (the residual is positive everywhere), a + b = 0 (it is
+        rho^b (N c a (Q/sqrt(C2))^a - C2 c' b), of one sign or identically
+        zero), and a root beyond the floating range, where ``motion``, the
+        residual, cannot be evaluated (the scan treats such points as holes).
+        None means the laws are not such a pair, and the scan solves them.
+        """
+        if self.powers is None:
+            return None
+        (c, a), (cv, b) = self.powers
+        if cv * b <= 0.0:
+            raise NoRootError(f"no root: V = {cv:g} r^{b:g} does not increase, so the "
+                              f"motion residual is positive at every rho0")
+        if a + b == 0.0:
+            raise NoRootError(f"no isolated root: T = {c:g} p^{a:g} against V = {cv:g} "
+                              f"r^{b:g} has a + b = 0, so the motion residual is a constant "
+                              f"times rho^{b:g}, of one sign or zero at every rho0")
+        N, c2 = self.N, self.c2
+        ratio = N * c * a / (c2 * cv * b)
+        if 0.0 < ratio < math.inf:
+            log_ratio = math.log(ratio)
+        else:
+            log_ratio = (math.log(N) + math.log(c) + math.log(a) - math.log(c2)
+                         - math.log(abs(cv)) - math.log(abs(b)))
+        log_rho = (log_ratio + a * (math.log(Q) - 0.5 * math.log(c2))) / (a + b)
+        try:
+            rho0 = math.exp(log_rho)
+            in_range = math.isfinite(motion(rho0))
+        except ArithmeticError:
+            in_range = False
+        if not in_range:
+            raise NoRootError(f"no root in the floating range: at rho0 = exp({log_rho:.6g}) "
+                              f"the motion residual cannot be evaluated")
+        return rho0
 
     def _sampled(self, grid: tuple[float, ...]) -> list[float]:
         """g on the grid; NaN where rho^a or |C2 V'(rho) rho| leaves the band."""
@@ -266,8 +289,12 @@ class _Levels:
                ) -> Callable[[tuple[float, ...]], list[float]] | None:
         """find_roots' grid values at Q: K - g where its sign is certain, else motion.
 
-        None where K leaves the band: then every grid point is sampled.
+        None where T is not a power within the margin derivation (c a and
+        N c a within 2^+-100, a <= _MAX_A), or where K leaves the band: then
+        every grid point is sampled.
         """
+        if not self.leveled:
+            return None
         qs = Q / self.sq
         try:
             K = self.nca * qs ** self.a
@@ -306,40 +333,11 @@ def _powers(grid: tuple[float, ...], a: float) -> list[float]:
     return entry[1]
 
 
-def _levels(system: IdenticalSystem) -> _Levels | None:
-    """The level reading of a system whose kinetic law is a power, else None."""
-    kin = laws.power_parameters(system.kinetic)
-    if kin is None:
-        return None
-    c, a = kin
-    if not (0.0 < a <= _MAX_A and c * a >= 1.0 / _WIDE and system.N * c * a <= _WIDE):
-        return None
-    return _Levels(system, c, a)
-
-
-def _identical_at(system: IdenticalSystem, Q: float) -> Callable[[float], tuple]:
-    """E(rho; Q) = N T(p0) + C2 V(rho), p0 = Q/(sqrt(C2) rho), in u = log rho, bound once.
-
-    Reads N, C2, sqrt(C2) and the two d1 callables once and returns at(rho),
-    which gives the flat record (p0, k, v): the log-gradient dE/du is k + v,
-    its kinetic part k = -N T'(p0) p0 plus its potential part
-    v = C2 V'(rho) rho.  The one-coordinate case of
-    solver_nplus1._surface_at; no law value or second derivative is read.
-    """
-    N, c2 = system.N, pair_count(system.N)
-    sq, t1, v1 = math.sqrt(c2), system.kinetic.d1, system.potential.d1
-
-    def at(rho: float) -> tuple:
-        p0 = Q / (sq * rho)
-        return p0, -(N * t1(p0) * p0), c2 * v1(rho) * rho
-    return at
-
-
 def solve_et(system: IdenticalSystem, Q: float) -> EtSolution:
     """Solve the compact set at global quantum number Q.
 
     p0 is eliminated through the quantization condition.  For two power laws
-    the equation of motion is decided in closed form (_power_root), which
+    the equation of motion is decided in closed form (_Curve.root), which
     returns its one root or raises NoRootError, and never scans; every other
     pair of laws is solved for rho0 by sign-change bracketing, where a motion
     residual within four machine epsilons (4 * 2^-52) of its terms counts as
@@ -349,7 +347,7 @@ def solve_et(system: IdenticalSystem, Q: float) -> EtSolution:
 
     For a power kinetic law T = c p^a the residual is rho^-a (K(Q) - g(rho)),
     and the scan reads its sign at each grid point off K - g, with g sampled
-    once per grid (_Levels).  The residual itself is evaluated at each
+    once per grid (_Curve.reader).  The residual itself is evaluated at each
     bracket's ends, for the polish, wherever g lies within a fixed relative
     margin (2^-30) of K, and wherever K or rho^a leaves the band 2^+-350 or
     |C2 V'(rho) rho| exceeds 2^350, outside which a term of the residual
@@ -359,21 +357,19 @@ def solve_et(system: IdenticalSystem, Q: float) -> EtSolution:
     zero: the scan reads the signs, zeros and holes that sampling the
     residual gives, and finds the same roots bit for bit.
     """
-    return _solve_et(system, Q, _levels(system))[0]
+    return _solve_et(_Curve(system), Q)[0]
 
 
-def _solve_et(system: IdenticalSystem, Q: float,
-              levels: _Levels | None) -> tuple[EtSolution, tuple]:
-    """solve_et, reading scan brackets off ``levels`` where it is given.
+def _solve_et(curve: _Curve, Q: float) -> tuple[EtSolution, tuple]:
+    """solve_et on the bound system ``curve``.
 
-    The energy curve is bound once (_identical_at); the motion residual,
-    each root's momentum and the residual at the solution read its records.
-    Returns the solution and the at() record at it.
+    The motion residual, each root's momentum and the residual at the
+    solution read the records of curve.at(Q).  Returns the solution and the
+    record at it.
     """
     if not 0.0 < Q < math.inf:
         raise InputError(f"quantum number must be positive and finite, got {Q}")
-    N, c2, T, V = system.N, pair_count(system.N), system.kinetic, system.potential
-    at = _identical_at(system, Q)
+    at = curve.at(Q)
 
     def motion(rho: float) -> float:
         _, k, v = at(rho)
@@ -383,9 +379,10 @@ def _solve_et(system: IdenticalSystem, Q: float,
         # a root.
         return 0.0 if abs(diff) <= 4.0 * 2.0 ** -52 * abs(k) < math.inf else diff
 
-    root = _power_root(system, Q, motion)
+    root = curve.root(Q, motion)
     roots = [root] if root is not None else find_roots(
-        motion, SCAN_LO, SCAN_HI, levels.reader(Q, motion) if levels is not None else None)
+        motion, SCAN_LO, SCAN_HI, curve.reader(Q, motion))
+    N, c2, T, V = curve.N, curve.c2, curve.T, curve.V
     found, records = [], {}
     for rho in roots:
         records[rho] = record = at(rho)
@@ -395,9 +392,9 @@ def _solve_et(system: IdenticalSystem, Q: float,
     p0, k, v = record = records[rho0]
     return EtSolution(energy=energy, rho0=rho0, p0=p0, q=Q,
                       residual_motion=abs(-k - v) / max(abs(k), abs(v), 1e-300),
-                      residual_quantization=abs(Q - math.sqrt(c2) * rho0 * p0) / Q,
+                      residual_quantization=abs(Q - curve.sq * rho0 * p0) / Q,
                       n_roots=len(found), all_roots=tuple(found),
-                      variational=_variational_character(system)), record
+                      variational=curve.variational), record
 
 
 def power_law_energy(N: int, D: int, F: float, alpha: float,
@@ -439,25 +436,25 @@ def dosm_identical(system: IdenticalSystem, lam: float) -> DosmIdenticalReport:
         k = (N p0^2 T''(p0) + 2 D)/rho0^2 + C2 V''(rho0).
 
     Matching the mode's spectrum against the response D yields the
-    deformation parameter phi = (lam/D) sqrt(k/(C2 mu)).  A mass beyond the
-    floats (T'(p0) underflows to zero) raises InputError.
+    deformation parameter phi = (lam/D) sqrt(k/(C2 mu)).  A mass, stiffness
+    or phi beyond the floats (T'(p0) underflowing to zero, say) raises
+    InputError.
     """
-    return _dosm_identical(system, lam, _levels(system))
+    return _dosm_identical(_Curve(system), lam)
 
 
-def _dosm_identical(system: IdenticalSystem, lam: float,
-                    levels: _Levels | None) -> DosmIdenticalReport:
-    """dosm_identical, its orbital solve reading scan brackets off ``levels``."""
-    N, c2 = system.N, pair_count(system.N)
-    orbital, (p0, k, _) = _solve_et(system, lam, levels)
+def _dosm_identical(curve: _Curve, lam: float) -> DosmIdenticalReport:
+    """dosm_identical on the bound system ``curve``."""
+    N, c2 = curve.N, curve.c2
+    orbital, (p0, k, _) = _solve_et(curve, lam)
     rho0, D = orbital.rho0, -k
     mu = finite("mu", lambda: p0 ** 2 / D)
-    stiffness = ((N * p0 ** 2 * system.kinetic.d2(p0) + 2.0 * D) / rho0 ** 2
-                 + c2 * system.potential.d2(rho0))
+    stiffness = finite("k", lambda: (N * p0 ** 2 * curve.T.d2(p0) + 2.0 * D) / rho0 ** 2
+                       + c2 * curve.V.d2(rho0))
     if stiffness <= 0.0:
         raise UnstableOrbitalError(
             f"radial stiffness k={stiffness} is not positive; no harmonic quantization")
-    phi = lam / D * math.sqrt(stiffness / (c2 * mu))
+    phi = finite("phi", lambda: lam / D * math.sqrt(stiffness / (c2 * mu)))
     return DosmIdenticalReport(orbital=orbital, mu=mu, k=stiffness, phi=phi, n_pairs=c2)
 
 
@@ -483,8 +480,8 @@ def solve_iet(system: IdenticalSystem, spec: QuantumSpec) -> EtSolution:
     if lam == 0.0:
         raise DegenerateOrbitalError(
             "lam = 0: the orbital-only set degenerates (D = 2 with all l = 0)")
-    levels = _levels(system)
-    phi = _dosm_identical(system, lam, levels).phi
-    solution = _solve_et(system, phi * nu + lam, levels)[0]
+    curve = _Curve(system)
+    phi = _dosm_identical(curve, lam).phi
+    solution = _solve_et(curve, phi * nu + lam)[0]
     variational = "unknown" if abs(phi - 2.0) > 1e-12 else solution.variational
     return solution._replace(variational=variational, phi=phi)

@@ -461,7 +461,8 @@ def dosm_np1(system: NPlusOneSystem, lam_a: float, lam_b: float) -> DosmNp1Repor
     fix the two deformation parameters.  The kinetic energy depends on
     u = (log r_aa, log R0) only through log q - u, so the gradient moves with
     log q as -H_kin, the kinetic part of the Hessian, and the minimum moves as
-    du/dlog q = H^-1 H_kin: the report's radius_response.
+    du/dlog q = H^-1 H_kin: the report's radius_response.  A phi_a or phi_b
+    beyond the floats (a mass underflowing to zero, say) raises InputError.
     """
     c2 = pair_count(system.N_a)
     orbital, (_, k1, k2, v1, v2, t11, t12, t22, p11, p12, p22) = _solve(system, lam_a, lam_b)
@@ -478,8 +479,8 @@ def dosm_np1(system: NPlusOneSystem, lam_a: float, lam_b: float) -> DosmNp1Repor
     if A <= 0.0 or B <= 0.0:
         raise UnstableOrbitalError(
             f"unstable radial quadratic form (A={A}, B={B})")
-    phi_a = lam_a / D_a * math.sqrt(A / (c2 * mu))
-    phi_b = lam_b / D_b * math.sqrt(B / mu)
+    phi_a = finite("phi_a", lambda: lam_a / D_a * math.sqrt(A / (c2 * mu)))
+    phi_b = finite("phi_b", lambda: lam_b / D_b * math.sqrt(B / mu))
     det = h11 * h22 - h12 * h12
     response = ((h22 * t11 - h12 * t12) / det, (h22 * t12 - h12 * t22) / det,
                 (h11 * t12 - h12 * t11) / det, (h11 * t22 - h12 * t12) / det)

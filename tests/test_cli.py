@@ -608,9 +608,20 @@ def test_optional_key_of_another_kind_is_unknown(tmp_path, capsys):
      "[system] is missing 'N'"),
     ("solve-identical", SUM_POTENTIAL.replace("terms = lin quad\n", "depth = 3\n"),
      "[potential] sum needs a 'terms' list"),
+    ("solve-identical", HO_IDENTICAL + "\n[state]\nmode = bgs\nmodes = 5,3 0,0\nd = 7\n",
+     "[state] has unknown keys: ['d', 'modes']"),
+    ("solve-identical", HO_IDENTICAL + "\n[state]\nmode = bgs\nd = x\n",
+     "[state] has unknown keys: ['d']"),
+    ("solve-identical", HO_IDENTICAL + "\n[state]\nmode = fgs\nmodes = 0,0 0,0\n",
+     "[state] has unknown keys: ['modes']"),
+    ("solve-np1", HO_SPLIT + "\n[state]\nmode = explicit\nmodes = 0,0\nd = 2\n",
+     "[state] has unknown keys: ['d']"),
+    ("solve-identical", HO_IDENTICAL + "\n[state]\nmode = gbs\nd = x\nmodes = 0,0\n",
+     "[state] unknown mode 'gbs'"),
 ], ids=["state-typo", "state-relative-identical", "system-Na-identical",
         "system-N-nplusone", "sum-stray-key", "system-missing-first",
-        "sum-missing-first"])
+        "sum-missing-first", "bgs-with-modes-and-d", "bgs-with-malformed-d",
+        "fgs-with-modes", "explicit-with-d", "unknown-mode-first"])
 def test_unknown_keys_in_system_state_and_sum_exit_two(tmp_path, capsys, command, text,
                                                        message):
     rc, out, err = _run(capsys, command, _write(tmp_path, text))
@@ -719,6 +730,72 @@ def test_the_module_runs_as_a_script(capsys):
                          text=True, env=dict(os.environ, PYTHONPATH=src))
     assert run.returncode == 0
     assert json.loads(run.stdout) == _run_json(capsys, *argv)
+
+
+_DOSM_BEYOND_THE_FLOATS = """
+[system]
+type = identical
+N = 10
+D = 3
+
+[kinetic]
+kind = power
+coefficient = 1.3269491383482108e+199
+exponent = 1
+
+[potential]
+kind = power
+coefficient = 4.4894921258430757e-240
+exponent = 1
+
+[state]
+method = dosm
+"""
+
+_NP1_BEYOND_THE_FLOATS = """
+[system]
+type = nplusone
+Na = 3
+D = 3
+
+[kinetic-a]
+kind = power
+coefficient = 9.981092135741794e+219
+exponent = 2
+
+[kinetic-b]
+kind = power
+coefficient = 6.21347567841559e+133
+exponent = 2
+
+[potential-aa]
+kind = power
+coefficient = 6.539069428703997e-297
+exponent = -1
+
+[potential-ab]
+kind = coulomb
+strength = 2.1536163026809578e+150
+"""
+
+
+@pytest.mark.parametrize("command, text, name", [
+    ("solve-identical", _DOSM_BEYOND_THE_FLOATS, "k"),
+    ("iet-np1", _NP1_BEYOND_THE_FLOATS, "phi_a"),
+], ids=["identical-stiffness", "nplusone-phi-a"])
+def test_a_dosm_beyond_the_floats_exits_two_without_a_traceback(tmp_path, command, text,
+                                                                 name):
+    # The identical stiffness overflows (rho0 = 6.6e218); the mean mass of
+    # the split system underflows to zero.  Both once ended in a traceback.
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-m", "envtheory.cli", command,
+                          _write(tmp_path, text)], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 2 and run.stdout == ""
+    assert "Traceback" not in run.stderr
+    assert json.loads(run.stderr) == {
+        "error": "InputError", "exit": 2,
+        "message": f"{name} = inf is not finite: the inputs leave the floating range"}
 
 
 def test_fgs_estimates_beyond_the_factorials_of_floats(capsys):

@@ -17,6 +17,7 @@ from envtheory.errors import EnvTheoryError, NoBindingError, NonConvergenceError
 from envtheory.qnum import QuantumSpec
 from envtheory.solver_nplus1 import (NEWTON_TOL, NPlusOneSystem, _abs_hessian,
                                      _surface_at, solve_et_np1, solve_iet_np1)
+from np1_random_set import random_set
 
 
 def _eigh_abs(h11, h12, h22):
@@ -200,6 +201,38 @@ def test_a_virial_start_beyond_scan_hi_descends_to_its_minimum(monkeypatch):
     assert solution.r_aa == pytest.approx(length * base.r_aa, rel=10 * NEWTON_TOL)
     assert solution.R0 == pytest.approx(length * base.R0, rel=10 * NEWTON_TOL)
     assert solution.energy == pytest.approx(base.energy / length, rel=1e-12)
+
+
+def test_a_minimum_far_beyond_its_virial_start_is_no_escape():
+    # System 3/315 of tests/np1_random_set.py, at q = (19.5 s, 5.5 s): its
+    # minimum is that at q = (19.5, 5.5) carried over by exact scaling, with
+    # R0 = 5e8, 8.8 times its virial start.  An escape radius of 4 times the
+    # start's larger radius would end this descent as NoBindingError.
+    alpha = 1.719303490254267
+    system = NPlusOneSystem(6, 3, laws.kinetic_power(0.7440770519620197, alpha),
+                            laws.kinetic_power(3.8977666300741993, alpha),
+                            laws.coulomb(4.350848949086273), laws.coulomb(1.2608335001326736))
+    s = 842.9226917637029
+    solution = solve_et_np1(system, 19.5 * s, 5.5 * s)
+    assert solution.R0 == pytest.approx(5.0e8, rel=1e-12)
+    assert solution.energy == pytest.approx(-1.147319770789485e-06, rel=1e-12)
+    assert solution.iterations == 11
+    base = solve_et_np1(system, 19.5, 5.5)
+    length = s ** (alpha / (alpha - 1.0))
+    assert solution.r_aa == pytest.approx(length * base.r_aa, rel=10 * NEWTON_TOL)
+    assert solution.R0 == pytest.approx(length * base.R0, rel=10 * NEWTON_TOL)
+    assert solution.energy == pytest.approx(base.energy / length, rel=1e-12)
+
+
+def test_a_descent_that_needs_many_halvings_reaches_its_escape():
+    # System 1/176 of tests/np1_random_set.py falls toward infinite
+    # separation.  One step of its descent is kept only after 12 or more
+    # halvings; with at most 12 trials per step the solve would end as
+    # NonConvergenceError, "no descent direction".
+    system, spec = random_set(1)[175]
+    with pytest.raises(NoBindingError, match=r"falls toward \(r_aa, R0\) = "
+                                             r"\(5\.35e\+06, 1\.78e\+08\)"):
+        solve_iet_np1(system, spec)
 
 
 def test_one_solve_is_one_descent(monkeypatch):

@@ -379,12 +379,22 @@ def test_a_plain_solve_reads_first_derivatives_and_values_only_at_its_roots():
                                                                     4.406007314734759),
                                            laws.potential_power(26038.404296125387,
                                                                 2.261264032108856)), 1e-300),
+    lambda: dosm_identical(IdenticalSystem(
+        10, 3, laws.kinetic_power(1.3269491383482108e+199, 1.0),
+        laws.potential_power(4.4894921258430757e-240, 1.0)), 4.5),
+    lambda: dosm_identical(IdenticalSystem(
+        5, 3, laws.kinetic_power(2.3440429684709732e+281, 1.0),
+        laws.potential_power(9.137720132411905e+38, 2.0)), 2.0),
+    lambda: dosm_identical(IdenticalSystem(
+        10, 3, laws.kinetic_power(78287.55532901156, 2.4798777855239664),
+        laws.potential_power(9.12473809972966e+265, 1.0)), 4.5),
     lambda: power_law_energy(3, 3, 1e300, 2.0, 1e300, 1.0, 1.0),
     lambda: power_law_energy(3, 3, 1.0, 1e-320, 1.0, 1.0, 1.0),
     lambda: power_law_energy(10 ** 200, 3, 1.0, 2.0, 1.0, 1.0, 1.0),
     lambda: fgs_approx(13 * 10 ** 230, 3, 1, 2.0),
     lambda: fgs_approx(10 ** 300, 3, 1, 2.0),
-], ids=["energy-overflows", "mass-divides-by-zero", "power-energy-overflows",
+], ids=["energy-overflows", "mass-divides-by-zero", "stiffness-overflows",
+        "phi-divides-by-zero", "stiffness-inf", "power-energy-overflows",
         "power-energy-inf", "power-energy-nan", "fgs-approx-inf", "fgs-approx-overflows"])
 def test_results_beyond_the_floats_are_input_errors(call):
     with pytest.raises(InputError, match="leave the floating range"):

@@ -40,7 +40,7 @@ def _outcome(solve, *args):
 def _sampled_outcome(solve, *args):
     """The outcome with the level reading off: every grid point is sampled."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver_identical, "_levels", lambda system: None)
+        patch.setattr(solver_identical._Curve, "reader", lambda curve, Q, motion: None)
         return _outcome(solve, *args)
 
 
@@ -190,7 +190,7 @@ def test_a_level_out_of_range_is_sampled(a, Q, level):
     # root is that of the closed form for the same two powers.
     system = IdenticalSystem(2, 3, laws.kinetic_power(0.05, a), _power_sum(2.0))
     sampled = []
-    reader = solver_identical._levels(system).reader(Q, lambda rho: sampled.append(rho) or 1.0)
+    reader = solver_identical._Curve(system).reader(Q, lambda rho: sampled.append(rho) or 1.0)
     assert (reader is not None) == level
     if reader is not None:
         grid = rootscan._grid(rootscan.SCAN_LO, rootscan.SCAN_HI, 0)
@@ -208,10 +208,13 @@ def test_a_level_out_of_range_is_sampled(a, Q, level):
     (2.0 ** 99, 1.0, 3),
 ], ids=["a-above-max", "c-a-below-band", "n-c-a-above-band"])
 def test_a_kinetic_power_outside_the_margin_derivation_has_no_level(c, a, N):
-    # The margin of _Levels holds for a <= _MAX_A and for c a and N c a
-    # within 2^+-100; outside them every grid point is sampled.
+    # The margin of the level reading holds for a <= _MAX_A and for c a and
+    # N c a within 2^+-100; outside them every grid point is sampled.  At
+    # Q = sqrt(C2), K = N c a lies within the band, so only those bounds
+    # refuse the level.
     system = IdenticalSystem(N, 3, laws.kinetic_power(c, a), laws.gaussian_well(3.0, 1.0))
-    assert solver_identical._levels(system) is None
+    Q = math.sqrt(solver_identical.pair_count(N))
+    assert solver_identical._Curve(system).reader(Q, lambda rho: 1.0) is None
     assert _outcome(solve_et, system, 2.0) == _sampled_outcome(solve_et, system, 2.0)
 
 
@@ -222,7 +225,7 @@ def test_a_kinetic_law_that_is_not_a_power_is_sampled():
                        lambda p: 1.0 * p ** 0.0)
     well = laws.gaussian_well(3.0, 1.0)
     system = IdenticalSystem(10, 3, copy, well)
-    assert solver_identical._levels(system) is None
+    assert solver_identical._Curve(system).reader(15.0, lambda rho: 1.0) is None
     power = IdenticalSystem(10, 3, laws.kinetic_power(0.5, 2.0), well)
     assert _outcome(solve_et, system, 15.0) == _sampled_outcome(solve_et, power, 15.0)
     assert _outcome(solve_et, system, 15.0) == _outcome(solve_et, power, 15.0)
@@ -262,7 +265,7 @@ def test_the_band_edges_are_read_as_sampling_reads_them(monkeypatch, a, quantity
                              laws.make_weighted_sum([(coefficient, laws.power(1.0, 0.5))]))
     grid = tuple(x * 2.0 ** i for i in range(-2, 3))
     sampled = []
-    reader = solver_identical._levels(system).reader(Q, lambda rho: sampled.append(rho) or 1.0)
+    reader = solver_identical._Curve(system).reader(Q, lambda rho: sampled.append(rho) or 1.0)
     if reader is not None:
         reader(grid)
     assert (reader is not None and x not in sampled) == read
@@ -297,7 +300,7 @@ def test_a_derivative_that_raises_is_a_hole_of_the_one_sample_pass():
 
     counted, calls = _counted_d1(laws.custom(well.value, d1, well.d2))
     system = IdenticalSystem(10, 3, laws.kinetic_power(0.5, 2.0), counted)
-    levels = solver_identical._levels(system)
+    levels = solver_identical._Curve(system)
     grid = rootscan._grid(rootscan.SCAN_LO, rootscan.SCAN_HI, 0)
     g = [v.hex() for v in levels._sampled(grid)]
     assert calls == list(grid)
@@ -316,7 +319,7 @@ def test_grids_with_the_same_first_point_and_length_read_their_own_columns(monke
     well = laws.gaussian_well(3.0, 1.0)
     system = IdenticalSystem(10, 3, laws.kinetic_power(0.5, 2.0), well)
     grids = [(0.1, 0.5, 1.0, 2.0, 4.0), (0.1, 0.3, 0.9, 3.0, 8.0)]
-    levels = solver_identical._levels(system)
+    levels = solver_identical._Curve(system)
     for grid in grids:
         assert solver_identical._powers(grid, 2.0) == [x ** 2.0 for x in grid]
         assert [v.hex() for v in levels._sampled(grid)] == _g_alone(levels, well.d1, grid)

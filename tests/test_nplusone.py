@@ -672,3 +672,22 @@ def test_a_block_pair_count_beyond_the_floats_is_refused_at_construction(N_a):
         NPlusOneSystem(N_a, 3, laws.kinetic_power(0.5, 2.0), laws.kinetic_power(0.5, 2.0), h, h)
     assert str(info.value) == ("C2 = N_a(N_a-1)/2 = inf is not finite: "
                                "the inputs leave the floating range")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: dosm_np1(NPlusOneSystem(
+        3, 3, laws.kinetic_power(9.981092135741794e+219, 2.0),
+        laws.kinetic_power(6.21347567841559e+133, 2.0),
+        laws.power(6.539069428703997e-297, -1.0), laws.coulomb(2.1536163026809578e+150)),
+        2.0, 0.5),
+    lambda: dosm_np1(NPlusOneSystem(
+        3, 3, laws.kinetic_power(3.0174411406657482e+109, 2.0),
+        laws.kinetic_power(8.189791892588635e+86, 2.3657355590266675),
+        laws.power(-7.60064105903764e+146, -1.0), laws.harmonic(1.0251927363222284e+89)),
+        2.0, 0.5),
+], ids=["mean-mass-divides-by-zero", "phi-a-inf"])
+def test_results_beyond_the_floats_are_input_errors(call):
+    # The mean mass of the first underflows to zero, and phi_a divided by
+    # it; the second reads phi_a = inf.  Both once left dosm_np1 raw.
+    with pytest.raises(InputError, match="phi_a = inf is not finite: the inputs leave"):
+        call()

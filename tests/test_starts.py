@@ -332,16 +332,18 @@ def test_the_virial_start_is_the_minimum_along_the_scale(alpha, beta, N_a, q_a, 
         assert at(lam * factor, lam * factor)[0] > energy
 
 
-def _screened():
-    """A census system: a repulsive 1/r block of 8 and a Yukawa cross potential.
+def _screened(N_a=8, m_b=4.277319767138844, repulsion=0.3554067691390346,
+              strength=12.45641780310827, range_=0.9701841987583806):
+    """A census system: a repulsive 1/r block of N_a and a Yukawa cross potential.
 
-    Its minimum at q = (10.5, 1.5) lies at R0/r_aa = 0.32, in the narrow
-    basin that a grid of rays misses unless one ray runs close to it.
+    T_a = p^2/2, T_b = p^2/(2 m_b), V_aa = repulsion/r and V_ab the Yukawa
+    -strength exp(-r/range_)/r.  By default, N_a = 8: its minimum at
+    q = (10.5, 1.5) lies at R0/r_aa = 0.32, in the narrow basin that a grid
+    of rays misses unless one ray runs close to it.
     """
-    return NPlusOneSystem(8, 3, laws.kinetic_power(0.5, 2.0),
-                          laws.kinetic_power(0.5 / 4.277319767138844, 2.0),
-                          laws.power(0.3554067691390346, -1.0),
-                          _yukawa(12.45641780310827, 0.9701841987583806))
+    return NPlusOneSystem(N_a, 3, laws.kinetic_power(0.5, 2.0),
+                          laws.kinetic_power(0.5 / m_b, 2.0),
+                          laws.power(repulsion, -1.0), _yukawa(strength, range_))
 
 
 def _rule_start(system, q_a, q_b):
@@ -431,6 +433,27 @@ def test_a_surface_without_a_local_minimum_on_any_ray_starts_at_the_unit_shape()
     spec = QuantumSpec(3, ((1, 2), (1, 2), (1, 2)), (2, 2))
     assert _rule_start(system, spec.lam, spec.lam_b) == (1.0, 1.0)
     assert solver_nplus1._grid_start(system, spec.lam, spec.lam_b) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("params, q, energy, minimum", [
+    ((5, 0.3386547070560023, 0.8569131938293997, 13.966902705662024, 0.7741851798395198),
+     (6.0, 1.5), -1.4881237222054153, (0.6540103837041956, 0.385100126891065)),
+    ((7, 0.20118568702236292, 0.9268291714972567, 11.75274757029044, 1.221574962634019),
+     (9.0, 1.5), 4.0335288684886095, (1.0672854958358091, 0.6049417990318312)),
+], ids=["n-a-5", "n-a-7"])
+def test_the_unit_shape_fallback_reaches_a_minimum_that_no_ray_finds(params, q, energy,
+                                                                     minimum):
+    # Two screened systems of the benchmark's frontier: no ray of the grid
+    # has an interior minimum, so the descent starts at (1, 1), and from
+    # there it reaches a minimum whose Hessian is positive definite.
+    system = _screened(*params)
+    assert _rule_start(system, *q) == (1.0, 1.0)
+    assert solver_nplus1._grid_start(system, *q) == (1.0, 1.0)
+    solution, (_, _, _, _, _, t11, t12, t22, p11, p12, p22) = solver_nplus1._solve(system, *q)
+    assert (solution.energy, solution.r_aa, solution.R0) == (energy, *minimum)
+    assert solution == solve_et_np1(system, *q)
+    h11, h12, h22 = t11 + p11, t12 + p12, t22 + p22
+    assert h11 > 0.0 and h11 * h22 - h12 * h12 > 0.0
 
 
 def _refuse(*args, **kwargs):

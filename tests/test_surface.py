@@ -17,7 +17,7 @@ import pytest
 import sympy as sp
 
 from envtheory import laws
-from envtheory.solver_identical import IdenticalSystem, _identical_at, dosm_identical
+from envtheory.solver_identical import IdenticalSystem, _Curve, dosm_identical
 from envtheory.solver_nplus1 import NPlusOneSystem, _surface_at, dosm_np1, solve_et_np1
 
 X = sp.Symbol("x", positive=True)
@@ -187,7 +187,7 @@ def test_identical_records_are_the_symbolic_log_gradient(case):
         Q, rho = float(rng.uniform(0.5, 6.0)), float(np.exp(rng.uniform(-1.5, 1.5)))
         u, kin, pot = _identical_symbolic(N, st, sv, Q)
         at = {u: math.log(rho)}
-        p0, k, v_ = _identical_at(system, Q)(rho)
+        p0, k, v_ = _Curve(system).at(Q)(rho)
         sym_k, sym_v = (float(sp.diff(e, u).evalf(30, subs=at)) for e in (kin, pot))
         assert abs(k + v_) > 1e-3 * max(abs(sym_k), abs(sym_v))
         _close(p0, Q / (math.sqrt(N * (N - 1) / 2) * rho), p0)
