@@ -46,11 +46,12 @@ def normal_modes(pair: OscPair) -> tuple[float, float, float]:
     denominator share a sign, so w is formed without cancellation, and it goes
     to 0 as k_c -> 0.
     """
-    mu = math.sqrt(pair.mu_a * pair.mu_b)
-    ratio = math.sqrt(pair.mu_b / pair.mu_a)
-    a = ratio * pair.k_a
-    b = pair.k_b / ratio
-    k_c = pair.k_c
+    mu_a, mu_b, k_a, k_b, k_c = pair
+    # Where the product of the masses overflows, their mean may not.
+    product = mu_a * mu_b
+    mu = math.sqrt(product) if product < math.inf else math.sqrt(mu_a) * math.sqrt(mu_b)
+    ratio = math.sqrt(mu_b / mu_a)
+    a, b = ratio * k_a, k_b / ratio
     if k_c == 0.0:
         return a, b, mu
     eps = (b - a) / k_c

@@ -8,10 +8,10 @@ number Q:
     g = 1/(u^2 v(u)) * 2/(N (N-1)^2) * Q^2/m,
 
 where u solves 2 v(u) + u v'(u) = 0: the least root that the root scan
-finds on the package's range [SCAN_LO, SCAN_HI] of rootscan, widened as the
-scan widens it.  With bosonic ground-state quantum numbers the
-N-dependence obeys g(N+1)/g(N) = N/(N+1) exactly; for fermionic ground
-states at large N the ratio tends to (N/(N+1))^((D-2)/D).
+finds on its range, which belongs to rootscan alone.  With bosonic
+ground-state quantum numbers the N-dependence obeys g(N+1)/g(N) = N/(N+1)
+exactly; for fermionic ground states at large N the ratio tends to
+(N/(N+1))^((D-2)/D).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 
 from .errors import InputError, finite
 from .laws import Law
-from .rootscan import SCAN_HI, SCAN_LO, find_roots
+from .rootscan import find_roots
 
 __all__ = ["u_star", "critical_g"]
 
@@ -31,7 +31,7 @@ def u_star(shape: Law) -> float:
     def balance(u: float) -> float:
         return 2.0 * shape.value(u) + u * shape.d1(u)
 
-    return min(find_roots(balance, SCAN_LO, SCAN_HI))
+    return min(find_roots(balance))
 
 
 def critical_g(shape: Law, m: float, N: int, Q: float) -> float:

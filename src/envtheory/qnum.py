@@ -174,10 +174,20 @@ def split_spec(D: int, N_a: int, nu_a: float, lam_a: float,
 
 
 def global_q(spec: QuantumSpec, phi: float) -> float:
-    """Deformed global quantum number phi*nu + lam of the internal motion."""
+    """Deformed global quantum number phi*nu + lam of the internal motion.
+
+    A non-finite phi, or a Q_phi beyond the floats, raises InputError.
+    """
+    _check_phi(phi)
+    return finite("q_phi", lambda: phi * spec.nu + spec.lam)
+
+
+def _check_phi(phi: float) -> None:
+    """The check of phi in bgs, global_q and the fermion fillings: positive and finite."""
     if phi <= 0.0:
         raise InputError("phi must be positive")
-    return phi * spec.nu + spec.lam
+    if not math.isfinite(phi):
+        raise InputError(f"phi must be finite, got {phi}")
 
 
 def level_degeneracy(l: int, D: int, d: int = 1) -> int:
@@ -186,10 +196,15 @@ def level_degeneracy(l: int, D: int, d: int = 1) -> int:
     The states are the harmonic polynomials of degree l in D variables: the
     binom(l+D-1, D-1) monomials of degree l less the binom(l+D-3, D-1) of
     degree l-2 (none for l < 2).  This is d*(2l+1) at D = 3 and
-    d*(2 - delta_{l0}) at D = 2.
+    d*(2 - delta_{l0}) at D = 2.  Where binom(l+D-1, D-1) could have more
+    than 2^16 bits, far beyond any filling with a finite Q, InputError is
+    raised: its time grows with them.
     """
     if l < 0 or D < 2 or d < 1:
         raise InputError("need l >= 0, D >= 2, d >= 1")
+    k = min(l, D - 1)  # binom(n, k) <= (e n/k)^k < 2^(k (bits of n - bits of k + 3))
+    if k * ((l + D).bit_length() - k.bit_length() + 3) > 2 ** 16:
+        raise InputError("binom(l+D-1, D-1) may exceed 2^65536: l and D are too large together")
     return d * (math.comb(l + D - 1, D - 1) - math.comb(max(l + D - 3, 0), D - 1))
 
 
@@ -202,12 +217,9 @@ def bgs(N: int, D: int, phi: float = 2.0) -> GroundStateResult:
         raise InputError("need N >= 2")
     if D < 2:
         raise InputError("need D >= 2")
-    if phi <= 0.0:
-        raise InputError("phi must be positive")
-    if not math.isfinite(phi):
-        raise InputError(f"phi must be finite, got {phi}")
-    nu = 0.5 * (N - 1)
-    lam = 0.5 * (D - 2) * (N - 1)
+    _check_phi(phi)
+    nu = finite("nu", lambda: 0.5 * (N - 1))
+    lam = finite("lam", lambda: 0.5 * (D - 2) * (N - 1))
     return GroundStateResult(N=N, D=D, phi=phi, statistics="boson", d=None,
                              levels=((0, 0, N),), nu=nu, lam=lam,
                              q_phi=require_finite("q_phi", phi * nu + lam))
@@ -217,8 +229,7 @@ def _check_fermions(N: int, D: int, d: int, phi: float = 2.0) -> None:
     """The argument check of fgs_fill, fgs_closed and fgs_approx."""
     if N < 2 or D < 2 or d < 1 or phi <= 0.0:
         raise InputError("need N >= 2, D >= 2, d >= 1, phi > 0")
-    if not math.isfinite(phi):
-        raise InputError(f"phi must be finite, got {phi}")
+    _check_phi(phi)
 
 
 def fgs_fill(N: int, D: int, d: int, phi: float = 2.0) -> GroundStateResult:
@@ -273,8 +284,8 @@ def fgs_fill(N: int, D: int, d: int, phi: float = 2.0) -> GroundStateResult:
     else:
         raise InputError(f"the filling of N = {N} at phi = {phi:g} lists more than "
                          f"{MAX_FILL_LEVELS} levels; fgs_approx estimates its Q")
-    nu = n_sum + 0.5 * (N - 1)
-    lam = l_sum + 0.5 * (D - 2) * (N - 1)
+    nu = finite("nu", lambda: n_sum + 0.5 * (N - 1))
+    lam = finite("lam", lambda: l_sum + 0.5 * (D - 2) * (N - 1))
     return GroundStateResult(N=N, D=D, phi=phi, statistics="fermion", d=d,
                              levels=tuple(filled), nu=nu, lam=lam,
                              q_phi=require_finite("q_phi", phi * nu + lam))
@@ -286,7 +297,9 @@ def fgs_closed(N: int, D: int, d: int, variant: int = 2) -> float:
     Both forms share the same shape: q is the greatest natural number such
     that the remainder r = N - (capacity of the shells below q) stays
     non-negative, and Q is the quanta carried by the full shells plus q*r
-    plus the centre-of-mass tail (variant + D - 2)(N - 1)/2.
+    plus the centre-of-mass tail (variant + D - 2)(N - 1)/2.  The capacity
+    grows with q, so q is found by doubling and then bisecting, in about
+    2 log2(q) capacities.  A Q beyond the floats raises InputError.
     """
     _check_fermions(N, D, d)
     if variant == 2:
@@ -304,11 +317,15 @@ def fgs_closed(N: int, D: int, d: int, variant: int = 2) -> float:
             return d * (2 * q * D - 2 * D + D * D + 1) * math.comb(q + D - 2, D) // (D + 1)
     else:
         raise InputError("variant must be 2 or 1")
-    q = 0
-    while N - cumulative(q + 1) >= 0:
-        q += 1
+    q, step = 0, 1
+    while cumulative(step) <= N:
+        step *= 2
+    while step := step // 2:  # here cumulative(q) <= N < cumulative(q + 2 step)
+        if cumulative(q + step) <= N:
+            q += step
     r = N - cumulative(q)
-    return full_shell_quanta(q) + q * r + 0.5 * (variant + D - 2) * (N - 1)
+    return finite("q_closed",
+                  lambda: full_shell_quanta(q) + q * r + 0.5 * (variant + D - 2) * (N - 1))
 
 
 def fgs_approx(N: int, D: int, d: int, phi: float = 2.0) -> float:
@@ -318,5 +335,5 @@ def fgs_approx(N: int, D: int, d: int, phi: float = 2.0) -> float:
     """
     _check_fermions(N, D, d, phi)
     # The D-th root of phi D!/(2 d) in logarithms: D! overflows a float from D = 171.
-    root = math.exp((math.log(phi) + math.lgamma(D + 1.0) - math.log(2.0 * d)) / D)
-    return finite("q_approx", lambda: (D / (D + 1.0)) * root * N ** ((D + 1.0) / D))
+    return finite("q_approx", lambda: (D / (D + 1.0)) * math.exp(
+        (math.log(phi) + math.lgamma(D + 1.0) - math.log(2.0 * d)) / D) * N ** ((D + 1.0) / D))

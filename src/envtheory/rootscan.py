@@ -22,18 +22,20 @@ An exactly-zero sample is a root only when both of its neighbours are
 nonzero: next to another zero, the residual vanishes on the whole bracket
 or both of its terms have underflowed, and neither is a root.
 
-Every scan of the package starts on [SCAN_LO, SCAN_HI] = [1e-8, 1e8]: the
-identical solver's rho0, critical's u*, and the box of the N_a+1 grid start
-(whose descents escape past SCAN_HI) all read the two names here.  The
-grids depend on the range alone: each of a range's three grids (the
-range and its two widenings) is built once and serves every later scan of
-that range.  A caller that knows the residual's signs more cheaply than by
-sampling it hands them to find_roots as grid values (the identical solver
-reads them off a level, K(Q) against one sample of g(rho)).  The scan reads
-only their signs, zeros and holes: it compares signs rather than testing
-a product, which two tiny samples could underflow to zero, and evaluates fn
-itself at the two ends of each bracket before the polish, so the roots are
-those that sampling fn finds, bit for bit.
+The scan range belongs to this module alone: every scan starts on
+[SCAN_LO, SCAN_HI] = [1e-8, 1e8] and widens it twice, and find_roots takes
+no range.  The identical solver's rho0 and critical's u* are scanned so;
+the N_a+1 grid start reads the two names for its box (whose descents
+escape past SCAN_HI) and scans nothing.  Each of the three grids (the
+range and its two widenings) is built once per process and serves every
+later scan.  A caller that knows the residual's signs more cheaply than by
+sampling it hands find_roots a function of the attempt (0, 1, 2) that
+returns them on that attempt's grid (the identical solver reads them off a
+level, K(Q) against one sample of g(rho)).  The scan reads only their
+signs, zeros and holes: it compares signs rather than testing a product,
+which two tiny samples could underflow to zero, and evaluates fn itself at
+the two ends of each bracket before the polish, so the roots are those
+that sampling fn finds, bit for bit.
 """
 
 from __future__ import annotations
@@ -60,11 +62,8 @@ _HOLE_ERRORS = (OverflowError, ValueError, ZeroDivisionError)
 
 
 def _sample(fn: Callable[[float], float], x: float) -> float:
-    try:
-        v = fn(x)
-    except _HOLE_ERRORS:
-        return math.nan
-    return v if math.isfinite(v) else math.nan
+    """fn(x); NaN where it is not finite or raises one of _HOLE_ERRORS."""
+    return _samples(fn, (x,))[0]
 
 
 def _column(draw: Callable[[Iterator], Iterator[float]], points: Iterable) -> list[float]:
@@ -129,9 +128,10 @@ def _polish(fn: Callable[[float], float], a: float, fa: float,
             b, fb, wb, moved = m, fm, 1.0, 1
 
 
-@lru_cache(maxsize=8)
-def _grid(lo: float, hi: float, attempt: int) -> tuple[float, ...]:
-    """The grid find_roots(fn, lo, hi) samples on its given attempt (0, 1, 2)."""
+@lru_cache(maxsize=_EXPANSIONS + 1)
+def _grid(attempt: int) -> tuple[float, ...]:
+    """The grid find_roots samples on its given attempt (0, 1, 2)."""
+    lo, hi = SCAN_LO, SCAN_HI
     for _ in range(attempt):
         lo /= _EXPAND_FACTOR
         hi *= _EXPAND_FACTOR
@@ -140,25 +140,25 @@ def _grid(lo: float, hi: float, attempt: int) -> tuple[float, ...]:
     return tuple([lo] + [lo * math.exp(step * i) for i in range(1, n)] + [hi])
 
 
-def find_roots(fn: Callable[[float], float], lo: float, hi: float,
-               values: Callable[[tuple[float, ...]], list[float]] | None = None
-               ) -> list[float]:
-    """All roots of ``fn`` found by sign-change bracketing on [lo, hi] (0 < lo < hi).
+def find_roots(fn: Callable[[float], float],
+               values: Callable[[int], list[float]] | None = None) -> list[float]:
+    """All roots of ``fn`` found by sign-change bracketing on [SCAN_LO, SCAN_HI].
 
     On failure the range is widened by a factor 1e4 on both ends, up to two
     times (with the panel count scaled to keep the grid density), before a
     NoRootError with a sampled trace is raised.  An exactly-zero sample next
     to another one is not a root.
 
-    ``values``, where given, returns for a grid the values the scan reads in
-    place of fn's samples: they must have fn's signs, zeros and holes (NaN),
-    and nothing else of them is read.  fn is then evaluated at the two ends
+    ``values``, where given, returns for an attempt (0, 1, 2) the values the
+    scan reads in place of fn's samples on that attempt's grid,
+    _grid(attempt): they must have fn's signs, zeros and holes (NaN), and
+    nothing else of them is read.  fn is then evaluated at the two ends
     of each bracket, so the polish starts from fn's own values, and at the
     points of the failure trace.
     """
     for attempt in range(_EXPANSIONS + 1):
-        grid = _grid(lo, hi, attempt)
-        vals = _samples(fn, grid) if values is None else values(grid)
+        grid = _grid(attempt)
+        vals = _samples(fn, grid) if values is None else values(attempt)
         roots: list[float] = []
         for i in range(len(grid) - 1):
             fa, fb = vals[i], vals[i + 1]

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import lru_cache
 from typing import Callable
 
 from . import laws
@@ -45,7 +46,7 @@ from .errors import (DegenerateOrbitalError, InputError, NoRootError,
                      UnstableOrbitalError, UnsupportedRegimeError, finite)
 from .qnum import QuantumSpec, _check_fit
 from .records import Record
-from .rootscan import SCAN_HI, SCAN_LO, _column, _sample, _samples, find_roots
+from .rootscan import _column, _grid, _sample, _samples, find_roots
 
 __all__ = [
     "IdenticalSystem",
@@ -194,11 +195,12 @@ class _Curve:
     The sample.  g is C2 V'(rho) rho, the residual's second term as motion
     forms it, times rho^a, taken in one pass per grid (rootscan._column):
     V' is evaluated once per point, and a point where it raises reads NaN.
-    The column rho^a, NaN where it leaves the band or overflows, depends on
-    the grid and a alone, so it is computed once and shared by every system
+    The scan range belongs to rootscan alone, so the binding keeps g in one
+    slot per scan attempt (0, 1, 2), each on that attempt's grid.  The
+    column rho^a, NaN where it leaves the band or overflows, depends on the
+    attempt and a alone, so it is computed once and shared by every system
     with that kinetic exponent (_powers), such as every p^2/(2m) of any
-    mass and potential.  Both caches are keyed by the grid's identity and
-    hold the grid, so no other grid can take its id and read its columns.
+    mass and potential.
     """
 
     def __init__(self, system: IdenticalSystem) -> None:
@@ -214,7 +216,7 @@ class _Curve:
         c, self.a = kin or (0.0, 0.0)
         self.nca = N * c * self.a
         self.leveled = 0.0 < self.a <= _MAX_A and c * self.a >= 1.0 / _WIDE and self.nca <= _WIDE
-        self.grids: dict[int, tuple[tuple[float, ...], list[float]]] = {}
+        self.columns: dict[int, list[float]] = {}
 
     def at(self, Q: float) -> Callable[[float], tuple]:
         """E(rho; Q) in u = log rho: at(rho) gives the flat record (p0, k, v).
@@ -274,20 +276,20 @@ class _Curve:
                               f"the motion residual cannot be evaluated")
         return rho0
 
-    def _sampled(self, grid: tuple[float, ...]) -> list[float]:
-        """g on the grid; NaN where rho^a or |C2 V'(rho) rho| leaves the band."""
-        entry = self.grids.get(id(grid))
-        if entry is None:
+    def _sampled(self, attempt: int) -> list[float]:
+        """g on the attempt's grid; NaN where rho^a or |C2 V'(rho) rho| leaves the band."""
+        column = self.columns.get(attempt)
+        if column is None:
             c2, d1, nan = self.c2, self.d1, math.nan
-            entry = self.grids[id(grid)] = grid, _column(
+            column = self.columns[attempt] = _column(
                 lambda points: (rhs * ra if -_BAND <= (rhs := c2 * d1(rho) * rho) <= _BAND
                                 else nan for rho, ra in points),
-                zip(grid, _powers(grid, self.a)))
-        return entry[1]
+                zip(_grid(attempt), _powers(attempt, self.a)))
+        return column
 
     def reader(self, Q: float, motion: Callable[[float], float]
-               ) -> Callable[[tuple[float, ...]], list[float]] | None:
-        """find_roots' grid values at Q: K - g where its sign is certain, else motion.
+               ) -> Callable[[int], list[float]] | None:
+        """find_roots' values at Q per attempt: K - g where its sign is certain, else motion.
 
         None where T is not a power within the margin derivation (c a and
         N c a within 2^+-100, a <= _MAX_A), or where K leaves the band: then
@@ -304,33 +306,23 @@ class _Curve:
             return None
         below, above = K * (1.0 - _MARGIN), K * (1.0 + _MARGIN)
 
-        def values(grid: tuple[float, ...]) -> list[float]:
+        def values(attempt: int) -> list[float]:
+            grid = _grid(attempt)
             if not (qs / grid[-1] >= 1.0 / _WIDE and qs / grid[0] <= _WIDE):
                 return _samples(motion, grid)
             return [K - g if g < below or g > above else _sample(motion, x)
-                    for x, g in zip(grid, self._sampled(grid))]
+                    for x, g in zip(grid, self._sampled(attempt))]
 
         return values
 
 
-# The rho^a columns of _powers by (id(grid), a), each with its grid; cleared
-# when full, which bounds their memory.
-_POWERS: dict[tuple[int, float], tuple[tuple[float, ...], list[float]]] = {}
-_POWERS_KEPT = 16
-
-
-def _powers(grid: tuple[float, ...], a: float) -> list[float]:
-    """rho^a on the grid, NaN where it overflows or leaves [2^-350, 2^350]; cached."""
-    key = (id(grid), a)
-    entry = _POWERS.get(key)
-    if entry is None:
-        if len(_POWERS) >= _POWERS_KEPT:
-            _POWERS.clear()
-        low, nan = 1.0 / _BAND, math.nan
-        entry = _POWERS[key] = grid, _column(
-            lambda points: (ra if low <= (ra := rho ** a) <= _BAND else nan for rho in points),
-            grid)
-    return entry[1]
+@lru_cache(maxsize=16)
+def _powers(attempt: int, a: float) -> list[float]:
+    """rho^a on the attempt's grid, NaN where it overflows or leaves [2^-350, 2^350]."""
+    low, nan = 1.0 / _BAND, math.nan
+    return _column(
+        lambda points: (ra if low <= (ra := rho ** a) <= _BAND else nan for rho in points),
+        _grid(attempt))
 
 
 def solve_et(system: IdenticalSystem, Q: float) -> EtSolution:
@@ -380,8 +372,7 @@ def _solve_et(curve: _Curve, Q: float) -> tuple[EtSolution, tuple]:
         return 0.0 if abs(diff) <= 4.0 * 2.0 ** -52 * abs(k) < math.inf else diff
 
     root = curve.root(Q, motion)
-    roots = [root] if root is not None else find_roots(
-        motion, SCAN_LO, SCAN_HI, curve.reader(Q, motion))
+    roots = [root] if root is not None else find_roots(motion, curve.reader(Q, motion))
     N, c2, T, V = curve.N, curve.c2, curve.T, curve.V
     found, records = [], {}
     for rho in roots:

@@ -55,7 +55,7 @@ from typing import Callable
 from . import laws
 from .coupled_osc import OscPair, normal_modes
 from .errors import (DegenerateOrbitalError, InputError, NoBindingError,
-                     NonConvergenceError, UnstableOrbitalError, finite)
+                     NonConvergenceError, UnstableOrbitalError, finite, require_finite)
 from .qnum import QuantumSpec, _check_fit, fgs_fill, spec_from_filling
 from .records import Record
 from .rootscan import SCAN_HI, SCAN_LO
@@ -461,8 +461,9 @@ def dosm_np1(system: NPlusOneSystem, lam_a: float, lam_b: float) -> DosmNp1Repor
     fix the two deformation parameters.  The kinetic energy depends on
     u = (log r_aa, log R0) only through log q - u, so the gradient moves with
     log q as -H_kin, the kinetic part of the Hessian, and the minimum moves as
-    du/dlog q = H^-1 H_kin: the report's radius_response.  A phi_a or phi_b
-    beyond the floats (a mass underflowing to zero, say) raises InputError.
+    du/dlog q = H^-1 H_kin: the report's radius_response.  A mean mass mu,
+    phi_a or phi_b beyond the floats (a mass underflowing to zero, say)
+    raises InputError.
     """
     c2 = pair_count(system.N_a)
     orbital, (_, k1, k2, v1, v2, t11, t12, t22, p11, p12, p22) = _solve(system, lam_a, lam_b)
@@ -476,6 +477,7 @@ def dosm_np1(system: NPlusOneSystem, lam_a: float, lam_b: float) -> DosmNp1Repor
     k_c = 2.0 * h12 / (r_aa * R0)
 
     A, B, mu = normal_modes(OscPair(mu_a, mu_b, k_a, k_b, k_c))
+    require_finite("mu", mu)
     if A <= 0.0 or B <= 0.0:
         raise UnstableOrbitalError(
             f"unstable radial quadratic form (A={A}, B={B})")

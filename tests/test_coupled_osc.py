@@ -176,3 +176,14 @@ def test_strong_stiffness_contrast_keeps_the_small_constant_precise():
     disc = mpmath.sqrt((a - b) ** 2 / 4 + k_c ** 2 / 4)
     assert A == pytest.approx(float((a + b) / 2 + disc), rel=1e-15)
     assert B == pytest.approx(float((a + b) / 2 - disc), rel=1e-14)
+
+
+def test_a_mean_mass_whose_product_overflows_stays_finite():
+    # mu_a mu_b = 6.5e393 overflows, while sqrt(mu_a mu_b) = 8.09e196 does not.
+    pair = OscPair(1.35e196, 4.85e197, 1.0, 1.0, 0.1)
+    A, B, mu = normal_modes(pair)
+    assert mu == math.sqrt(1.35e196) * math.sqrt(4.85e197)
+    assert math.isfinite(level(pair, 1, 2)) and level(pair, 1, 2) > 0.0
+    # Every finite product keeps the one square root it had.
+    for mu_a, mu_b in [(1.0, 3.0), (1e-300, 1e-10), (1.3e154, 1.3e154), (2e-160, 7e-170)]:
+        assert normal_modes(OscPair(mu_a, mu_b, 1.0, 2.0, 0.3))[2] == math.sqrt(mu_a * mu_b)

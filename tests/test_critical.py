@@ -40,8 +40,8 @@ def test_u_star_scan_finds_a_single_root(monkeypatch, shape, root):
     # are not roots.
     found = []
 
-    def recorded(fn, lo, hi):
-        found.extend(rootscan.find_roots(fn, lo, hi))
+    def recorded(fn):
+        found.extend(rootscan.find_roots(fn))
         return found
 
     monkeypatch.setattr(critical, "find_roots", recorded)

@@ -10,6 +10,7 @@ must give the same solution bit for bit, or the same error.
 """
 
 import math
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -144,29 +145,29 @@ def test_the_scan_reads_only_signs_zeros_and_holes():
             raise OverflowError("synthetic blow-up")
         return 0.0 if 40.0 <= x <= 60.0 else (x - 3.0) * (x - 300.0)
 
-    def signs(grid):
+    def signs(attempt):
         out = []
-        for x in grid:
+        for x in rootscan._grid(attempt):
             v = rootscan._sample(fn, x)
             out.append(v if v == 0.0 or math.isnan(v) else math.copysign(1.0, v))
         return out
 
-    roots = rootscan.find_roots(fn, 0.1, 1e4)
-    assert rootscan.find_roots(fn, 0.1, 1e4, signs) == roots
+    roots = rootscan.find_roots(fn)
+    assert rootscan.find_roots(fn, signs) == roots
     assert roots == [pytest.approx(3.0, rel=1e-14), pytest.approx(300.0, rel=1e-14)]
 
 
 def test_a_sign_change_between_tiny_samples_is_a_root():
-    # Adjacent samples near 1e-182 of opposite signs: their product
+    # Adjacent samples near 1e-181 of opposite signs: their product
     # underflows to -0.0, which once hid the sign change.
-    assert rootscan.find_roots(lambda x: 1e-180 * (x - 3.0), 0.1, 100.0) == [
+    assert rootscan.find_roots(lambda x: 1e-180 * (x - 3.0)) == [
         pytest.approx(3.0, rel=1e-14)]
 
 
 def test_the_grids_are_built_once():
-    # The same geometric grid, point for point, on every scan of a range.
-    grid = rootscan._grid(1e-8, 1e8, 1)
-    assert rootscan._grid(1e-8, 1e8, 1) is grid
+    # The same geometric grid, point for point, on every scan's attempt.
+    grid = rootscan._grid(1)
+    assert rootscan._grid(1) is grid
     lo, hi = 1e-8 / 1e4, 1e8 * 1e4
     step = math.log(hi / lo) / 800
     assert grid == tuple([lo] + [lo * math.exp(step * i) for i in range(1, 800)] + [hi])
@@ -193,8 +194,8 @@ def test_a_level_out_of_range_is_sampled(a, Q, level):
     reader = solver_identical._Curve(system).reader(Q, lambda rho: sampled.append(rho) or 1.0)
     assert (reader is not None) == level
     if reader is not None:
-        grid = rootscan._grid(rootscan.SCAN_LO, rootscan.SCAN_HI, 0)
-        assert reader(grid) == [1.0] * len(grid) and sampled == list(grid)
+        grid = rootscan._grid(0)
+        assert reader(0) == [1.0] * len(grid) and sampled == list(grid)
     outcome = _outcome(solve_et, system, Q)
     assert "n_roots=1," in outcome
     assert outcome == _sampled_outcome(solve_et, system, Q)
@@ -231,6 +232,19 @@ def test_a_kinetic_law_that_is_not_a_power_is_sampled():
     assert _outcome(solve_et, system, 15.0) == _outcome(solve_et, power, 15.0)
 
 
+@contextmanager
+def _scanned_on(grid):
+    """Every scan attempt samples ``grid``; the cached rho^a columns are dropped around it."""
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (rootscan, solver_identical):
+            patch.setattr(module, "_grid", lambda attempt: grid)
+        solver_identical._powers.cache_clear()
+        try:
+            yield
+        finally:
+            solver_identical._powers.cache_clear()
+
+
 _A_LOW = math.nextafter(0.5, 0.0)  # the largest exponent at which a - 1 rounds
 _EDGE = 350.0  # log2 of solver_identical._BAND
 
@@ -245,8 +259,7 @@ _EDGE = 350.0  # log2 of solver_identical._BAND
     # |C2 V'(rho) rho| has no lower edge: a small g lies far below K, and is read.
     ("|rhs|", -_EDGE + 0.01, True), ("|rhs|", -_EDGE - 0.01, True),
 ])
-def test_the_band_edges_are_read_as_sampling_reads_them(monkeypatch, a, quantity,
-                                                        log_value, read):
+def test_the_band_edges_are_read_as_sampling_reads_them(a, quantity, log_value, read):
     # N = 2 (C2 = 1) against V = coef r^0.5, scanned on five points x 2^i,
     # i = -2..2.  At x, log2 of p0, K, rho^a and |C2 V'(rho) rho| are P, k, r
     # and h: one of k, r and h sits 0.01 inside or outside the band, and the
@@ -265,12 +278,13 @@ def test_the_band_edges_are_read_as_sampling_reads_them(monkeypatch, a, quantity
                              laws.make_weighted_sum([(coefficient, laws.power(1.0, 0.5))]))
     grid = tuple(x * 2.0 ** i for i in range(-2, 3))
     sampled = []
-    reader = solver_identical._Curve(system).reader(Q, lambda rho: sampled.append(rho) or 1.0)
-    if reader is not None:
-        reader(grid)
-    assert (reader is not None and x not in sampled) == read
-    monkeypatch.setattr(rootscan, "_grid", lambda lo, hi, attempt: grid)
-    assert _outcome(solve_et, system, Q) == _sampled_outcome(solve_et, system, Q)
+    with _scanned_on(grid):
+        reader = solver_identical._Curve(system).reader(
+            Q, lambda rho: sampled.append(rho) or 1.0)
+        if reader is not None:
+            reader(0)
+        assert (reader is not None and x not in sampled) == read
+        assert _outcome(solve_et, system, Q) == _sampled_outcome(solve_et, system, Q)
 
 
 def _g_alone(levels, d1, grid):
@@ -301,8 +315,8 @@ def test_a_derivative_that_raises_is_a_hole_of_the_one_sample_pass():
     counted, calls = _counted_d1(laws.custom(well.value, d1, well.d2))
     system = IdenticalSystem(10, 3, laws.kinetic_power(0.5, 2.0), counted)
     levels = solver_identical._Curve(system)
-    grid = rootscan._grid(rootscan.SCAN_LO, rootscan.SCAN_HI, 0)
-    g = [v.hex() for v in levels._sampled(grid)]
+    grid = rootscan._grid(0)
+    g = [v.hex() for v in levels._sampled(0)]
     assert calls == list(grid)
     assert g == _g_alone(levels, d1, grid)
     assert g.count(math.nan.hex()) > 40
@@ -312,29 +326,28 @@ def test_a_derivative_that_raises_is_a_hole_of_the_one_sample_pass():
     assert _outcome(solve_et, system, 13.5) == _sampled_outcome(solve_et, system, 13.5)
 
 
-def test_grids_with_the_same_first_point_and_length_read_their_own_columns(monkeypatch):
-    # Two five-point grids that share their first point and their length,
-    # scanned in turn by one system and by two: each reads its own rho^a
-    # and g, which _g_alone computes afresh.
-    well = laws.gaussian_well(3.0, 1.0)
+def test_each_scan_attempt_reads_its_own_columns():
+    # A gaussian well of range 1e14, scanned by one system: its root lies
+    # beyond the first widening, so the scan reads all three grids.  Each
+    # attempt's rho^a and g are those _g_alone computes afresh on that
+    # attempt's grid, and the solve finds what sampling finds.
+    well = laws.gaussian_well(3e-26, 1e14)
     system = IdenticalSystem(10, 3, laws.kinetic_power(0.5, 2.0), well)
-    grids = [(0.1, 0.5, 1.0, 2.0, 4.0), (0.1, 0.3, 0.9, 3.0, 8.0)]
     levels = solver_identical._Curve(system)
-    for grid in grids:
-        assert solver_identical._powers(grid, 2.0) == [x ** 2.0 for x in grid]
-        assert [v.hex() for v in levels._sampled(grid)] == _g_alone(levels, well.d1, grid)
-    for grid in grids:
-        monkeypatch.setattr(rootscan, "_grid", lambda lo, hi, attempt: grid)
-        outcome = _outcome(solve_et, system, 13.5)
-        assert outcome.startswith("EtSolution(")
-        assert outcome == _sampled_outcome(solve_et, system, 13.5)
+    for attempt in range(3):
+        grid = rootscan._grid(attempt)
+        assert solver_identical._powers(attempt, 2.0) == [x ** 2.0 for x in grid]
+        assert [v.hex() for v in levels._sampled(attempt)] == _g_alone(levels, well.d1, grid)
+    outcome = _outcome(solve_et, system, 13.5)
+    assert outcome.startswith("EtSolution(") and solve_et(system, 13.5).rho0 > 1e12
+    assert outcome == _sampled_outcome(solve_et, system, 13.5)
 
 
 def test_the_power_columns_are_bounded():
-    # One column per (grid, a) is kept, up to _POWERS_KEPT of them: more
-    # grids than that clear the cache, and every column still reads right.
-    kept = solver_identical._POWERS_KEPT
-    grids = [tuple(float(i + k) for k in range(1, 4)) for i in range(3 * kept)]
-    for grid in grids:
-        assert solver_identical._powers(grid, 1.5) == [x ** 1.5 for x in grid]
-        assert 0 < len(solver_identical._POWERS) <= kept
+    # One column per (attempt, a) is kept, up to 16 of them: more exponents
+    # than that evict the oldest, and every column still reads right.
+    grid = rootscan._grid(0)
+    for i in range(48):
+        a = 1.0 + i / 8.0
+        assert solver_identical._powers(0, a) == [x ** a for x in grid]
+        assert 0 < solver_identical._powers.cache_info().currsize <= 16

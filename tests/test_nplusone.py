@@ -21,10 +21,12 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import minimize
 
 from envtheory import laws, repro, solver_nplus1
+from envtheory.coupled_osc import normal_modes
 from envtheory.errors import (DegenerateOrbitalError, InputError, NoBindingError,
                               EnvTheoryError, NonConvergenceError, UnstableOrbitalError)
 from envtheory.qnum import QuantumSpec, fgs_fill, spec_from_filling, split_ground_spec
-from envtheory.solver_identical import SCAN_HI, IdenticalSystem, dosm_identical, solve_et
+from envtheory.rootscan import SCAN_HI
+from envtheory.solver_identical import IdenticalSystem, dosm_identical, solve_et
 from envtheory.solver_nplus1 import (ESCAPE_FACTOR, NEWTON_TOL, NPlusOneSystem,
                                      atom_report, dosm_np1, phi_pair, solve_atom,
                                      solve_et_np1, solve_iet_np1)
@@ -691,3 +693,23 @@ def test_results_beyond_the_floats_are_input_errors(call):
     # it; the second reads phi_a = inf.  Both once left dosm_np1 raw.
     with pytest.raises(InputError, match="phi_a = inf is not finite: the inputs leave"):
         call()
+
+
+def test_heavy_harmonic_masses_keep_their_deformations():
+    # Masses 5e199: mu_a mu_b overflows, and a mean mass of inf once gave
+    # phi_a = phi_b = 0.0.  Harmonic laws give phi = 2 at any mass.
+    report = dosm_np1(_ho_split(2, 5e199, 5e199, 1.0, 0.7), 1.0, 1.0)
+    assert report.mu == pytest.approx(math.sqrt(report.mu_a) * math.sqrt(report.mu_b), rel=1e-15)
+    assert report.phi_a == pytest.approx(2.0, rel=1e-9)
+    assert report.phi_b == pytest.approx(2.0, rel=1e-9)
+
+
+def test_a_mean_mass_beyond_the_floats_is_an_input_error(monkeypatch):
+    # A mean mass of inf would read sqrt(A/mu) = 0: phi_a = phi_b = 0.0.
+    def modes(pair):
+        A, B, _ = normal_modes(pair)
+        return A, B, math.inf
+
+    monkeypatch.setattr(solver_nplus1, "normal_modes", modes)
+    with pytest.raises(InputError, match="mu = inf is not finite: the inputs leave"):
+        dosm_np1(_ho_split(2, 1.0, 3.0, 1.0, 0.7), 1.0, 1.0)

@@ -16,8 +16,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from envtheory import laws, rootscan, solver_identical
 from envtheory.errors import NoRootError
-from envtheory.solver_identical import (SCAN_HI, SCAN_LO, IdenticalSystem,
-                                        pair_count, solve_et)
+from envtheory.rootscan import SCAN_HI, SCAN_LO
+from envtheory.solver_identical import IdenticalSystem, pair_count, solve_et
 
 
 @contextmanager
@@ -25,9 +25,9 @@ def _counted_scans():
     """Patch solver_identical's find_roots to count its calls."""
     calls = []
 
-    def counted(fn, lo, hi, values=None):
-        calls.append((lo, hi))
-        return rootscan.find_roots(fn, lo, hi, values)
+    def counted(fn, values=None):
+        calls.append(fn)
+        return rootscan.find_roots(fn, values)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver_identical, "find_roots", counted)
@@ -73,7 +73,7 @@ def test_closed_form_root_matches_the_scan(F, alpha, potential, N, Q):
     assert solution.n_roots == 1
     assert solution.all_roots == ((solution.energy, solution.rho0),)
     if SCAN_LO <= solution.rho0 <= SCAN_HI:
-        (oracle,) = rootscan.find_roots(_motion(system, Q), SCAN_LO, SCAN_HI)
+        (oracle,) = rootscan.find_roots(_motion(system, Q))
         assert solution.rho0 == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
 
@@ -169,7 +169,7 @@ def test_a_root_beyond_the_scan_range_is_taken_in_closed_form():
     assert scans == []
     assert solution.rho0 > SCAN_HI
     assert solution.rho0 == pytest.approx(_harmonic_root(N, Q, 0.5, k), rel=1e-13)
-    (oracle,) = rootscan.find_roots(_motion(system, Q), SCAN_LO, SCAN_HI)
+    (oracle,) = rootscan.find_roots(_motion(system, Q))
     assert solution.rho0 == pytest.approx(oracle, rel=1e-13)
 
 
@@ -178,7 +178,7 @@ def test_a_root_beyond_the_widened_scan_is_found():
     N, Q, k = 3, 3.0, 1e-80
     system = IdenticalSystem(N, 3, laws.kinetic_power(0.5, 2.0), laws.harmonic(k))
     with pytest.raises(NoRootError):
-        rootscan.find_roots(_motion(system, Q), SCAN_LO, SCAN_HI)
+        rootscan.find_roots(_motion(system, Q))
     with _counted_scans() as scans:
         solution = solve_et(system, Q)
     assert scans == []

@@ -3,13 +3,14 @@
 import heapq
 import math
 import random
+import signal
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from envtheory import qnum
-from envtheory.errors import InputError
+from envtheory.errors import EnvTheoryError, InputError
 
 
 def test_spec_aggregates():
@@ -181,12 +182,17 @@ def test_bgs_rejects_dimension_below_two():
 
 @pytest.mark.parametrize("phi", [0.0, -0.0, -1.0, -math.inf])
 def test_non_positive_phi_is_rejected(phi):
-    # bgs used to return q_phi = 0.0 for bgs(3, 3, -1.0).
-    for call in (lambda: qnum.bgs(3, 3, phi), lambda: qnum.fgs_fill(3, 3, 1, phi),
-                 lambda: qnum.fgs_approx(3, 3, 1, phi),
-                 lambda: qnum.global_q(qnum.ground_spec(3, 3), phi)):
-        with pytest.raises(InputError, match="phi"):
+    # bgs used to return q_phi = 0.0 for bgs(3, 3, -1.0).  The fermion
+    # fillings name phi in their one argument check.
+    fermions = "need N >= 2, D >= 2, d >= 1, phi > 0"
+    for call, message in ((lambda: qnum.bgs(3, 3, phi), "phi must be positive"),
+                          (lambda: qnum.fgs_fill(3, 3, 1, phi), fermions),
+                          (lambda: qnum.fgs_approx(3, 3, 1, phi), fermions),
+                          (lambda: qnum.global_q(qnum.ground_spec(3, 3), phi),
+                           "phi must be positive")):
+        with pytest.raises(InputError) as info:
             call()
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("D", [1, 0, -1])
@@ -406,3 +412,107 @@ def test_fgs_fill_gives_the_last_level_what_is_left(N, D, d, phi, last):
     assert res.levels[-1] == last
     assert sum(occ for _, _, occ in res.levels) == N
     _same_as_popping(N, D, d, phi)
+
+
+def _walked(D, d, variant, N_max):
+    """fgs_closed for N = 2..N_max by the shell-at-a-time walk it once made."""
+    if variant == 2:
+        def cumulative(q):
+            return d * math.comb(q + D - 1, D)
+
+        def full_shell_quanta(q):
+            return d * D * math.comb(q + D - 1, D + 1)
+    else:
+        def cumulative(q):
+            return d * (2 * q + D - 2) * math.comb(q + D - 2, D - 1) // D
+
+        def full_shell_quanta(q):
+            return d * (2 * q * D - 2 * D + D * D + 1) * math.comb(q + D - 2, D) // (D + 1)
+    q, out = 0, []
+    for N in range(2, N_max + 1):
+        while N - cumulative(q + 1) >= 0:
+            q += 1
+        r = N - cumulative(q)
+        out.append(full_shell_quanta(q) + q * r + 0.5 * (variant + D - 2) * (N - 1))
+    return out
+
+
+@pytest.mark.parametrize("variant", [2, 1])
+def test_fgs_closed_finds_the_shell_the_linear_walk_finds(variant):
+    # Doubling and bisecting on the walk's own test gives its q, and so its
+    # float, bit for bit.
+    for D in range(2, 6):
+        for d in range(1, 4):
+            bisected = [qnum.fgs_closed(N, D, d, variant) for N in range(2, 2001)]
+            assert bisected == _walked(D, d, variant, 2000)
+
+
+def test_fgs_closed_takes_a_googol_squared_fermions_in_no_time():
+    # The walk took one step per shell: about 1.8e67 of them here.
+    start = time.perf_counter()
+    for variant, phi in ((2, 2.0), (1, 1.0)):
+        closed = qnum.fgs_closed(10**200, 3, 1, variant)
+        assert closed == pytest.approx(qnum.fgs_approx(10**200, 3, 1, phi), rel=1e-12)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("ground_state", [lambda: qnum.fgs_closed(10**300, 3, 1),
+                                          lambda: qnum.fgs_closed(10**300, 3, 1, variant=1),
+                                          lambda: qnum.bgs(10**400, 3)],
+                         ids=["fgs_closed-2", "fgs_closed-1", "bgs"])
+def test_a_count_beyond_the_floats_is_an_input_error(ground_state):
+    # (N - 1)/2 of N = 10^400 overflows converting N to a float; Q of
+    # N = 10^300 fermions is about 10^400.
+    with pytest.raises(InputError, match="is not finite: the inputs leave the floating range"):
+        ground_state()
+
+
+@pytest.mark.parametrize("phi", [math.inf, math.nan])
+def test_global_q_rejects_a_non_finite_phi(phi):
+    # NaN passes phi <= 0.0, and inf gave Q = inf.
+    with pytest.raises(InputError, match="phi must be finite"):
+        qnum.global_q(qnum.ground_spec(3, 3), phi)
+
+
+# Integers up to 10^400, small ones among them, and floats of either sign
+# from the least subnormal to 1e308, with zero, infinities and NaN.
+_INTS = st.one_of(st.integers(-2, 8), st.integers(-2, 10**400))
+_FLOATS = st.one_of(st.floats(5e-324, 1e308), st.floats(-1e308, -5e-324),
+                    st.sampled_from([0.0, math.inf, -math.inf, math.nan]))
+_ENTRIES = {
+    "bgs": (qnum.bgs, (_INTS, _INTS, _FLOATS)),
+    "global_q": (lambda D, n, l, phi: qnum.global_q(qnum.QuantumSpec(D, ((n, l),) * 2), phi),
+                 (_INTS, _INTS, _INTS, _FLOATS)),
+    "fgs_fill": (qnum.fgs_fill, (_INTS, _INTS, _INTS, _FLOATS)),
+    "fgs_closed": (qnum.fgs_closed, (_INTS, _INTS, _INTS, st.sampled_from([1, 2, 3]))),
+    "fgs_approx": (qnum.fgs_approx, (_INTS, _INTS, _INTS, _FLOATS)),
+    "level_degeneracy": (qnum.level_degeneracy, (_INTS, _INTS, _INTS)),
+}
+
+
+def _late(signum, frame):
+    raise TimeoutError("the call took over a second")
+
+
+@settings(max_examples=240, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_ENTRIES)), data=st.data())
+def test_every_quantum_number_entry_returns_finite_values_or_refuses(name, data):
+    # A count, phi or Q beyond the floats is an InputError, never a raw
+    # OverflowError, an inf or a NaN; and every call returns within a second.
+    entry, strategies = _ENTRIES[name]
+    args = [data.draw(strategy) for strategy in strategies]
+    previous = signal.signal(signal.SIGALRM, _late)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        result = entry(*args)
+    except EnvTheoryError:
+        return
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    if isinstance(result, qnum.GroundStateResult):
+        assert all(math.isfinite(v) for v in (result.nu, result.lam, result.q_phi))
+    elif name == "level_degeneracy":
+        assert isinstance(result, int) and result > 0
+    else:
+        assert math.isfinite(result)

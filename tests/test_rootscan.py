@@ -15,24 +15,23 @@ from envtheory.rootscan import find_roots
 
 
 def test_single_root():
-    roots = find_roots(lambda x: x - 3.0, 0.1, 100.0)
+    roots = find_roots(lambda x: x - 3.0)
     assert len(roots) == 1
     assert roots[0] == pytest.approx(3.0, rel=1e-12)
 
 
 def test_multiple_roots_in_order():
     # (x-1)(x-10)(x-100) changes sign three times on the grid.
-    roots = find_roots(lambda x: (x - 1.0) * (x - 10.0) * (x - 100.0),
-                       0.1, 1e3)
+    roots = find_roots(lambda x: (x - 1.0) * (x - 10.0) * (x - 100.0))
     assert len(roots) == 3
     assert roots == pytest.approx([1.0, 10.0, 100.0], rel=1e-10)
 
 
 def test_range_expansion_finds_outlying_root():
-    # The root at 5e5 lies outside the initial [0.1, 10] range and is only
-    # reached after widening.
-    roots = find_roots(lambda x: x - 5.0e5, 0.1, 10.0)
-    assert roots[0] == pytest.approx(5.0e5, rel=1e-10)
+    # The root at 5e10 lies outside the initial [1e-8, 1e8] range and is
+    # only reached after widening.
+    roots = find_roots(lambda x: x - 5.0e10)
+    assert roots[0] == pytest.approx(5.0e10, rel=1e-10)
 
 
 def test_non_finite_samples_are_holes():
@@ -41,19 +40,19 @@ def test_non_finite_samples_are_holes():
             raise OverflowError("synthetic blow-up")
         return x - 20.0
 
-    roots = find_roots(fn, 0.01, 1e3)
+    roots = find_roots(fn)
     assert roots[0] == pytest.approx(20.0, rel=1e-12)
 
 
 def test_exact_grid_hit_is_reported():
     # An endpoint value of exactly zero counts as a root even with no
     # sign change around it.
-    roots = find_roots(lambda x: 0.0 if x == 1e-2 else 1.0, 1e-2, 1.0)
-    assert roots[0] == 1e-2
+    roots = find_roots(lambda x: 0.0 if x == 1e-8 else 1.0)
+    assert roots[0] == 1e-8
     # So does the last sample, which has no right-hand neighbour: on the
     # first grid, with no widening past it.
     sampled = []
-    assert find_roots(lambda x: sampled.append(x) or x - 1e8, 1e-8, 1e8) == [1e8]
+    assert find_roots(lambda x: sampled.append(x) or x - 1e8) == [1e8]
     assert max(sampled) == 1e8
 
 
@@ -65,16 +64,16 @@ def test_a_sign_change_across_a_hole_is_no_root(sign):
         return math.nan if 1.0 <= x < 2.0 else sign * (x - 1.5)
 
     with pytest.raises(NoRootError):
-        find_roots(fn, 0.1, 10.0)
+        find_roots(fn)
 
 
 @pytest.mark.parametrize("where", [(0, -1), (1, 200)], ids=["both-ends", "interior"])
 def test_an_isolated_zero_is_a_root_wherever_it_lies_on_the_grid(where):
     # fn is 1 everywhere except for exact zeros at these grid points: each
     # is a root, the first one too where the last sample is also zero.
-    grid = rootscan._grid(0.1, 10.0, 0)
+    grid = rootscan._grid(0)
     zeros = sorted(grid[i] for i in where)
-    assert find_roots(lambda x: 0.0 if x in zeros else 1.0, 0.1, 10.0) == zeros
+    assert find_roots(lambda x: 0.0 if x in zeros else 1.0) == zeros
 
 
 def test_zeros_next_to_zeros_are_not_roots():
@@ -83,17 +82,17 @@ def test_zeros_next_to_zeros_are_not_roots():
     def fn(x):
         return 0.0 if 1.0 <= x <= 100.0 else x - 1e3
 
-    assert find_roots(fn, 1e-2, 1e4) == [pytest.approx(1e3, rel=1e-12)]
+    assert find_roots(fn) == [pytest.approx(1e3, rel=1e-12)]
 
 
 def test_a_residual_that_vanishes_everywhere_has_no_root():
     with pytest.raises(NoRootError):
-        find_roots(lambda x: 0.0, 0.1, 10.0)
+        find_roots(lambda x: 0.0)
 
 
 def test_no_root_error_carries_trace():
     with pytest.raises(NoRootError) as info:
-        find_roots(lambda x: 1.0 + x, 0.1, 10.0)
+        find_roots(lambda x: 1.0 + x)
     trace = info.value.trace
     assert trace
     assert all(len(pair) == 2 for pair in trace)
@@ -109,7 +108,7 @@ def test_a_no_root_error_without_a_trace_has_an_empty_one():
 def test_no_root_error_names_the_last_range_it_sampled():
     # A scan of [1e-8, 1e8] ends on [1e-16, 1e16] after two widenings by 1e4.
     with pytest.raises(NoRootError) as info:
-        find_roots(lambda x: 1.0 + x, 1e-8, 1e8)
+        find_roots(lambda x: 1.0 + x)
     assert str(info.value) == "no sign change on the scanned range up to [1e-16, 1e+16]"
     xs = [x for x, _ in info.value.trace]
     assert xs[0] == pytest.approx(1e-16, rel=1e-12)
@@ -135,7 +134,7 @@ def test_a_polish_whose_trials_round_onto_an_end_closes_in(s, below, above):
 def test_roots_have_full_relative_precision_at_small_scale():
     # An absolute stop on x (brentq's default xtol = 2e-12) leaves a root
     # near 3e-7 off by about 1e-6 relative; bisection in log x does not.
-    roots = find_roots(lambda x: (x - 3e-7) ** 3, 1e-8, 1e8)
+    roots = find_roots(lambda x: (x - 3e-7) ** 3)
     assert roots == [pytest.approx(3e-7, rel=1e-14, abs=0.0)]
 
 
@@ -155,11 +154,12 @@ _SHAPES = {
        below=st.floats(0.01, 4.0), above=st.floats(0.01, 4.0))
 def test_agrees_with_brentq_to_full_precision(shape, log_root, below, above):
     # scipy serves only as an oracle here: with xtol = 1e-300 its stop is
-    # purely relative, so both methods must land on the same root.
+    # purely relative, so both methods must land on the same root.  The
+    # scan brackets it on its own grid, brentq on [lo, hi] around it.
     r = 10.0 ** log_root
     fn = _SHAPES[shape](r)
     lo, hi = r / 10.0 ** below, r * 10.0 ** above
-    roots = find_roots(fn, lo, hi)
+    roots = find_roots(fn)
     assert len(roots) == 1
     expect = brentq(fn, lo, hi, xtol=1e-300, maxiter=1000)
     assert roots[0] == pytest.approx(expect, rel=1e-13, abs=0.0)
@@ -247,22 +247,33 @@ def _bits(values):
     return [float(v).hex() for v in values]
 
 
+def _alone(fn, x):
+    """fn(x) sampled by itself: NaN where it raises a hole error or is not finite."""
+    try:
+        v = fn(x)
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return math.nan
+    return v if math.isfinite(v) else math.nan
+
+
 def test_one_sampling_pass_reads_each_point_as_sampling_it_alone():
     # The pass resumes after each point that raises: fn runs once per point,
-    # in grid order, and each value is _sample's, bit for bit.
-    grid = rootscan._grid(1e-8, 1e8, 0)
+    # in grid order, and each value is the one it has alone, bit for bit;
+    # so is _sample's, a pass over one point.
+    grid = rootscan._grid(0)
     calls = []
-    alone = [rootscan._sample(_holey(calls), x) for x in grid]
+    alone = [_alone(_holey(calls), x) for x in grid]
     assert calls == list(grid)
     calls.clear()
     assert _bits(rootscan._samples(_holey(calls), grid)) == _bits(alone)
     assert calls == list(grid)
+    assert _bits(rootscan._sample(_holey(calls), x) for x in grid) == _bits(alone)
     assert math.isnan(alone[0]) and math.isnan(alone[-1])
     assert any(math.isnan(v) for x, v in zip(grid, alone) if 10.0 < x < 12.0)
 
 
 def _per_point(fn, grid):
-    return [rootscan._sample(fn, x) for x in grid]
+    return [_alone(fn, x) for x in grid]
 
 
 @pytest.mark.parametrize("shift", [0.0, 1e9], ids=["root", "no-root"])
@@ -272,7 +283,7 @@ def test_a_scan_through_holes_finds_what_per_point_sampling_finds(monkeypatch, s
     def outcome(calls):
         fn = _holey(calls)
         try:
-            return find_roots(lambda x: fn(x) - shift, 1e-8, 1e8)
+            return find_roots(lambda x: fn(x) - shift)
         except NoRootError as exc:
             return str(exc), _bits(v for _, v in exc.trace), [x for x, _ in exc.trace]
 
@@ -283,7 +294,7 @@ def test_a_scan_through_holes_finds_what_per_point_sampling_finds(monkeypatch, s
     calls.clear()
     assert outcome(calls) == one_pass
     assert calls == made
-    grids = [rootscan._grid(1e-8, 1e8, attempt) for attempt in range(3)]
+    grids = [rootscan._grid(attempt) for attempt in range(3)]
     if shift:
         assert made == [x for grid in grids for x in grid]
     else:

@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 from envtheory import laws, repro, rootscan, solver_identical, solver_nplus1
 from envtheory.errors import NoBindingError, NonConvergenceError, NoRootError
 from envtheory.qnum import QuantumSpec, fgs_fill, spec_from_filling
-from envtheory.solver_identical import SCAN_HI, SCAN_LO, IdenticalSystem, solve_et
+from envtheory.rootscan import SCAN_HI, SCAN_LO
+from envtheory.solver_identical import IdenticalSystem, solve_et
 from envtheory.solver_nplus1 import (NEWTON_TOL, NPlusOneSystem, atom_report,
                                      solve_et_np1, solve_iet_np1)
 from np1_random_set import _yukawa
@@ -37,9 +38,9 @@ def _count_scans(monkeypatch, module=solver_identical):
     """Count the root scans ``module`` makes: the identical solver's by default."""
     calls = []
 
-    def counted(fn, lo, hi, values=None):
-        calls.append((lo, hi))
-        return rootscan.find_roots(fn, lo, hi, values)
+    def counted(fn, values=None):
+        calls.append(fn)
+        return rootscan.find_roots(fn, values)
 
     monkeypatch.setattr(module, "find_roots", counted)
     return calls
